@@ -12,13 +12,17 @@ from .model import SignatureMatrix, normalize_columns
 KINDS = ("wbe", "random", "orthogonal")
 
 
-def random_normalized(m: int, n: int, seed: int = 0) -> SignatureMatrix:
-    """iid Gaussian entries, columns scaled to unit norm; deterministic per seed."""
-    rng = np.random.default_rng(seed)
+def _random_unit_columns(m: int, n: int, rng: np.random.Generator) -> SignatureMatrix:
+    """iid Gaussian entries from rng, columns scaled to unit norm."""
     while True:
         raw = rng.standard_normal((m, n))
         if np.all(np.linalg.norm(raw, axis=0) >= 1e-12):
             return normalize_columns(raw)
+
+
+def random_normalized(m: int, n: int, seed: int = 0) -> SignatureMatrix:
+    """iid Gaussian entries, columns scaled to unit norm; deterministic per seed."""
+    return _random_unit_columns(m, n, np.random.default_rng(seed))
 
 
 def orthogonal_matrix(m: int, n: int, seed: int = 0) -> SignatureMatrix:

@@ -12,8 +12,6 @@ from scipy.special import erfc
 from . import _rng
 from .model import MAX_USERS, Constellation, SignatureMatrix, build_constellation
 
-_DECODE_SLAB = 512
-
 
 @dataclass(frozen=True)
 class BerEstimate:
@@ -39,32 +37,38 @@ def q_function(x) -> float | np.ndarray:
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def _nearest_index(points: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Index of the nearest constellation point per row of ys.
-
-    Ties go to the lowest index: argmin takes the first minimum within a
-    slab and the cross-slab update is strict.
-    """
-    best_d = np.full(ys.shape[0], np.inf)
-    best_i = np.zeros(ys.shape[0], dtype=np.int64)
-    rows = np.arange(ys.shape[0])
-    for start in range(0, points.shape[0], _DECODE_SLAB):
-        zs = points[start : start + _DECODE_SLAB]
-        d2 = ((ys[:, None, :] - zs[None, :, :]) ** 2).sum(axis=2)
-        j = np.argmin(d2, axis=1)
-        d = d2[rows, j]
-        upd = d < best_d
-        best_d[upd] = d[upd]
-        best_i[upd] = start + j[upd]
-    return best_i
-
-
 def ml_decode(cons: Constellation, y) -> np.ndarray:
     """Input vector whose noiseless point is nearest to y (lowest index on ties)."""
     y = np.asarray(y, dtype=float)
     if y.shape != (cons.m,):
         raise ValueError(f"y must have shape ({cons.m},)")
-    return cons.inputs[_nearest_index(cons.points, y[None, :])[0]]
+    # the nearest point does not depend on the sigma the density uses
+    return cons.inputs[_rng._scan(cons, 1.0, y[None, :])[1][0]]
+
+
+def _ber_estimate(errors: np.ndarray, n_users: int, sigma: float) -> BerEstimate:
+    """BER estimate from per-vector bit-error counts.
+
+    ML decoding flips the bits of one vector together, so std_error is
+    the cluster estimate sd(errors) / (n * sqrt(blocks)), not per bit.
+    """
+    blocks = errors.size
+    bit_errors = int(errors.sum())
+    block_errors = int(np.count_nonzero(errors))
+    bits = blocks * n_users
+    bler = block_errors / blocks
+    spread = float(np.std(errors, ddof=1)) if blocks > 1 else math.nan
+    return BerEstimate(
+        ber=bit_errors / bits,
+        bit_errors=bit_errors,
+        bits_simulated=bits,
+        std_error=spread / (n_users * math.sqrt(blocks)),
+        sigma=float(sigma),
+        block_error_rate=bler,
+        block_errors=block_errors,
+        blocks=blocks,
+        block_std_error=math.sqrt(bler * (1.0 - bler) / blocks),
+    )
 
 
 def simulate_ber(
@@ -78,39 +82,13 @@ def simulate_ber(
 
     Deterministic per seed and worker count; draws come from the same
     per-block substreams as the capacity estimator, so matched seeds share
-    inputs and (sigma-scaled) noise.
+    inputs and (sigma-scaled) noise.  `std_error` is nan for one block.
     """
     if blocks < 1:
         raise ValueError("need at least one block")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     cons = build_constellation(A, max_users=max_users)
-    at = A.entries.T
-    n_blocks = -(-blocks // _rng.BLOCK)
-
-    def one_block(b):
-        signs, unit = _rng.draw_block(seed, b, A.n, A.m)
-        ys = signs @ at + sigma * unit
-        decoded = cons.inputs[_nearest_index(cons.points, ys)]
-        return decoded != signs
-
-    wrong = np.concatenate(_rng.map_blocks(one_block, n_blocks))[:blocks]
-    bit_errors = int(wrong.sum())
-    block_errors = int(wrong.any(axis=1).sum())
-    bits = blocks * A.n
-    ber = bit_errors / bits
-    bler = block_errors / blocks
-    return BerEstimate(
-        ber=ber,
-        bit_errors=bit_errors,
-        bits_simulated=bits,
-        std_error=math.sqrt(ber * (1.0 - ber) / bits),
-        sigma=float(sigma),
-        block_error_rate=bler,
-        block_errors=block_errors,
-        blocks=blocks,
-        block_std_error=math.sqrt(bler * (1.0 - bler) / blocks),
-    )
+    _, errors = _rng.channel_pass(A, cons, sigma, blocks, seed)
+    return _ber_estimate(errors, A.n, sigma)
 
 
 def union_bound(cons: Constellation, sigma: float) -> float:

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import logsumexp
 
 from . import _rng
 from .errors import InvalidSamplesError, QuadratureFailure
 from .model import MAX_USERS, Constellation, SignatureMatrix, build_constellation
 
 _LN2 = math.log(2.0)
-_POINT_SLAB = 2048
 
 
 @dataclass(frozen=True)
@@ -45,27 +43,6 @@ def noise_entropy(m: int, sigma: float) -> float:
     return 0.5 * m * math.log2(2.0 * math.pi * math.e * sigma * sigma)
 
 
-def _log2_density(points: np.ndarray, n_users: int, sigma: float, ys: np.ndarray):
-    """log2 mixture density at each row of ys, slabbed over the points.
-
-    Uses max-shifted log-sum-exp throughout; squared distances are formed
-    via the inner-product expansion (clipped at zero) to avoid a 3-D
-    temporary.
-    """
-    inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    yy = np.einsum("ij,ij->i", ys, ys)
-    acc = np.full(ys.shape[0], -np.inf)
-    for start in range(0, points.shape[0], _POINT_SLAB):
-        zs = points[start : start + _POINT_SLAB]
-        zz = np.einsum("ij,ij->i", zs, zs)
-        d2 = yy[:, None] - 2.0 * (ys @ zs.T) + zz[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        acc = np.logaddexp(acc, logsumexp(-inv2s2 * d2, axis=1))
-    m = points.shape[1]
-    ln_f = acc - n_users * _LN2 - 0.5 * m * math.log(2.0 * math.pi * sigma * sigma)
-    return ln_f / _LN2
-
-
 def log_output_density(cons: Constellation, sigma: float, y) -> float | np.ndarray:
     """log2 of the exact output density f_Y at y.
 
@@ -82,8 +59,24 @@ def log_output_density(cons: Constellation, sigma: float, y) -> float | np.ndarr
     ys = y[None, :] if single else y
     if ys.ndim != 2 or ys.shape[1] != cons.m:
         raise ValueError(f"y must have dimension {cons.m}")
-    out = _log2_density(cons.points, cons.n, sigma, ys)
+    out = -_rng._scan(cons, sigma, ys)[0]
     return float(out[0]) if single else out
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 100:
+        raise InvalidSamplesError("need at least 100 samples")
+
+
+def _capacity_estimate(neg_log2_f: np.ndarray, A: SignatureMatrix, sigma: float):
+    sum_bits = float(np.mean(neg_log2_f)) - noise_entropy(A.m, sigma)
+    return CapacityEstimate(
+        sum_bits=sum_bits,
+        per_user_bits=sum_bits / A.n,
+        std_error=float(np.std(neg_log2_f, ddof=1) / math.sqrt(neg_log2_f.size)),
+        samples=neg_log2_f.size,
+        sigma=float(sigma),
+    )
 
 
 def estimate_capacity(
@@ -100,30 +93,10 @@ def estimate_capacity(
     independent of the worker count, and shares its draws across sigma
     values (the noise is drawn at unit variance and scaled).
     """
-    if samples < 100:
-        raise InvalidSamplesError("need at least 100 samples")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_samples(samples)
     cons = build_constellation(A, max_users=max_users)
-    at = A.entries.T
-    n_blocks = -(-samples // _rng.BLOCK)
-
-    def one_block(b):
-        signs, unit = _rng.draw_block(seed, b, A.n, A.m)
-        ys = signs @ at + sigma * unit
-        return -_log2_density(cons.points, A.n, sigma, ys)
-
-    neg_log2_f = np.concatenate(_rng.map_blocks(one_block, n_blocks))[:samples]
-    h_y = float(np.mean(neg_log2_f))
-    std_error = float(np.std(neg_log2_f, ddof=1) / math.sqrt(samples))
-    sum_bits = h_y - noise_entropy(A.m, sigma)
-    return CapacityEstimate(
-        sum_bits=sum_bits,
-        per_user_bits=sum_bits / A.n,
-        std_error=std_error,
-        samples=samples,
-        sigma=float(sigma),
-    )
+    neg_log2_f, _ = _rng.channel_pass(A, cons, sigma, samples, seed)
+    return _capacity_estimate(neg_log2_f, A, sigma)
 
 
 def exact_capacity_1d(scale: float, sigma: float, tol: float = 1e-6) -> float:

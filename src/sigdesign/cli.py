@@ -12,7 +12,11 @@ All commands are deterministic given --seed, and their outputs are
 byte-identical for any worker count (set the SIGDESIGN_WORKERS
 environment variable to parallelize the Monte-Carlo evaluators).
 
-Exit codes: 0 success, 2 invalid input, 3 numeric failure.
+eval and sweep read capacity and BER off one shared Monte-Carlo pass
+(same draws); ber_std_error is the per-vector (cluster) estimate; the
+optimize run file's criterion echo has no seed_policy key.
+
+Exit codes: 0 success, 2 invalid input, 3 numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines
-from .ber import simulate_ber, union_bound
-from .capacity import estimate_capacity
-from .criteria import KINDS, CriterionSpec, exp_distance, min_distance, q_distance
+from . import _rng, baselines
+from .ber import _ber_estimate, union_bound
+from .capacity import _capacity_estimate, _check_samples, estimate_capacity
+from .criteria import KINDS, CriterionSpec, exp_distance, min_distance
 from .errors import (
     MatrixFileError,
     NanFitnessError,
@@ -39,19 +43,6 @@ from .ga import GaConfig, GaRun, evolve
 from .model import SignatureMatrix, build_constellation
 
 SCHEMA_VERSION = 1
-
-SWEEP_COLUMNS = (
-    "sigma",
-    "snr_db",
-    "per_user_capacity",
-    "capacity_std_error",
-    "ber",
-    "ber_std_error",
-    "nu1",
-    "nu2",
-    "nu3",
-    "union_bound",
-)
 
 
 @dataclass(frozen=True)
@@ -71,6 +62,9 @@ class SweepRow:
 
     def csv(self) -> str:
         return ",".join(repr(getattr(self, c)) for c in SWEEP_COLUMNS)
+
+
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +163,12 @@ def evaluate_matrix(
     A: SignatureMatrix, sigma: float, budget: int, seed: int
 ) -> SweepRow:
     """All sweep-table quantities for one matrix at one noise level."""
-    cap = estimate_capacity(A, sigma, samples=budget, seed=seed)
-    err = simulate_ber(A, sigma, blocks=budget, seed=seed)
+    _check_samples(budget)
     cons = build_constellation(A)
+    neg_log2_f, errors = _rng.channel_pass(A, cons, sigma, budget, seed)
+    cap = _capacity_estimate(neg_log2_f, A, sigma)
+    err = _ber_estimate(errors, A.n, sigma)
+    ub = union_bound(cons, sigma)
     return SweepRow(
         sigma=float(sigma),
         snr_db=-20.0 * float(np.log10(sigma)) + 0.0,  # avoid -0.0
@@ -180,9 +177,9 @@ def evaluate_matrix(
         ber=err.ber,
         ber_std_error=err.std_error,
         nu1=min_distance(cons),
-        nu2=q_distance(cons, sigma),
+        nu2=2.0**cons.n * ub,
         nu3=exp_distance(cons, sigma),
-        union_bound=union_bound(cons, sigma),
+        union_bound=ub,
     )
 
 
@@ -369,6 +366,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (QuadratureFailure, NonConvergenceError, NanFitnessError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

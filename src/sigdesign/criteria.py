@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .ber import q_function, simulate_ber
+from .ber import simulate_ber, union_bound
 from .capacity import estimate_capacity
 from .model import Constellation, SignatureMatrix, build_constellation
 
@@ -33,7 +33,6 @@ class CriterionSpec:
     kind: str
     sigma: float | None = None
     eval_budget: int = 20_000
-    seed_policy: str = "generation"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -43,8 +42,6 @@ class CriterionSpec:
                 raise ValueError(f"criterion {self.kind!r} needs sigma > 0")
         if self.kind in STOCHASTIC_KINDS and self.eval_budget < 100:
             raise ValueError("eval_budget must be at least 100 for stochastic kinds")
-        if self.seed_policy != "generation":
-            raise ValueError("only the per-generation seed policy is supported")
 
 
 def q_approx(x) -> float | np.ndarray:
@@ -63,10 +60,7 @@ def min_distance(cons: Constellation) -> float:
 
 def q_distance(cons: Constellation, sigma: float) -> float:
     """Sum over ordered point pairs of Q(distance / (2 sigma)); minimize."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    d = pdist(cons.points)
-    return float(2.0 * np.sum(q_function(d / (2.0 * sigma))))
+    return 2.0**cons.n * union_bound(cons, sigma)
 
 
 def exp_distance(cons: Constellation, sigma: float) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
+from .baselines import _random_unit_columns
 from .criteria import CriterionSpec, fitness
 from .errors import NanFitnessError
 from .model import SignatureMatrix, normalize_columns
@@ -72,13 +73,6 @@ class GaRun:
     history: tuple[GenerationRecord, ...]
     config: GaConfig
     criterion: CriterionSpec
-
-
-def _random_unit_columns(m: int, n: int, rng: np.random.Generator) -> SignatureMatrix:
-    while True:
-        raw = rng.standard_normal((m, n))
-        if np.all(np.linalg.norm(raw, axis=0) >= 1e-12):
-            return normalize_columns(raw)
 
 
 def init_population(m: int, n: int, config: GaConfig) -> list[SignatureMatrix]:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import hadamard
 
 from sigdesign import (
     SignatureMatrix,
     build_constellation,
+    estimate_capacity,
     ml_decode,
     q_function,
     random_normalized,
@@ -49,6 +51,17 @@ class TestMlDecode:
         # y=(1,0) is exactly equidistant from points 0=(1,1) and 2=(1,-1)
         cons = build_constellation(SignatureMatrix(np.eye(2)))
         npt.assert_array_equal(ml_decode(cons, [1.0, 0.0]), cons.inputs[0])
+
+    def test_tie_across_slabs_breaks_to_lowest_index(self):
+        # columns 0 and 9 coincide, so points 1 (x0=-1, x9=+1) and 512
+        # (x0=+1, x9=-1) are equal and sit in different 512-point slabs;
+        # dyadic Hadamard entries keep the arithmetic exact and every
+        # other point distinct
+        cols = hadamard(16)[:, :10] / 4.0
+        cols[:, 9] = cols[:, 0]
+        cons = build_constellation(SignatureMatrix(cols))
+        npt.assert_array_equal(cons.points[1], cons.points[512])
+        npt.assert_array_equal(ml_decode(cons, cons.points[512]), cons.inputs[1])
 
     def test_all_points_tie(self):
         cons = build_constellation(SignatureMatrix(np.eye(2)))
@@ -135,3 +148,19 @@ class TestUnionBound:
         est = simulate_ber(A, sigma, blocks=10_000, seed=seed)
         bound = union_bound(build_constellation(A), sigma)
         assert est.block_error_rate <= bound + 3 * est.block_std_error
+
+
+@pytest.mark.parametrize("estimator", ["capacity", "ber"])
+def test_std_error_matches_spread_over_seeds(estimator):
+    # 200 seeds pin the empirical SD to about 5 %, so a correct standard
+    # error lands well inside the band; a per-bit BER error (which treats
+    # the bits of one vector as independent) reads about 1.3
+    A = random_normalized(3, 6, seed=1)
+    if estimator == "capacity":
+        ests = [estimate_capacity(A, 0.5, samples=4096, seed=s) for s in range(200)]
+        values = [e.sum_bits for e in ests]
+    else:
+        ests = [simulate_ber(A, 0.5, blocks=4096, seed=s) for s in range(200)]
+        values = [e.ber for e in ests]
+    ratio = np.std(values, ddof=1) / np.mean([e.std_error for e in ests])
+    assert 0.8 <= ratio <= 1.2

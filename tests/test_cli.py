@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sigdesign import SignatureMatrix, exact_capacity_1d, wbe_verify
+from sigdesign import SignatureMatrix, cli, exact_capacity_1d, random_normalized, wbe_verify
 from sigdesign.cli import (
     SWEEP_COLUMNS,
     evaluate_matrix,
@@ -120,6 +121,19 @@ class TestEval:
         _, out = run_cli(capsys, "eval", "--matrix", str(path), "--sigma", "1.0",
                          "--budget", "1000", "--seed", "0")
         assert out.split("\n")[0] == ",".join(SWEEP_COLUMNS)
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setattr(cli, "evaluate_matrix", exhausted)
+        path = tmp_path / "one.json"
+        save_matrix(path, SignatureMatrix([[1.0]]))
+        assert main(["eval", "--matrix", str(path), "--sigma", "1.0"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "16.0 GiB" in err
+        assert "Traceback" not in err
 
 
 class TestOptimize:
@@ -253,7 +267,7 @@ class TestOverloadSweep:
 
 
 class TestEvaluateMatrix:
-    def test_consistent_with_direct_calls(self):
+    def test_consistent_with_direct_calls(self, monkeypatch):
         from sigdesign import (
             build_constellation,
             estimate_capacity,
@@ -263,15 +277,20 @@ class TestEvaluateMatrix:
             union_bound,
         )
 
-        A = SignatureMatrix(np.eye(2))
-        row = evaluate_matrix(A, 0.5, budget=2_000, seed=3)
-        cap = estimate_capacity(A, 0.5, samples=2_000, seed=3)
-        err = simulate_ber(A, 0.5, blocks=2_000, seed=3)
-        cons = build_constellation(A)
-        assert row.per_user_capacity == cap.per_user_bits
-        assert row.ber == err.ber
-        assert row.nu1 == min_distance(cons)
-        assert row.nu2 == q_distance(cons, 0.5)
-        assert row.union_bound == union_bound(cons, 0.5)
-        assert row.nu2 == pytest.approx(2**2 * row.union_bound, rel=1e-12)
-        assert row.snr_db == pytest.approx(-20 * math.log10(0.5))
+        # 4x8 at 5000 rows: two blocks, the second cut to 904 rows
+        cases = [(SignatureMatrix(np.eye(2)), 2_000), (random_normalized(4, 8, seed=2), 5_000)]
+        for (A, budget), workers in itertools.product(cases, ["1", "2"]):
+            monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
+            row = evaluate_matrix(A, 0.5, budget=budget, seed=3)
+            cap = estimate_capacity(A, 0.5, samples=budget, seed=3)
+            err = simulate_ber(A, 0.5, blocks=budget, seed=3)
+            cons = build_constellation(A)
+            assert row.per_user_capacity == cap.per_user_bits
+            assert row.capacity_std_error == cap.std_error
+            assert row.ber == err.ber
+            assert row.ber_std_error == err.std_error
+            assert row.nu1 == min_distance(cons)
+            assert row.nu2 == q_distance(cons, 0.5)
+            assert row.union_bound == union_bound(cons, 0.5)
+            assert row.nu2 == 2**A.n * row.union_bound
+            assert row.snr_db == pytest.approx(-20 * math.log10(0.5))

@@ -67,9 +67,7 @@ class TestQDistance:
     @pytest.mark.parametrize("seed", range(20))
     def test_is_two_to_the_n_times_union_bound(self, seed):
         cons = build_constellation(random_normalized(2, 3, seed=seed))
-        assert q_distance(cons, 0.5) == pytest.approx(
-            2**3 * union_bound(cons, 0.5), rel=1e-12
-        )
+        assert q_distance(cons, 0.5) == 2**3 * union_bound(cons, 0.5)
 
     @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
     def test_two_points(self, d):
@@ -133,10 +131,6 @@ class TestCriterionSpec:
         with pytest.raises(ValueError):
             CriterionSpec(kind="capacity", sigma=1.0, eval_budget=99)
         CriterionSpec(kind="capacity", sigma=1.0, eval_budget=100)
-
-    def test_seed_policy_validated(self):
-        with pytest.raises(ValueError):
-            CriterionSpec(kind="md", seed_policy="per-individual")
 
 
 class TestFitness:
