@@ -36,12 +36,9 @@ from .errors import (
 from .ga import (
     GaConfig,
     GaRun,
-    arithmetic_crossover,
     evolve,
-    gaussian_mutation,
     init_population,
     random_search,
-    tournament_select,
 )
 from .model import (
     ChannelSpec,
@@ -72,7 +69,6 @@ __all__ = [
     "SignatureMatrix",
     "TooManyUsersError",
     "ZeroColumnError",
-    "arithmetic_crossover",
     "build_constellation",
     "enumerate_inputs",
     "estimate_capacity",
@@ -80,7 +76,6 @@ __all__ = [
     "exact_capacity_1d",
     "exp_distance",
     "fitness",
-    "gaussian_mutation",
     "init_population",
     "log_output_density",
     "min_distance",
@@ -94,7 +89,6 @@ __all__ = [
     "random_normalized",
     "random_search",
     "simulate_ber",
-    "tournament_select",
     "transmit",
     "union_bound",
     "wbe_matrix",

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import Constellation, SignatureMatrix
+from .model import Constellation, SignatureMatrix, _check_sigma
 
 BLOCK = 4096
 
@@ -27,15 +27,6 @@ WORKERS_ENV = "SIGDESIGN_WORKERS"
 
 _SLAB = 512
 _LN2 = math.log(2.0)
-
-
-def worker_count() -> int:
-    """Worker count from the environment; 1 if unset or unparsable."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def draw_block(seed: int, block: int, n_users: int, m_chips: int):
@@ -49,12 +40,15 @@ def draw_block(seed: int, block: int, n_users: int, m_chips: int):
 def map_blocks(fn, n_blocks: int) -> list:
     """Apply fn(block_index) for all blocks, in index order.
 
-    Blocks run on a thread pool when the worker count is above one; the
-    returned list is always ordered by block index, so reductions over it
-    are identical for any worker count.
+    Blocks run on a thread pool when SIGDESIGN_WORKERS is above one (1 if
+    unset or unparsable); the returned list is always ordered by block
+    index, so reductions over it are identical for any worker count.
     """
-    workers = worker_count()
-    if workers == 1 or n_blocks <= 1:
+    try:
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    except ValueError:
+        workers = 1
+    if workers <= 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n_blocks)))
@@ -99,8 +93,7 @@ def channel_pass(A: SignatureMatrix, cons: Constellation, sigma: float, rows: in
     cons is build_constellation(A).  Rows come in order from the per-block
     substreams of `seed`; the last block is cut to `rows` before the kernel.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     at = A.entries.T
 
     def one_block(b):

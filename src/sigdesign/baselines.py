@@ -12,17 +12,20 @@ from .model import SignatureMatrix, normalize_columns
 KINDS = ("wbe", "random", "orthogonal")
 
 
-def _random_unit_columns(m: int, n: int, rng: np.random.Generator) -> SignatureMatrix:
-    """iid Gaussian entries from rng, columns scaled to unit norm."""
+def _random_unit_columns(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """iid Gaussian entries of shape (..., m, n) from rng, columns scaled to unit norm."""
+    if min(shape[-2:]) < 1:
+        raise DimensionError(f"need m >= 1 and n >= 1, got (m, n) = {shape[-2:]}")
     while True:
-        raw = rng.standard_normal((m, n))
-        if np.all(np.linalg.norm(raw, axis=0) >= 1e-12):
-            return normalize_columns(raw)
+        raw = rng.standard_normal(shape)
+        norms = np.linalg.norm(raw, axis=-2, keepdims=True)
+        if np.all(norms >= 1e-12):
+            return raw / norms
 
 
 def random_normalized(m: int, n: int, seed: int = 0) -> SignatureMatrix:
     """iid Gaussian entries, columns scaled to unit norm; deterministic per seed."""
-    return _random_unit_columns(m, n, np.random.default_rng(seed))
+    return SignatureMatrix(_random_unit_columns((m, n), np.random.default_rng(seed)))
 
 
 def orthogonal_matrix(m: int, n: int, seed: int = 0) -> SignatureMatrix:
@@ -61,8 +64,8 @@ def wbe_matrix(
         raise DimensionError(f"tight frame needs n >= m, got n={n} < m={m}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    a = _random_unit_columns((m, n), np.random.default_rng(seed))
     target = n / m
-    a = random_normalized(m, n, seed).entries.copy()
     eye = np.eye(m)
     for _ in range(max_iter):
         gram = a @ a.T

@@ -10,7 +10,7 @@ from scipy.spatial.distance import pdist
 from scipy.special import erfc
 
 from . import _rng
-from .model import MAX_USERS, Constellation, SignatureMatrix, build_constellation
+from .model import Constellation, SignatureMatrix, _check_sigma, build_constellation
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ def simulate_ber(
     sigma: float,
     blocks: int,
     seed: int = 0,
-    max_users: int = MAX_USERS,
 ) -> BerEstimate:
     """ML-decode `blocks` random transmissions and count bit errors.
 
@@ -86,7 +85,7 @@ def simulate_ber(
     """
     if blocks < 1:
         raise ValueError("need at least one block")
-    cons = build_constellation(A, max_users=max_users)
+    cons = build_constellation(A)
     _, errors = _rng.channel_pass(A, cons, sigma, blocks, seed)
     return _ber_estimate(errors, A.n, sigma)
 
@@ -96,8 +95,12 @@ def union_bound(cons: Constellation, sigma: float) -> float:
 
     2**-n * sum over ordered pairs i != j of Q(||Z_i - Z_j|| / (2 sigma)),
     with the exact tail function.  Not clamped: the bound may exceed 1.
+    Computed in place on the pair-distance vector.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    d = pdist(cons.points)
-    return float(2.0 ** (-cons.n) * 2.0 * np.sum(q_function(d / (2.0 * sigma))))
+    _check_sigma(sigma)
+    q = pdist(cons.points)
+    q /= 2.0 * sigma
+    q /= math.sqrt(2.0)
+    erfc(q, out=q)
+    q *= 0.5
+    return float(2.0 ** (-cons.n) * 2.0 * np.sum(q))

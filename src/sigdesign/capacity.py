@@ -18,9 +18,7 @@ from scipy import integrate
 
 from . import _rng
 from .errors import InvalidSamplesError, QuadratureFailure
-from .model import MAX_USERS, Constellation, SignatureMatrix, build_constellation
-
-_LN2 = math.log(2.0)
+from .model import Constellation, SignatureMatrix, _check_sigma, build_constellation
 
 
 @dataclass(frozen=True)
@@ -38,8 +36,7 @@ def noise_entropy(m: int, sigma: float) -> float:
     """Differential entropy in bits of m iid Gaussian(0, sigma**2) chips."""
     if m < 1:
         raise ValueError("need at least one chip")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     return 0.5 * m * math.log2(2.0 * math.pi * math.e * sigma * sigma)
 
 
@@ -52,8 +49,7 @@ def log_output_density(cons: Constellation, sigma: float, y) -> float | np.ndarr
     length-k array).  Stable far into the tails: no intermediate
     underflow for ||y - Z_i|| / sigma up to 1e4.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     ys = y[None, :] if single else y
@@ -84,7 +80,6 @@ def estimate_capacity(
     sigma: float,
     samples: int = 200_000,
     seed: int = 0,
-    max_users: int = MAX_USERS,
 ) -> CapacityEstimate:
     """Monte-Carlo estimate of the sum capacity of A at noise level sigma.
 
@@ -94,7 +89,7 @@ def estimate_capacity(
     values (the noise is drawn at unit variance and scaled).
     """
     _check_samples(samples)
-    cons = build_constellation(A, max_users=max_users)
+    cons = build_constellation(A)
     neg_log2_f, _ = _rng.channel_pass(A, cons, sigma, samples, seed)
     return _capacity_estimate(neg_log2_f, A, sigma)
 
@@ -106,8 +101,7 @@ def exact_capacity_1d(scale: float, sigma: float, tol: float = 1e-6) -> float:
     Gaussian noise entropy; serves as the independent oracle for the
     Monte-Carlo estimator on 1x1 systems.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     a, s = float(scale), float(sigma)
     log_half_phi = math.log(0.5) - 0.5 * math.log(2.0 * math.pi * s * s)
     inv2s2 = 1.0 / (2.0 * s * s)
@@ -120,7 +114,7 @@ def exact_capacity_1d(scale: float, sigma: float, tol: float = 1e-6) -> float:
         f = math.exp(lf)
         if f == 0.0:
             return 0.0
-        return -f * lf / _LN2
+        return -f * lf / _rng._LN2
 
     lim = abs(a) + 60.0 * s
     with warnings.catch_warnings():

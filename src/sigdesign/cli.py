@@ -40,7 +40,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .ga import GaConfig, GaRun, evolve
-from .model import SignatureMatrix, build_constellation
+from .model import ChannelSpec, SignatureMatrix, _check_sigma, build_constellation
 
 SCHEMA_VERSION = 1
 
@@ -171,7 +171,7 @@ def evaluate_matrix(
     ub = union_bound(cons, sigma)
     return SweepRow(
         sigma=float(sigma),
-        snr_db=-20.0 * float(np.log10(sigma)) + 0.0,  # avoid -0.0
+        snr_db=ChannelSpec(sigma).snr_db,
         per_user_capacity=cap.per_user_bits,
         capacity_std_error=cap.std_error,
         ber=err.ber,
@@ -188,8 +188,10 @@ def _parse_sigma_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError("--sigma-grid must look like lo:hi:steps")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if lo <= 0 or hi <= 0 or steps < 1:
-        raise ValueError("--sigma-grid needs lo > 0, hi > 0, steps >= 1")
+    _check_sigma(lo)
+    _check_sigma(hi)
+    if steps < 1:
+        raise ValueError("--sigma-grid needs steps >= 1")
     return np.geomspace(lo, hi, steps)
 
 
@@ -212,8 +214,6 @@ def _ga_config(args) -> GaConfig:
 
 def _criterion_spec(args) -> CriterionSpec:
     sigma = None if args.criterion == "md" else args.sigma
-    if args.criterion != "md" and sigma is None:
-        raise ValueError(f"criterion {args.criterion!r} requires --sigma")
     return CriterionSpec(kind=args.criterion, sigma=sigma, eval_budget=args.budget)
 
 

@@ -15,7 +15,7 @@ from scipy.spatial.distance import pdist
 
 from .ber import simulate_ber, union_bound
 from .capacity import estimate_capacity
-from .model import Constellation, SignatureMatrix, build_constellation
+from .model import Constellation, SignatureMatrix, _check_sigma, build_constellation
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")
@@ -38,8 +38,9 @@ class CriterionSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         if self.kind != "md":
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError(f"criterion {self.kind!r} needs sigma > 0")
+            if self.sigma is None:
+                raise ValueError(f"criterion {self.kind!r} needs sigma")
+            _check_sigma(self.sigma)
         if self.kind in STOCHASTIC_KINDS and self.eval_budget < 100:
             raise ValueError("eval_budget must be at least 100 for stochastic kinds")
 
@@ -68,11 +69,17 @@ def exp_distance(cons: Constellation, sigma: float) -> float:
 
     Sum over ordered pairs of exp(-((d/(2 sigma) + 1) / 1.6)**2).  The
     fit's constant prefactor multiplies every term equally and is dropped.
+    Computed in place on the pair-distance vector.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    d = pdist(cons.points)
-    return float(2.0 * np.sum(np.exp(-(((d / (2.0 * sigma) + 1.0) / 1.6) ** 2))))
+    _check_sigma(sigma)
+    e = pdist(cons.points)
+    e /= 2.0 * sigma
+    e += 1.0
+    e /= 1.6
+    np.square(e, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return float(2.0 * np.sum(e))
 
 
 def fitness(spec: CriterionSpec, A: SignatureMatrix, seed: int = 0) -> float:

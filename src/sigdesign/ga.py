@@ -1,26 +1,24 @@
 """Real-valued genetic algorithm over column-normalized signature matrices.
 
 Generational loop with tournament selection, arithmetic crossover,
-decaying Gaussian mutation, and elitism.  Every variation operator
-re-projects onto the unit-column manifold, so all individuals are valid
-signature matrices at all times.  Runs are fully deterministic per seed:
-variation randomness flows through one coordinator stream, and stochastic
-fitness evaluations use a per-generation seed shared by all individuals
-(common random numbers within a generation).
+decaying Gaussian mutation, and elitism, on one (population_size, m, n)
+array.  Every variation step re-projects onto the unit-column manifold.
+Runs are fully deterministic per seed: variation randomness flows through
+one coordinator stream, and stochastic fitness evaluations use a
+per-generation seed shared by all individuals (common random numbers
+within a generation).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng
 from .baselines import _random_unit_columns
 from .criteria import CriterionSpec, fitness
 from .errors import NanFitnessError
-from .model import SignatureMatrix, normalize_columns
+from .model import SignatureMatrix
 
 _COLUMN_DEGENERATE = 1e-9
 
@@ -75,67 +73,26 @@ class GaRun:
     criterion: CriterionSpec
 
 
-def init_population(m: int, n: int, config: GaConfig) -> list[SignatureMatrix]:
-    """population_size random unit-column matrices, deterministic per seed."""
+def init_population(m: int, n: int, config: GaConfig) -> np.ndarray:
+    """(population_size, m, n) random unit-column matrices, deterministic per seed."""
     rng = np.random.default_rng([config.seed, 0])
-    return [_random_unit_columns(m, n, rng) for _ in range(config.population_size)]
+    return _random_unit_columns((config.population_size, m, n), rng)
 
 
-def tournament_select(population, fitnesses, k: int, rng: np.random.Generator) -> int:
-    """Index of the fittest among k distinct uniformly sampled individuals.
-
-    Ties break toward the lowest population index.
-    """
-    if not 1 <= k <= len(population):
-        raise ValueError("tournament size must be in [1, len(population)]")
-    fitnesses = np.asarray(fitnesses, dtype=float)
-    cand = np.sort(rng.choice(len(population), size=k, replace=False))
-    return int(cand[np.argmax(fitnesses[cand])])
+def _tournament(fits: np.ndarray, k: int, rng: np.random.Generator) -> int:
+    """Index of the fittest of k distinct random individuals; ties go to the lowest."""
+    cand = np.sort(rng.choice(fits.size, size=k, replace=False))
+    return int(cand[np.argmax(fits[cand])])
 
 
-def _patch_degenerate(blend: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Replace near-zero columns of blend with the matching fallback columns."""
-    norms = np.linalg.norm(blend, axis=0)
+def _project(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Columns of raw (..., m, n) scaled to unit norm; near-zero ones taken from fallback."""
+    norms = np.linalg.norm(raw, axis=-2, keepdims=True)
     bad = norms < _COLUMN_DEGENERATE
     if np.any(bad):
-        blend = blend.copy()
-        blend[:, bad] = fallback[:, bad]
-    return blend
-
-
-def arithmetic_crossover(
-    parent_a: SignatureMatrix,
-    parent_b: SignatureMatrix,
-    rng: np.random.Generator,
-) -> SignatureMatrix:
-    """Column-renormalized convex blend of the parents, one lambda per child."""
-    if parent_a.entries.shape != parent_b.entries.shape:
-        raise ValueError("parents must have the same shape")
-    lam = rng.uniform()
-    blend = lam * parent_a.entries + (1.0 - lam) * parent_b.entries
-    return normalize_columns(_patch_degenerate(blend, parent_a.entries))
-
-
-def gaussian_mutation(
-    individual: SignatureMatrix,
-    scale: float,
-    rng: np.random.Generator,
-) -> SignatureMatrix:
-    """Add iid Gaussian(0, scale**2) to every entry, then renormalize columns."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    raw = individual.entries + scale * rng.standard_normal(individual.entries.shape)
-    return normalize_columns(_patch_degenerate(raw, individual.entries))
-
-
-def _evaluate_all(criterion: CriterionSpec, population, seed: int) -> np.ndarray:
-    workers = _rng.worker_count()
-    if workers == 1:
-        vals = [fitness(criterion, ind, seed) for ind in population]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(lambda ind: fitness(criterion, ind, seed), population))
-    return np.asarray(vals, dtype=float)
+        raw = np.where(bad, fallback, raw)
+        norms = np.linalg.norm(raw, axis=-2, keepdims=True)
+    return raw / norms
 
 
 def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
@@ -152,6 +109,7 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
     eval_seeds = np.random.SeedSequence([config.seed, 2]).generate_state(
         config.generations
     )
+    n_children = config.population_size - config.elitism
 
     best_matrix = None
     best_fitness = -np.inf
@@ -159,13 +117,15 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
     scale = config.mutation_scale
 
     for gen in range(config.generations):
-        fits = _evaluate_all(criterion, population, int(eval_seeds[gen]))
+        scored = [SignatureMatrix(a) for a in population]
+        seed = int(eval_seeds[gen])
+        fits = np.asarray([fitness(criterion, A, seed) for A in scored], dtype=float)
         if np.any(np.isnan(fits)):
             raise NanFitnessError(f"NaN fitness in generation {gen}")
         order = np.argsort(-fits, kind="stable")
         if fits[order[0]] > best_fitness:
             best_fitness = float(fits[order[0]])
-            best_matrix = population[order[0]]
+            best_matrix = scored[order[0]]
         history.append(
             GenerationRecord(
                 generation=gen,
@@ -178,15 +138,25 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
         if gen == config.generations - 1:
             break
 
-        next_population = [population[i] for i in order[: config.elitism]]
-        while len(next_population) < config.population_size:
-            pa = population[tournament_select(population, fits, config.tournament_size, var_rng)]
-            pb = population[tournament_select(population, fits, config.tournament_size, var_rng)]
-            child = pa
-            if var_rng.random() < config.crossover_rate:
-                child = arithmetic_crossover(pa, pb, var_rng)
-            next_population.append(gaussian_mutation(child, scale, var_rng))
-        population = next_population
+        # per child, in stream order: two tournaments, the crossover coin,
+        # lambda (only when crossing), the mutation noise
+        parents = np.empty((n_children, 2), dtype=np.int64)
+        crossed = np.zeros(n_children, dtype=bool)
+        lam = np.zeros((n_children, 1, 1))
+        noise = np.empty((n_children, m, n))
+        for c in range(n_children):
+            parents[c] = [_tournament(fits, config.tournament_size, var_rng) for _ in range(2)]
+            crossed[c] = var_rng.random() < config.crossover_rate
+            if crossed[c]:
+                lam[c] = var_rng.uniform()
+            noise[c] = var_rng.standard_normal((m, n))
+
+        children = population[parents[:, 0]]
+        a, b = children[crossed], population[parents[crossed, 1]]
+        lam = lam[crossed]
+        children[crossed] = _project(lam * a + (1.0 - lam) * b, a)
+        children = _project(children + scale * noise, children)
+        population = np.concatenate([population[order[: config.elitism]], children])
         scale *= config.mutation_decay
 
     return GaRun(
@@ -217,7 +187,7 @@ def random_search(
     best = None
     best_fit = -np.inf
     for _ in range(evaluations):
-        cand = _random_unit_columns(m, n, rng)
+        cand = SignatureMatrix(_random_unit_columns((m, n), rng))
         fit = fitness(criterion, cand, eval_seed)
         if fit > best_fit:
             best, best_fit = cand, float(fit)

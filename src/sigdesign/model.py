@@ -25,6 +25,17 @@ COLUMN_NORM_TOL = 1e-9
 MAX_USERS = 16
 
 
+def _check_sigma(sigma) -> None:
+    """Raise ValueError unless sigma > 0 and 2 sigma**2 and its reciprocal are finite.
+
+    Every Gaussian density and tail here divides by 2 sigma**2; this also
+    rejects nan, inf, and sigma outside about [5e-155, 9e153].
+    """
+    s = float(sigma) if sigma > 0 else 0.0
+    if not 0.0 < 2.0 * s * s < math.inf or 1.0 / (2.0 * s * s) == math.inf:
+        raise ValueError(f"sigma must be > 0 with 2 sigma^2 and its inverse finite, got {sigma!r}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -73,16 +84,15 @@ class ChannelSpec:
     sigma: float
 
     def __post_init__(self):
-        if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be a finite number")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # no 2 sigma**2 bound: transmit only scales noise, down to the noiseless limit
+        if not (isinstance(self.sigma, (int, float)) and 0.0 < self.sigma < math.inf):
+            raise ValueError("sigma must be a positive finite number")
         object.__setattr__(self, "sigma", float(self.sigma))
 
     @property
     def snr_db(self) -> float:
         """Display SNR for unit-energy users: -20*log10(sigma)."""
-        return -20.0 * math.log10(self.sigma) + 0.0  # avoid -0.0
+        return -20.0 * float(np.log10(self.sigma)) + 0.0  # avoid -0.0
 
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "ChannelSpec":
@@ -138,22 +148,22 @@ def normalize_columns(raw) -> SignatureMatrix:
     return SignatureMatrix(a / norms)
 
 
-def enumerate_inputs(n: int, max_users: int = MAX_USERS) -> np.ndarray:
+def enumerate_inputs(n: int) -> np.ndarray:
     """All 2**n sign vectors in canonical order, as a read-only (2**n, n) array."""
     if n < 1:
         raise ValueError("need at least one user")
-    if n > max_users:
+    if n > MAX_USERS:
         raise TooManyUsersError(
-            f"n={n} exceeds the 2**n enumeration guard (max_users={max_users})"
+            f"n={n} exceeds the 2**n enumeration guard (MAX_USERS={MAX_USERS})"
         )
     idx = np.arange(2**n, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(n, dtype=np.int64)) & 1
     return _frozen(1.0 - 2.0 * bits)
 
 
-def build_constellation(A: SignatureMatrix, max_users: int = MAX_USERS) -> Constellation:
+def build_constellation(A: SignatureMatrix) -> Constellation:
     """Noiseless output points A @ x for every sign input x."""
-    inputs = enumerate_inputs(A.n, max_users=max_users)
+    inputs = enumerate_inputs(A.n)
     points = inputs @ A.entries.T
     return Constellation(points=points, inputs=inputs)
 

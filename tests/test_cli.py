@@ -1,11 +1,16 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sigdesign
 from sigdesign import SignatureMatrix, cli, exact_capacity_1d, random_normalized, wbe_verify
 from sigdesign.cli import (
     SWEEP_COLUMNS,
@@ -21,6 +26,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def assert_rejected(capsys, *argv):
+    """Exit 2 with one stderr line, nothing on stdout, no traceback."""
+    assert main(list(argv)) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ")
 
 
 def read_csv(text):
@@ -62,6 +75,29 @@ class TestMatrixFiles:
         code, _ = run_cli(capsys, "generate", "--kind", "orthogonal", "-m", "2",
                           "-n", "3", "--seed", "1", "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--kind", "random", "-m", "0", "-n", "3"],
+            ["generate", "--kind", "random", "-m", "2", "-n", "0"],
+            ["generate", "--kind", "wbe", "-m", "0", "-n", "3"],
+            ["generate", "--kind", "orthogonal", "-m", "0", "-n", "0"],
+            ["optimize", "--criterion", "md", "-m", "0", "-n", "3"],
+        ],
+        ids=["random-m0", "random-n0", "wbe-m0", "orthogonal-m0-n0", "optimize-m0"],
+    )
+    def test_zero_dimension_exits_2(self, tmp_path, argv):
+        # a subprocess with a timeout: an empty column used to redraw forever
+        src = str(Path(sigdesign.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigdesign", *argv, "--out", str(tmp_path / "x.json")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.json").exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "eval", "--matrix", str(tmp_path / "nope.json"),
@@ -122,6 +158,14 @@ class TestEval:
                          "--budget", "1000", "--seed", "0")
         assert out.split("\n")[0] == ",".join(SWEEP_COLUMNS)
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "1e-160", "1e-170"])
+    def test_unusable_sigma_exits_2(self, tmp_path, capsys, sigma):
+        # 1e-160: 1/(2 sigma^2) overflows; 1e-170: sigma^2 underflows to 0
+        path = tmp_path / "one.json"
+        save_matrix(path, SignatureMatrix([[1.0]]))
+        assert_rejected(capsys, "eval", "--matrix", str(path), "--sigma", sigma,
+                        "--budget", "1000")
+
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError("Unable to allocate 16.0 GiB")
@@ -166,6 +210,11 @@ class TestOptimize:
         code, _ = run_cli(capsys, "optimize", "--criterion", "ed", "-m", "2", "-n", "3",
                           "--seed", "1", "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_unusable_sigma_exits_2(self, tmp_path, capsys, sigma):
+        assert_rejected(capsys, "optimize", "--criterion", "ed", "-m", "2", "-n", "3",
+                        "--sigma", sigma, "--out", str(tmp_path / "x.json"))
 
     def test_beats_equal_budget_random_search(self, tmp_path):
         from sigdesign import CriterionSpec, random_search
@@ -229,6 +278,13 @@ class TestSweep:
                           "--budget", "1000", "--seed", "1",
                           "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+
+    @pytest.mark.parametrize("grid", ["nan:1:2", "0.1:inf:2", "1e-170:1:2"])
+    def test_unusable_grid_exits_2(self, tmp_path, matrices, capsys, grid):
+        assert_rejected(capsys, "sweep", str(matrices[0]), "--sigma-grid", grid,
+                        "--budget", "1000", "--seed", "1", "--out", str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestOverloadSweep:

@@ -13,6 +13,7 @@ from sigdesign import (
     random_normalized,
     transmit,
 )
+from sigdesign.model import MAX_USERS
 
 
 class TestNormalizeColumns:
@@ -83,10 +84,7 @@ class TestEnumerateInputs:
 
     def test_guard(self):
         with pytest.raises(TooManyUsersError):
-            enumerate_inputs(17)
-        with pytest.raises(TooManyUsersError):
-            enumerate_inputs(3, max_users=2)
-        assert enumerate_inputs(3, max_users=3).shape == (8, 3)
+            enumerate_inputs(MAX_USERS + 1)
 
     def test_stable_across_calls(self):
         npt.assert_array_equal(enumerate_inputs(4), enumerate_inputs(4))
