@@ -20,6 +20,7 @@ from .criteria import (
     exp_distance,
     fitness,
     min_distance,
+    population_fitness,
     q_approx,
     q_distance,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "noise_entropy",
     "normalize_columns",
     "orthogonal_matrix",
+    "population_fitness",
     "q_approx",
     "q_distance",
     "q_function",

@@ -8,7 +8,8 @@ callers scale the noise by sigma, which makes runs with matched seeds
 share their draws across different noise levels (common random numbers).
 
 `channel_pass` scores every drawn channel use against the constellation
-once, for both the capacity and the BER estimators.
+once, for both the capacity and the BER estimators and for a whole stack
+of matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import Constellation, SignatureMatrix, _check_sigma
+from .model import _check_sigma, enumerate_inputs
 
 BLOCK = 4096
 
@@ -54,8 +55,8 @@ def map_blocks(fn, n_blocks: int) -> list:
         return list(pool.map(fn, range(n_blocks)))
 
 
-def _scan(cons: Constellation, sigma: float, ys: np.ndarray):
-    """-log2 f_Y(y) and the nearest constellation index for each row of ys.
+def _scan(points: np.ndarray, sigma: float, ys: np.ndarray):
+    """-log2 f_Y(y) and the nearest index into the (2**n, m) points for each row of ys.
 
     Both come from one array ||y||^2 - 2 y.z + ||z||^2, clipped at zero, per
     slab of points.  Ties go to the lowest index (first argmin in a slab,
@@ -67,8 +68,8 @@ def _scan(cons: Constellation, sigma: float, ys: np.ndarray):
     lse = np.full(ys.shape[0], -np.inf)
     best_d = np.full(ys.shape[0], np.inf)
     best_i = np.zeros(ys.shape[0], dtype=np.int64)
-    for start in range(0, cons.size, _SLAB):
-        zs = cons.points[start : start + _SLAB]
+    for start in range(0, len(points), _SLAB):
+        zs = points[start : start + _SLAB]
         d2 = ys @ zs.T
         d2 *= -2.0
         d2 += yy[:, None]
@@ -83,23 +84,28 @@ def _scan(cons: Constellation, sigma: float, ys: np.ndarray):
         d2 *= -inv2s2
         np.exp(d2, out=d2)
         lse = np.logaddexp(lse, np.log(d2.sum(axis=1)) - inv2s2 * d)
-    ln_f = lse - cons.n * _LN2 - 0.5 * cons.m * math.log(2.0 * math.pi * sigma * sigma)
+    n, m = len(points).bit_length() - 1, points.shape[1]
+    ln_f = lse - n * _LN2 - 0.5 * m * math.log(2.0 * math.pi * sigma * sigma)
     return -ln_f / _LN2, best_i
 
 
-def channel_pass(A: SignatureMatrix, cons: Constellation, sigma: float, rows: int, seed: int):
-    """Per-row -log2 f_Y(y) and ML bit-error counts over `rows` channel uses.
+def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
+    """Per-row -log2 f_Y(y) and ML bit-error counts, each (P, rows), for a (P, m, n) stack.
 
-    cons is build_constellation(A).  Rows come in order from the per-block
-    substreams of `seed`; the last block is cut to `rows` before the kernel.
+    Rows come in order from the per-block substreams of `seed`; each block
+    is drawn once, cut to `rows`, and shared by all P matrices.
     """
     _check_sigma(sigma)
-    at = A.entries.T
+    _, m, n = pop.shape
+    inputs = enumerate_inputs(n)
+    at = pop.transpose(0, 2, 1)
+    points = inputs @ at
 
     def one_block(b):
-        signs, unit = (a[: rows - b * BLOCK] for a in draw_block(seed, b, A.n, A.m))
-        neg_log2_f, nearest = _scan(cons, sigma, signs @ at + sigma * unit)
-        return neg_log2_f, (cons.inputs[nearest] != signs).sum(axis=1)
+        signs, unit = (a[: rows - b * BLOCK] for a in draw_block(seed, b, n, m))
+        noise = sigma * unit
+        scans = [_scan(z, sigma, signs @ a + noise) for z, a in zip(points, at)]
+        return [f for f, _ in scans], [(inputs[i] != signs).sum(axis=1) for _, i in scans]
 
     neg_log2_f, errors = zip(*map_blocks(one_block, -(-rows // BLOCK)))
-    return np.concatenate(neg_log2_f), np.concatenate(errors)
+    return np.concatenate(neg_log2_f, axis=1), np.concatenate(errors, axis=1)

@@ -62,8 +62,8 @@ def wbe_matrix(
     """
     if n < m:
         raise DimensionError(f"tight frame needs n >= m, got n={n} < m={m}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     a = _random_unit_columns((m, n), np.random.default_rng(seed))
     target = n / m
     eye = np.eye(m)

@@ -1,4 +1,4 @@
-"""Maximum-likelihood decoding, BER simulation, and the pairwise union bound."""
+"""Maximum-likelihood decoding, BER simulation, and the one pair-distance kernel."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from scipy.spatial.distance import pdist
 from scipy.special import erfc
 
 from . import _rng
-from .model import Constellation, SignatureMatrix, _check_sigma, build_constellation
+from .model import Constellation, SignatureMatrix, _check_sigma
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def ml_decode(cons: Constellation, y) -> np.ndarray:
     if y.shape != (cons.m,):
         raise ValueError(f"y must have shape ({cons.m},)")
     # the nearest point does not depend on the sigma the density uses
-    return cons.inputs[_rng._scan(cons, 1.0, y[None, :])[1][0]]
+    return cons.inputs[_rng._scan(cons.points, 1.0, y[None, :])[1][0]]
 
 
 def _ber_estimate(errors: np.ndarray, n_users: int, sigma: float) -> BerEstimate:
@@ -85,9 +85,38 @@ def simulate_ber(
     """
     if blocks < 1:
         raise ValueError("need at least one block")
-    cons = build_constellation(A)
-    _, errors = _rng.channel_pass(A, cons, sigma, blocks, seed)
-    return _ber_estimate(errors, A.n, sigma)
+    _, errors = _rng.channel_pass(A.entries[None], sigma, blocks, seed)
+    return _ber_estimate(errors[0], A.n, sigma)
+
+
+def _pair_measure(kind: str, points: np.ndarray, sigma: float | None = None) -> np.ndarray:
+    """Minimum distance "md", union bound "ub" or exp distance "ed" per (2**n, m) constellation.
+
+    pdist fills one row per constellation and the measure's tail runs in
+    place over the whole array.  Rows are C-contiguous, so each row's sum
+    is the same pairwise sum as a 1-D np.sum: no value depends on how many
+    constellations are stacked.
+    """
+    size = points.shape[1]  # 2**n
+    d = np.empty((len(points), size * (size - 1) // 2))
+    for row, pts in zip(d, points):
+        pdist(pts, out=row)
+    if kind == "md":
+        return d.min(axis=1)
+    d /= 2.0 * sigma
+    if kind == "ub":
+        d /= math.sqrt(2.0)
+        erfc(d, out=d)
+        d *= 0.5
+        scale = 2.0 ** (1 - size.bit_length()) * 2.0  # 2**-n, and 2 for ordered pairs
+    else:
+        d += 1.0
+        d /= 1.6
+        np.square(d, out=d)
+        np.negative(d, out=d)
+        np.exp(d, out=d)
+        scale = 2.0
+    return scale * d.sum(axis=1)
 
 
 def union_bound(cons: Constellation, sigma: float) -> float:
@@ -95,12 +124,6 @@ def union_bound(cons: Constellation, sigma: float) -> float:
 
     2**-n * sum over ordered pairs i != j of Q(||Z_i - Z_j|| / (2 sigma)),
     with the exact tail function.  Not clamped: the bound may exceed 1.
-    Computed in place on the pair-distance vector.
     """
     _check_sigma(sigma)
-    q = pdist(cons.points)
-    q /= 2.0 * sigma
-    q /= math.sqrt(2.0)
-    erfc(q, out=q)
-    q *= 0.5
-    return float(2.0 ** (-cons.n) * 2.0 * np.sum(q))
+    return float(_pair_measure("ub", cons.points[None], sigma)[0])

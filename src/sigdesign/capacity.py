@@ -14,11 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import _rng
 from .errors import InvalidSamplesError, QuadratureFailure
-from .model import Constellation, SignatureMatrix, _check_sigma, build_constellation
+from .model import Constellation, SignatureMatrix, _check_sigma
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ def log_output_density(cons: Constellation, sigma: float, y) -> float | np.ndarr
     ys = y[None, :] if single else y
     if ys.ndim != 2 or ys.shape[1] != cons.m:
         raise ValueError(f"y must have dimension {cons.m}")
-    out = -_rng._scan(cons, sigma, ys)[0]
+    out = -_rng._scan(cons.points, sigma, ys)[0]
     return float(out[0]) if single else out
 
 
@@ -64,11 +63,11 @@ def _check_samples(samples: int) -> None:
         raise InvalidSamplesError("need at least 100 samples")
 
 
-def _capacity_estimate(neg_log2_f: np.ndarray, A: SignatureMatrix, sigma: float):
-    sum_bits = float(np.mean(neg_log2_f)) - noise_entropy(A.m, sigma)
+def _capacity_estimate(neg_log2_f: np.ndarray, m: int, n: int, sigma: float):
+    sum_bits = float(np.mean(neg_log2_f)) - noise_entropy(m, sigma)
     return CapacityEstimate(
         sum_bits=sum_bits,
-        per_user_bits=sum_bits / A.n,
+        per_user_bits=sum_bits / n,
         std_error=float(np.std(neg_log2_f, ddof=1) / math.sqrt(neg_log2_f.size)),
         samples=neg_log2_f.size,
         sigma=float(sigma),
@@ -89,9 +88,8 @@ def estimate_capacity(
     values (the noise is drawn at unit variance and scaled).
     """
     _check_samples(samples)
-    cons = build_constellation(A)
-    neg_log2_f, _ = _rng.channel_pass(A, cons, sigma, samples, seed)
-    return _capacity_estimate(neg_log2_f, A, sigma)
+    neg_log2_f, _ = _rng.channel_pass(A.entries[None], sigma, samples, seed)
+    return _capacity_estimate(neg_log2_f[0], A.m, A.n, sigma)
 
 
 def exact_capacity_1d(scale: float, sigma: float, tol: float = 1e-6) -> float:
@@ -101,6 +99,8 @@ def exact_capacity_1d(scale: float, sigma: float, tol: float = 1e-6) -> float:
     Gaussian noise entropy; serves as the independent oracle for the
     Monte-Carlo estimator on 1x1 systems.
     """
+    from scipy import integrate  # the only user; keeps it out of `import sigdesign`
+
     _check_sigma(sigma)
     a, s = float(scale), float(sigma)
     log_half_phi = math.log(0.5) - 0.5 * math.log(2.0 * math.pi * s * s)

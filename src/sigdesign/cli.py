@@ -13,8 +13,7 @@ byte-identical for any worker count (set the SIGDESIGN_WORKERS
 environment variable to parallelize the Monte-Carlo evaluators).
 
 eval and sweep read capacity and BER off one shared Monte-Carlo pass
-(same draws); ber_std_error is the per-vector (cluster) estimate; the
-optimize run file's criterion echo has no seed_policy key.
+(same draws); ber_std_error is the per-vector (cluster) estimate.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure or out of memory.
 """
@@ -164,10 +163,10 @@ def evaluate_matrix(
 ) -> SweepRow:
     """All sweep-table quantities for one matrix at one noise level."""
     _check_samples(budget)
+    neg_log2_f, errors = _rng.channel_pass(A.entries[None], sigma, budget, seed)
+    cap = _capacity_estimate(neg_log2_f[0], A.m, A.n, sigma)
+    err = _ber_estimate(errors[0], A.n, sigma)
     cons = build_constellation(A)
-    neg_log2_f, errors = _rng.channel_pass(A, cons, sigma, budget, seed)
-    cap = _capacity_estimate(neg_log2_f, A, sigma)
-    err = _ber_estimate(errors, A.n, sigma)
     ub = union_bound(cons, sigma)
     return SweepRow(
         sigma=float(sigma),
@@ -200,16 +199,7 @@ def _parse_sigma_grid(text: str) -> np.ndarray:
 
 
 def _ga_config(args) -> GaConfig:
-    return GaConfig(
-        population_size=args.population_size,
-        generations=args.generations,
-        tournament_size=args.tournament_size,
-        crossover_rate=args.crossover_rate,
-        mutation_scale=args.mutation_scale,
-        mutation_decay=args.mutation_decay,
-        elitism=args.elitism,
-        seed=args.seed,
-    )
+    return GaConfig(**{f.name: getattr(args, f.name) for f in fields(GaConfig)})
 
 
 def _criterion_spec(args) -> CriterionSpec:
@@ -262,11 +252,7 @@ def cmd_overload_sweep(args) -> int:
         raise ValueError("--n-list must name at least one user count")
     if any(n < args.m for n in n_list):
         raise ValueError("every n in --n-list must be >= m")
-    header = (
-        "m,n,beta,sigma,criterion,best_fitness,"
-        "per_user_capacity,capacity_std_error"
-    )
-    lines = [header]
+    lines = ["m,n,beta,sigma,criterion,best_fitness,per_user_capacity,capacity_std_error"]
     spec = _criterion_spec(args)
     config = _ga_config(args)
     for n in n_list:
@@ -288,13 +274,11 @@ def cmd_overload_sweep(args) -> int:
 
 
 def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--population-size", type=int, default=64)
-    p.add_argument("--generations", type=int, default=200)
-    p.add_argument("--tournament-size", type=int, default=3)
-    p.add_argument("--crossover-rate", type=float, default=0.9)
-    p.add_argument("--mutation-scale", type=float, default=0.1)
-    p.add_argument("--mutation-decay", type=float, default=0.99)
-    p.add_argument("--elitism", type=int, default=2)
+    """One flag per GaConfig field but the seed, e.g. --population-size, with its default."""
+    for f in fields(GaConfig):
+        if f.name != "seed":
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, type=type(f.default), default=f.default)
 
 
 def _build_parser() -> argparse.ArgumentParser:

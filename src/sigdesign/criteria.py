@@ -3,7 +3,8 @@
 Five criteria: estimated sum capacity, simulated BER, and three
 constellation measures (minimum distance, Q-distance, exponential
 distance).  Criteria that are natively minimized enter the fitness as
-their negation, so the optimizer always maximizes.
+their negation, so the optimizer always maximizes.  `population_fitness`
+scores a whole (P, m, n) stack in one call; `fitness` is its P = 1 case.
 """
 
 from __future__ import annotations
@@ -11,14 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
-from .ber import simulate_ber, union_bound
-from .capacity import estimate_capacity
-from .model import Constellation, SignatureMatrix, _check_sigma, build_constellation
+from . import _rng
+from .ber import _ber_estimate, _pair_measure, union_bound
+from .capacity import _capacity_estimate
+from .model import Constellation, SignatureMatrix, _check_columns, _check_sigma, enumerate_inputs
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")
+
+# population_fitness chunk sizes, in float64s per (individuals, pairs or rows) array:
+# pair distances stay cache-sized for the in-place tails; Monte-Carlo rows only
+# need bounded memory, and fewer chunks share each block's draws more widely
+_PAIR_CHUNK = 1 << 16
+_ROW_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ def min_distance(cons: Constellation) -> float:
     """Smallest pairwise distance between constellation points (0 if duplicated)."""
     if cons.size < 2:
         raise ValueError("need at least two constellation points")
-    return float(pdist(cons.points).min())
+    return float(_pair_measure("md", cons.points[None])[0])
 
 
 def q_distance(cons: Constellation, sigma: float) -> float:
@@ -69,28 +76,47 @@ def exp_distance(cons: Constellation, sigma: float) -> float:
 
     Sum over ordered pairs of exp(-((d/(2 sigma) + 1) / 1.6)**2).  The
     fit's constant prefactor multiplies every term equally and is dropped.
-    Computed in place on the pair-distance vector.
     """
     _check_sigma(sigma)
-    e = pdist(cons.points)
-    e /= 2.0 * sigma
-    e += 1.0
-    e /= 1.6
-    np.square(e, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    return float(2.0 * np.sum(e))
+    return float(_pair_measure("ed", cons.points[None], sigma)[0])
+
+
+def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.ndarray:
+    """Score each matrix of a (P, m, n) unit-column stack, equal bit for bit to scoring it alone.
+
+    Stochastic kinds draw each block once for a chunk of individuals and
+    constellation kinds enumerate the inputs once; chunks bound memory.
+    Non-finite entries or non-unit columns raise SignatureMatrix's ValueError.
+    """
+    pop = np.ascontiguousarray(population, dtype=float)
+    if pop.ndim != 3 or 0 in pop.shape:
+        raise ValueError("population must be a non-empty (P, m, n) array")
+    _check_columns(pop)
+    _, m, n = pop.shape
+    stochastic = spec.kind in STOCHASTIC_KINDS
+    if stochastic:
+        step = max(1, _ROW_CHUNK // spec.eval_budget)
+    else:
+        step = max(1, _PAIR_CHUNK // (2**n * (2**n - 1) // 2))
+    scores = []
+    for chunk in (pop[lo : lo + step] for lo in range(0, len(pop), step)):
+        if stochastic:
+            neg_log2_f, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed)
+            if spec.kind == "capacity":
+                scores += [_capacity_estimate(r, m, n, spec.sigma).sum_bits for r in neg_log2_f]
+            else:
+                scores += [-_ber_estimate(r, n, spec.sigma).ber for r in errors]
+            continue
+        points = enumerate_inputs(n) @ chunk.transpose(0, 2, 1)
+        if spec.kind == "md":
+            scores += list(_pair_measure("md", points))
+        elif spec.kind == "qd":
+            scores += list(-(2.0**n * _pair_measure("ub", points, spec.sigma)))
+        else:
+            scores += list(-_pair_measure("ed", points, spec.sigma))
+    return np.array(scores)
 
 
 def fitness(spec: CriterionSpec, A: SignatureMatrix, seed: int = 0) -> float:
-    """Score A under spec; larger is always better."""
-    if spec.kind == "capacity":
-        return estimate_capacity(A, spec.sigma, spec.eval_budget, seed).sum_bits
-    if spec.kind == "ber":
-        return -simulate_ber(A, spec.sigma, spec.eval_budget, seed).ber
-    cons = build_constellation(A)
-    if spec.kind == "md":
-        return min_distance(cons)
-    if spec.kind == "qd":
-        return -q_distance(cons, spec.sigma)
-    return -exp_distance(cons, spec.sigma)
+    """Score A under spec; larger is always better (population_fitness with P = 1)."""
+    return float(population_fitness(spec, A.entries[None], seed)[0])

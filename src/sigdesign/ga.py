@@ -11,12 +11,13 @@ within a generation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import _random_unit_columns
-from .criteria import CriterionSpec, fitness
+from .criteria import CriterionSpec, population_fitness
 from .errors import NanFitnessError
 from .model import SignatureMatrix
 
@@ -45,8 +46,8 @@ class GaConfig:
             raise ValueError("tournament_size must be in [1, population_size]")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
-        if not self.mutation_scale > 0:
-            raise ValueError("mutation_scale must be positive")
+        if not 0.0 < self.mutation_scale < math.inf:
+            raise ValueError("mutation_scale must be positive and finite")
         if not 0.0 < self.mutation_decay <= 1.0:
             raise ValueError("mutation_decay must be in (0, 1]")
         if not 0 <= self.elitism < self.population_size:
@@ -98,7 +99,7 @@ def _project(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
     """Run the generational loop and return the best-ever individual.
 
-    One fitness evaluation round per generation; elites are copied
+    One population_fitness call per generation; elites are copied
     unchanged, the rest of the next population comes from tournament ->
     crossover (with probability crossover_rate, else clone) -> mutation
     with a geometrically decayed scale.  Aborts with NanFitnessError if
@@ -117,15 +118,13 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
     scale = config.mutation_scale
 
     for gen in range(config.generations):
-        scored = [SignatureMatrix(a) for a in population]
-        seed = int(eval_seeds[gen])
-        fits = np.asarray([fitness(criterion, A, seed) for A in scored], dtype=float)
+        fits = population_fitness(criterion, population, int(eval_seeds[gen]))
         if np.any(np.isnan(fits)):
             raise NanFitnessError(f"NaN fitness in generation {gen}")
         order = np.argsort(-fits, kind="stable")
         if fits[order[0]] > best_fitness:
             best_fitness = float(fits[order[0]])
-            best_matrix = scored[order[0]]
+            best_matrix = SignatureMatrix(population[order[0]])
         history.append(
             GenerationRecord(
                 generation=gen,
@@ -184,11 +183,7 @@ def random_search(
         raise ValueError("need at least one evaluation")
     rng = np.random.default_rng(seed)
     eval_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
-    best = None
-    best_fit = -np.inf
-    for _ in range(evaluations):
-        cand = SignatureMatrix(_random_unit_columns((m, n), rng))
-        fit = fitness(criterion, cand, eval_seed)
-        if fit > best_fit:
-            best, best_fit = cand, float(fit)
-    return best, best_fit
+    cands = np.stack([_random_unit_columns((m, n), rng) for _ in range(evaluations)])
+    fits = population_fitness(criterion, cands, eval_seed)
+    best = int(np.argmax(fits))
+    return SignatureMatrix(cands[best]), float(fits[best])

@@ -36,6 +36,14 @@ def _check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be > 0 with 2 sigma^2 and its inverse finite, got {sigma!r}")
 
 
+def _check_columns(a: np.ndarray) -> None:
+    """Raise ValueError unless each (m, n) matrix in a has finite entries and unit columns."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("signature matrix entries must be finite")
+    if np.any(np.abs(np.linalg.norm(a, axis=-2) - 1.0) > COLUMN_NORM_TOL):
+        raise ValueError(f"every column must have unit norm within {COLUMN_NORM_TOL:g}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -52,13 +60,7 @@ class SignatureMatrix:
         a = np.asarray(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("signature matrix must be a non-empty 2-D array")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("signature matrix entries must be finite")
-        norms = np.linalg.norm(a, axis=0)
-        if np.any(np.abs(norms - 1.0) > COLUMN_NORM_TOL):
-            raise ValueError(
-                f"every column must have unit norm within {COLUMN_NORM_TOL:g}"
-            )
+        _check_columns(a)
         object.__setattr__(self, "entries", _frozen(a))
 
     @property

@@ -85,6 +85,12 @@ class TestWbeMatrix:
         with pytest.raises(NonConvergenceError):
             wbe_matrix(3, 5, seed=0, max_iter=1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_validated_before_iterating(self, tol):
+        # max_iter=1 would raise NonConvergenceError if the loop ran
+        with pytest.raises(ValueError, match="tol must be positive"):
+            wbe_matrix(3, 5, seed=0, tol=tol, max_iter=1)
+
     def test_deterministic(self):
         npt.assert_array_equal(
             wbe_matrix(2, 3, seed=9).entries, wbe_matrix(2, 3, seed=9).entries

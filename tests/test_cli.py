@@ -36,6 +36,16 @@ def assert_rejected(capsys, *argv):
     assert out.err.count("\n") == 1 and out.err.startswith("error: ")
 
 
+def run_subprocess(*argv):
+    """Run python with argv against this checkout's package, with a 120 s timeout."""
+    src = str(Path(sigdesign.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def read_csv(text):
     lines = text.strip().split("\n")
     header = lines[0].split(",")
@@ -84,17 +94,17 @@ class TestMatrixFiles:
             ["generate", "--kind", "wbe", "-m", "0", "-n", "3"],
             ["generate", "--kind", "orthogonal", "-m", "0", "-n", "0"],
             ["optimize", "--criterion", "md", "-m", "0", "-n", "3"],
+            ["optimize", "--criterion", "md", "-m", "2", "-n", "3", "--mutation-scale", "inf"],
+            ["generate", "--kind", "wbe", "-m", "2", "-n", "3", "--tol", "nan"],
         ],
-        ids=["random-m0", "random-n0", "wbe-m0", "orthogonal-m0-n0", "optimize-m0"],
+        ids=["random-m0", "random-n0", "wbe-m0", "orthogonal-m0-n0", "optimize-m0",
+             "optimize-mutation-scale-inf", "wbe-tol-nan"],
     )
     def test_zero_dimension_exits_2(self, tmp_path, argv):
-        # a subprocess with a timeout: an empty column used to redraw forever
-        src = str(Path(sigdesign.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sigdesign", *argv, "--out", str(tmp_path / "x.json")],
-            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-        )
+        # a subprocess with a timeout: an empty column used to redraw forever,
+        # an infinite mutation scale printed a numpy RuntimeWarning, and a nan
+        # wbe tolerance ran every iteration and exited 3
+        proc = run_subprocess("-m", "sigdesign", *argv, "--out", str(tmp_path / "x.json"))
         assert proc.returncode == 2
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert not (tmp_path / "x.json").exists()
@@ -350,3 +360,10 @@ class TestEvaluateMatrix:
             assert row.union_bound == union_bound(cons, 0.5)
             assert row.nu2 == 2**A.n * row.union_bound
             assert row.snr_db == pytest.approx(-20 * math.log10(0.5))
+
+
+def test_import_leaves_out_scipy_integrate():
+    # only the 1-D quadrature oracle needs it, and it imports it itself
+    code = "import sys, sigdesign.cli; print('scipy.integrate' in sys.modules)"
+    proc = run_subprocess("-c", code)
+    assert proc.returncode == 0 and proc.stdout == "False\n"

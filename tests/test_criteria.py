@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.spatial.distance import pdist
+from scipy.special import erfc
 
+import sigdesign.criteria as criteria_module
 from sigdesign import (
     Constellation,
     CriterionSpec,
@@ -11,6 +16,7 @@ from sigdesign import (
     exp_distance,
     fitness,
     min_distance,
+    population_fitness,
     q_approx,
     q_distance,
     q_function,
@@ -160,3 +166,61 @@ class TestFitness:
         spec = CriterionSpec(kind=kind, sigma=sigma, eval_budget=1_000)
         A = random_normalized(2, 3, seed=3)
         assert fitness(spec, A, seed=9) == fitness(spec, A, seed=9)
+
+
+def _population(p, m, n):
+    return np.stack([random_normalized(m, n, seed=100 + k).entries for k in range(p)])
+
+
+def _spec(kind):
+    # budget 5000: two blocks, the second cut to 904 rows
+    return CriterionSpec(kind=kind, sigma=None if kind == "md" else 0.4, eval_budget=5_000)
+
+
+class TestPopulationFitness:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("p", [1, 5, 64])
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 8)])
+    @pytest.mark.parametrize("kind", ["capacity", "ber", "md", "qd", "ed"])
+    def test_equals_per_matrix_fitness(self, monkeypatch, kind, m, n, p, workers):
+        monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
+        pop, spec = _population(p, m, n), _spec(kind)
+        got = population_fitness(spec, pop, seed=7)
+        assert got.shape == (p,)
+        for a, value in zip(pop, got):
+            assert value == fitness(spec, SignatureMatrix(a), seed=7)
+
+    @pytest.mark.parametrize("kind", ["capacity", "ber", "md", "qd", "ed"])
+    def test_chunks_do_not_change_values(self, monkeypatch, kind):
+        pop, spec = _population(7, 3, 4), _spec(kind)
+        whole = population_fitness(spec, pop, seed=3)
+        monkeypatch.setattr(criteria_module, "_PAIR_CHUNK", 1)  # one individual per chunk
+        monkeypatch.setattr(criteria_module, "_ROW_CHUNK", 1)
+        npt.assert_array_equal(population_fitness(spec, pop, seed=3), whole)
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 8)])
+    def test_constellation_kinds_equal_pdist_reference(self, m, n):
+        # the per-matrix formulas written out over scipy's pdist
+        pop, sigma = _population(5, m, n), 0.4
+        md, qd, ed = (population_fitness(_spec(k), pop) for k in ("md", "qd", "ed"))
+        for k, a in enumerate(pop):
+            d = pdist(build_constellation(SignatureMatrix(a)).points)
+            q = 0.5 * erfc(d / (2.0 * sigma) / math.sqrt(2.0))
+            e = np.exp(-np.square((d / (2.0 * sigma) + 1.0) / 1.6))
+            assert md[k] == d.min()
+            assert qd[k] == -(2.0**n * (2.0**-n * 2.0 * np.sum(q)))
+            assert ed[k] == -(2.0 * np.sum(e))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5], ids=["nan", "inf", "non-unit"])
+    def test_invalid_individual_raises_like_signature_matrix(self, bad):
+        pop = _population(4, 2, 3)
+        pop[2, 0, 1] = bad
+        with pytest.raises(ValueError) as expected:
+            SignatureMatrix(pop[2])
+        with pytest.raises(ValueError) as got:
+            population_fitness(_spec("md"), pop)
+        assert str(got.value) == str(expected.value)
+
+    def test_shape_validated(self):
+        with pytest.raises(ValueError):
+            population_fitness(_spec("md"), np.eye(2))

@@ -49,6 +49,8 @@ class TestGaConfig:
             ("tournament_size", 65),
             ("crossover_rate", 1.5),
             ("mutation_scale", 0.0),
+            ("mutation_scale", float("inf")),
+            ("mutation_scale", float("nan")),
             ("mutation_decay", 0.0),
             ("mutation_decay", 1.5),
             ("elitism", 64),
@@ -227,23 +229,39 @@ class TestEvolve:
         assert run.criterion == MD
 
     def test_nan_fitness_aborts(self, monkeypatch):
-        monkeypatch.setattr(ga_module, "fitness", lambda spec, A, seed: float("nan"))
+        monkeypatch.setattr(
+            ga_module, "population_fitness", lambda spec, pop, seed: np.full(len(pop), np.nan)
+        )
         with pytest.raises(NanFitnessError):
             evolve(2, 3, MD, GaConfig(population_size=4, generations=2, seed=0))
 
+    def test_matrix_object_only_for_a_new_best(self, monkeypatch):
+        built = []
+
+        def spy(entries):
+            built.append(entries)
+            return SignatureMatrix(entries)
+
+        monkeypatch.setattr(ga_module, "SignatureMatrix", spy)
+        run = evolve(2, 3, ED_HALF, self.CONFIG)
+        bests = [rec.best for rec in run.history]
+        new_bests = sum(b > max(bests[:g], default=-np.inf) for g, b in enumerate(bests))
+        assert len(built) == new_bests <= self.CONFIG.generations
+        npt.assert_array_equal(built[-1], run.best_matrix.entries)
+
     def test_every_individual_in_every_generation_valid(self, monkeypatch):
         seen = []
-        real_fitness = ga_module.fitness
+        real_population_fitness = ga_module.population_fitness
 
-        def spy(spec, A, seed):
-            seen.append(A)
-            return real_fitness(spec, A, seed)
+        def spy(spec, pop, seed):
+            seen.extend(np.array(pop))
+            return real_population_fitness(spec, pop, seed)
 
-        monkeypatch.setattr(ga_module, "fitness", spy)
+        monkeypatch.setattr(ga_module, "population_fitness", spy)
         evolve(2, 3, MD, GaConfig(population_size=8, generations=6, seed=2))
         assert len(seen) == 8 * 6
-        for A in seen:
-            npt.assert_allclose(np.linalg.norm(A.entries, axis=0), 1.0, atol=1e-9)
+        for a in seen:
+            npt.assert_allclose(np.linalg.norm(a, axis=0), 1.0, atol=1e-9)
 
 
 class TestAgainstBruteForce:
