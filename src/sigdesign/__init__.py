@@ -42,13 +42,11 @@ from .ga import (
     random_search,
 )
 from .model import (
-    ChannelSpec,
     Constellation,
     SignatureMatrix,
     build_constellation,
     enumerate_inputs,
     normalize_columns,
-    transmit,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BerEstimate",
     "CapacityEstimate",
-    "ChannelSpec",
     "Constellation",
     "CriterionSpec",
     "DimensionError",
@@ -91,7 +88,6 @@ __all__ = [
     "random_normalized",
     "random_search",
     "simulate_ber",
-    "transmit",
     "union_bound",
     "wbe_matrix",
     "wbe_verify",

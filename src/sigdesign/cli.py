@@ -39,7 +39,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .ga import GaConfig, GaRun, evolve
-from .model import ChannelSpec, SignatureMatrix, _check_sigma, build_constellation
+from .model import SignatureMatrix, _check_sigma, build_constellation
 
 SCHEMA_VERSION = 1
 
@@ -170,7 +170,7 @@ def evaluate_matrix(
     ub = union_bound(cons, sigma)
     return SweepRow(
         sigma=float(sigma),
-        snr_db=ChannelSpec(sigma).snr_db,
+        snr_db=-20.0 * float(np.log10(sigma)) + 0.0,  # avoid -0.0
         per_user_capacity=cap.per_user_bits,
         capacity_std_error=cap.std_error,
         ber=err.ber,
@@ -252,6 +252,7 @@ def cmd_overload_sweep(args) -> int:
         raise ValueError("--n-list must name at least one user count")
     if any(n < args.m for n in n_list):
         raise ValueError("every n in --n-list must be >= m")
+    _check_samples(args.budget)  # the final capacity estimates need it; fail before any GA
     lines = ["m,n,beta,sigma,criterion,best_fitness,per_user_capacity,capacity_std_error"]
     spec = _criterion_spec(args)
     config = _ga_config(args)

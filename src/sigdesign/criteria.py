@@ -21,8 +21,8 @@ from .model import Constellation, SignatureMatrix, _check_columns, _check_sigma,
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")
 
-# population_fitness chunk sizes, in float64s per (individuals, pairs or rows) array:
-# pair distances stay cache-sized for the in-place tails; Monte-Carlo rows only
+# population_fitness chunk sizes, in float64s per (individuals, classes or rows) array:
+# class distances stay cache-sized for the tails; Monte-Carlo rows only
 # need bounded memory, and fewer chunks share each block's draws more widely
 _PAIR_CHUNK = 1 << 16
 _ROW_CHUNK = 1 << 22
@@ -97,7 +97,7 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
     if stochastic:
         step = max(1, _ROW_CHUNK // spec.eval_budget)
     else:
-        step = max(1, _PAIR_CHUNK // (2**n * (2**n - 1) // 2))
+        step = max(1, _PAIR_CHUNK // ((3**n - 1) // 2))
     scores = []
     for chunk in (pop[lo : lo + step] for lo in range(0, len(pop), step)):
         if stochastic:
@@ -108,12 +108,8 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
                 scores += [-_ber_estimate(r, n, spec.sigma).ber for r in errors]
             continue
         points = enumerate_inputs(n) @ chunk.transpose(0, 2, 1)
-        if spec.kind == "md":
-            scores += list(_pair_measure("md", points))
-        elif spec.kind == "qd":
-            scores += list(-(2.0**n * _pair_measure("ub", points, spec.sigma)))
-        else:
-            scores += list(-_pair_measure("ed", points, spec.sigma))
+        value = _pair_measure(spec.kind, points, spec.sigma)
+        scores += list(value if spec.kind == "md" else -value)
     return np.array(scores)
 
 

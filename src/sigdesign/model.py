@@ -1,4 +1,4 @@
-"""Channel model: signature matrices, input enumeration, constellations, AWGN.
+"""Channel model: signature matrices, input enumeration, constellations, noise conventions.
 
 Conventions
 -----------
@@ -80,28 +80,6 @@ class SignatureMatrix:
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
-    """Per-chip AWGN level."""
-
-    sigma: float
-
-    def __post_init__(self):
-        # no 2 sigma**2 bound: transmit only scales noise, down to the noiseless limit
-        if not (isinstance(self.sigma, (int, float)) and 0.0 < self.sigma < math.inf):
-            raise ValueError("sigma must be a positive finite number")
-        object.__setattr__(self, "sigma", float(self.sigma))
-
-    @property
-    def snr_db(self) -> float:
-        """Display SNR for unit-energy users: -20*log10(sigma)."""
-        return -20.0 * float(np.log10(self.sigma)) + 0.0  # avoid -0.0
-
-    @classmethod
-    def from_snr_db(cls, snr_db: float) -> "ChannelSpec":
-        return cls(10.0 ** (-snr_db / 20.0))
-
-
-@dataclass(frozen=True)
 class Constellation:
     """All 2**n noiseless outputs A @ x paired with their sign inputs.
 
@@ -169,15 +147,3 @@ def build_constellation(A: SignatureMatrix) -> Constellation:
     points = inputs @ A.entries.T
     return Constellation(points=points, inputs=inputs)
 
-
-def transmit(
-    A: SignatureMatrix,
-    x,
-    chan: ChannelSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One channel use: A @ x plus iid Gaussian chip noise with std chan.sigma."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.n,):
-        raise ValueError(f"input vector must have shape ({A.n},)")
-    return A.entries @ x + chan.sigma * rng.standard_normal(A.m)

@@ -79,6 +79,8 @@ class TestSimulateBer:
         est = simulate_ber(A, 1e-6, blocks=10_000, seed=1)
         assert est.bit_errors == 0
         assert est.ber == 0.0
+        # rule of three: a 3-sigma band reaches the 95 % bound 3 / blocks
+        assert est.std_error == est.block_std_error == 1.0 / 10_000
 
     def test_scalar_bpsk_matches_tail(self):
         est = simulate_ber(SCALAR_ONE, 1.0, blocks=100_000, seed=2)

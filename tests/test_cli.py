@@ -176,6 +176,16 @@ class TestEval:
         assert_rejected(capsys, "eval", "--matrix", str(path), "--sigma", sigma,
                         "--budget", "1000")
 
+    def test_sixteen_users_finish(self, tmp_path):
+        # MAX_USERS: 3**16 / 2 difference classes, not 2**31 point pairs
+        path = tmp_path / "r816.json"
+        save_matrix(path, random_normalized(8, 16, seed=0))
+        proc = run_subprocess("-m", "sigdesign", "eval", "--matrix", str(path),
+                              "--sigma", "0.5", "--budget", "100")
+        assert proc.returncode == 0, proc.stderr
+        row = read_csv(proc.stdout)[0]
+        assert all(math.isfinite(float(v)) for v in row.values())
+
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError("Unable to allocate 16.0 GiB")
@@ -331,6 +341,16 @@ class TestOverloadSweep:
                           "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("criterion", ["ed", "md"])
+    def test_small_budget_exits_2_before_any_ga(self, tmp_path, capsys, monkeypatch, criterion):
+        def no_ga(*args):
+            raise AssertionError("evolve ran before the budget was checked")
+
+        monkeypatch.setattr(cli, "evolve", no_ga)
+        assert_rejected(capsys, "overload-sweep", "--criterion", criterion, "-m", "2",
+                        "--n-list", "2,3", "--sigma", "0.3", "--budget", "50",
+                        "--out", str(tmp_path / "x.csv"))
+
 
 class TestEvaluateMatrix:
     def test_consistent_with_direct_calls(self, monkeypatch):
@@ -363,7 +383,11 @@ class TestEvaluateMatrix:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # only the 1-D quadrature oracle needs it, and it imports it itself
-    code = "import sys, sigdesign.cli; print('scipy.integrate' in sys.modules)"
+    # only the 1-D quadrature oracle needs scipy.integrate, and it imports it
+    # itself; the pair measures run over difference classes without scipy.spatial
+    code = (
+        "import sys, sigdesign.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.spatial') if m in sys.modules])"
+    )
     proc = run_subprocess("-c", code)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0 and proc.stdout == "[]\n"

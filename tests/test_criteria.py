@@ -23,6 +23,7 @@ from sigdesign import (
     random_normalized,
     union_bound,
 )
+from sigdesign.ber import _pair_classes
 from sigdesign.capacity import exact_capacity_1d
 
 # max |q_approx - Q| over [0, 5]; sits at x=0, frozen after measurement
@@ -198,18 +199,36 @@ class TestPopulationFitness:
         monkeypatch.setattr(criteria_module, "_ROW_CHUNK", 1)
         npt.assert_array_equal(population_fitness(spec, pop, seed=3), whole)
 
-    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 8)])
+    @pytest.mark.parametrize(
+        "m,n", [(1, 1), (2, 3), (3, 4), (4, 8), (4, 9), (5, 10), (2, 10)]
+    )
     def test_constellation_kinds_equal_pdist_reference(self, m, n):
-        # the per-matrix formulas written out over scipy's pdist
+        # the per-matrix formulas written out over scipy's pdist of all point pairs
         pop, sigma = _population(5, m, n), 0.4
         md, qd, ed = (population_fitness(_spec(k), pop) for k in ("md", "qd", "ed"))
         for k, a in enumerate(pop):
             d = pdist(build_constellation(SignatureMatrix(a)).points)
             q = 0.5 * erfc(d / (2.0 * sigma) / math.sqrt(2.0))
             e = np.exp(-np.square((d / (2.0 * sigma) + 1.0) / 1.6))
-            assert md[k] == d.min()
-            assert qd[k] == -(2.0**n * (2.0**-n * 2.0 * np.sum(q)))
-            assert ed[k] == -(2.0 * np.sum(e))
+            assert md[k] == pytest.approx(d.min(), rel=1e-12)
+            assert qd[k] == pytest.approx(-2.0 * np.sum(q), rel=1e-12)
+            assert ed[k] == pytest.approx(-2.0 * np.sum(e), rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pair_classes_cover_every_pair(self, n):
+        i, j, support = _pair_classes(n)
+        count = 2.0 ** (n + 1 - support)  # ordered pairs in the class of d and -d
+        assert len(i) == (3**n - 1) // 2
+        assert np.all(i & j == 0)
+        assert count.sum() == 2**n * (2**n - 1)
+        points = build_constellation(random_normalized(3, n, seed=n)).points
+        dist = np.linalg.norm(points[i] - points[j], axis=1)
+        npt.assert_allclose(
+            np.sort(np.repeat(dist, (count // 2).astype(int))),
+            np.sort(pdist(points)),
+            rtol=0,
+            atol=1e-12,
+        )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5], ids=["nan", "inf", "non-unit"])
     def test_invalid_individual_raises_like_signature_matrix(self, bad):

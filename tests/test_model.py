@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from sigdesign import (
-    ChannelSpec,
     SignatureMatrix,
     TooManyUsersError,
     ZeroColumnError,
@@ -11,7 +10,6 @@ from sigdesign import (
     enumerate_inputs,
     normalize_columns,
     random_normalized,
-    transmit,
 )
 from sigdesign.model import MAX_USERS
 
@@ -129,55 +127,3 @@ class TestBuildConstellation:
         with pytest.raises(TooManyUsersError):
             build_constellation(A)
 
-
-class TestChannelSpec:
-    def test_sigma_positive(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(0.0)
-        with pytest.raises(ValueError):
-            ChannelSpec(-1.0)
-
-    @pytest.mark.parametrize("sigma", [1e-3, 0.25, 1.0, 7.5])
-    def test_db_round_trip(self, sigma):
-        spec = ChannelSpec(sigma)
-        back = ChannelSpec.from_snr_db(spec.snr_db)
-        assert back.sigma == pytest.approx(sigma, rel=1e-12)
-
-    def test_unit_sigma_is_zero_db(self):
-        assert ChannelSpec(1.0).snr_db == 0.0
-
-
-class TestTransmit:
-    def test_noiseless_limit(self):
-        A = random_normalized(2, 3, seed=3)
-        x = np.array([1.0, -1.0, 1.0])
-        y = transmit(A, x, ChannelSpec(1e-300), np.random.default_rng(0))
-        npt.assert_array_equal(y, A.entries @ x)
-
-    def test_deterministic_given_stream_state(self):
-        A = random_normalized(2, 2, seed=1)
-        x = np.array([1.0, -1.0])
-        y1 = transmit(A, x, ChannelSpec(0.5), np.random.default_rng(42))
-        y2 = transmit(A, x, ChannelSpec(0.5), np.random.default_rng(42))
-        npt.assert_array_equal(y1, y2)
-
-    def test_dimension_mismatch(self):
-        A = random_normalized(2, 3, seed=1)
-        with pytest.raises(ValueError):
-            transmit(A, np.ones(2), ChannelSpec(1.0), np.random.default_rng(0))
-
-    def test_noise_statistics(self):
-        # mean within 5 standard errors, covariance within 5% of sigma^2 I
-        A = SignatureMatrix(np.eye(2))
-        x = np.array([1.0, -1.0])
-        sigma = 0.7
-        chan = ChannelSpec(sigma)
-        rng = np.random.default_rng(2024)
-        draws = 100_000
-        deltas = np.empty((draws, 2))
-        clean = A.entries @ x
-        for k in range(draws):
-            deltas[k] = transmit(A, x, chan, rng) - clean
-        assert np.all(np.abs(deltas.mean(axis=0)) < 5 * sigma / np.sqrt(draws))
-        cov = np.cov(deltas.T)
-        npt.assert_allclose(cov, sigma**2 * np.eye(2), rtol=0, atol=0.05 * sigma**2)
