@@ -7,12 +7,11 @@ measures under additive white Gaussian noise.
 """
 
 from .baselines import orthogonal_matrix, random_normalized, wbe_matrix, wbe_verify
-from .ber import BerEstimate, ml_decode, q_function, simulate_ber, union_bound
+from .ber import BerEstimate, q_function, simulate_ber, union_bound
 from .capacity import (
     CapacityEstimate,
     estimate_capacity,
     exact_capacity_1d,
-    log_output_density,
     noise_entropy,
 )
 from .criteria import (
@@ -21,7 +20,6 @@ from .criteria import (
     fitness,
     min_distance,
     population_fitness,
-    q_approx,
     q_distance,
 )
 from .errors import (
@@ -32,7 +30,6 @@ from .errors import (
     NonConvergenceError,
     QuadratureFailure,
     TooManyUsersError,
-    ZeroColumnError,
 )
 from .ga import (
     GaConfig,
@@ -42,11 +39,8 @@ from .ga import (
     random_search,
 )
 from .model import (
-    Constellation,
     SignatureMatrix,
-    build_constellation,
     enumerate_inputs,
-    normalize_columns,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BerEstimate",
     "CapacityEstimate",
-    "Constellation",
     "CriterionSpec",
     "DimensionError",
     "GaConfig",
@@ -66,8 +59,6 @@ __all__ = [
     "QuadratureFailure",
     "SignatureMatrix",
     "TooManyUsersError",
-    "ZeroColumnError",
-    "build_constellation",
     "enumerate_inputs",
     "estimate_capacity",
     "evolve",
@@ -75,14 +66,10 @@ __all__ = [
     "exp_distance",
     "fitness",
     "init_population",
-    "log_output_density",
     "min_distance",
-    "ml_decode",
     "noise_entropy",
-    "normalize_columns",
     "orthogonal_matrix",
     "population_fitness",
-    "q_approx",
     "q_distance",
     "q_function",
     "random_normalized",

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import _check_sigma, enumerate_inputs
+from .model import _check_sigma, _points, enumerate_inputs
 
 BLOCK = 4096
 
@@ -99,7 +99,7 @@ def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
     _, m, n = pop.shape
     inputs = enumerate_inputs(n)
     at = pop.transpose(0, 2, 1)
-    points = inputs @ at
+    points = _points(pop)
 
     def one_block(b):
         signs, unit = (a[: rows - b * BLOCK] for a in draw_block(seed, b, n, m))

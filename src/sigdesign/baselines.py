@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NonConvergenceError
-from .model import SignatureMatrix, normalize_columns
+from .model import SignatureMatrix
 
 KINDS = ("wbe", "random", "orthogonal")
 
@@ -35,7 +35,8 @@ def orthogonal_matrix(m: int, n: int, seed: int = 0) -> SignatureMatrix:
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((m, m)))
     q = q * np.sign(np.diag(r))
-    return normalize_columns(q[:, :n])
+    q = q[:, :n]
+    return SignatureMatrix(q / np.linalg.norm(q, axis=0))
 
 
 def wbe_verify(A: SignatureMatrix) -> float:

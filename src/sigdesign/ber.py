@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import erfc
 
 from . import _rng
-from .model import Constellation, SignatureMatrix, _check_sigma
+from .model import SignatureMatrix, _check_sigma, _points
 
 
 @dataclass(frozen=True)
@@ -35,15 +35,6 @@ class BerEstimate:
 def q_function(x) -> float | np.ndarray:
     """Exact Gaussian tail probability Q(x) via the complementary error function."""
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
-
-
-def ml_decode(cons: Constellation, y) -> np.ndarray:
-    """Input vector whose noiseless point is nearest to y (lowest index on ties)."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (cons.m,):
-        raise ValueError(f"y must have shape ({cons.m},)")
-    # the nearest point does not depend on the sigma the density uses
-    return cons.inputs[_rng._scan(cons.points, 1.0, y[None, :])[1][0]]
 
 
 def _ber_estimate(errors: np.ndarray, n_users: int, sigma: float) -> BerEstimate:
@@ -148,11 +139,12 @@ def _pair_measure(kind: str, points: np.ndarray, sigma: float | None = None) -> 
     return out
 
 
-def union_bound(cons: Constellation, sigma: float) -> float:
-    """Pairwise upper bound on the ML block-error probability.
+def union_bound(A: SignatureMatrix, sigma: float) -> float:
+    """Pairwise upper bound on the ML block-error probability of A.
 
     2**-n * sum over ordered pairs i != j of Q(||Z_i - Z_j|| / (2 sigma)),
-    with the exact tail function.  Not clamped: the bound may exceed 1.
+    with Z_i = A x_i and the exact tail function.  Not clamped: the bound
+    may exceed 1.
     """
     _check_sigma(sigma)
-    return 2.0**-cons.n * float(_pair_measure("qd", cons.points[None], sigma)[0])
+    return 2.0**-A.n * float(_pair_measure("qd", _points(A.entries[None]), sigma)[0])

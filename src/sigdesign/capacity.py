@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _rng
 from .errors import InvalidSamplesError, QuadratureFailure
-from .model import Constellation, SignatureMatrix, _check_sigma
+from .model import SignatureMatrix, _check_sigma
 
 
 @dataclass(frozen=True)
@@ -37,25 +37,6 @@ def noise_entropy(m: int, sigma: float) -> float:
         raise ValueError("need at least one chip")
     _check_sigma(sigma)
     return 0.5 * m * math.log2(2.0 * math.pi * math.e * sigma * sigma)
-
-
-def log_output_density(cons: Constellation, sigma: float, y) -> float | np.ndarray:
-    """log2 of the exact output density f_Y at y.
-
-    f_Y(y) = 2**-n * (2 pi sigma^2)**(-m/2) * sum_i exp(-||y - Z_i||^2 / (2 sigma^2)).
-
-    Accepts one m-vector (returns a float) or a (k, m) batch (returns a
-    length-k array).  Stable far into the tails: no intermediate
-    underflow for ||y - Z_i|| / sigma up to 1e4.
-    """
-    _check_sigma(sigma)
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    ys = y[None, :] if single else y
-    if ys.ndim != 2 or ys.shape[1] != cons.m:
-        raise ValueError(f"y must have dimension {cons.m}")
-    out = -_rng._scan(cons.points, sigma, ys)[0]
-    return float(out[0]) if single else out
 
 
 def _check_samples(samples: int) -> None:

@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng, baselines
-from .ber import _ber_estimate, union_bound
+from .ber import _ber_estimate, _pair_measure
 from .capacity import _capacity_estimate, _check_samples, estimate_capacity
-from .criteria import KINDS, CriterionSpec, exp_distance, min_distance
+from .criteria import KINDS, CriterionSpec
 from .errors import (
     MatrixFileError,
     NanFitnessError,
@@ -39,7 +39,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .ga import GaConfig, GaRun, evolve
-from .model import SignatureMatrix, _check_sigma, build_constellation
+from .model import SignatureMatrix, _check_sigma, _points
 
 SCHEMA_VERSION = 1
 
@@ -119,8 +119,12 @@ def load_matrix(path) -> tuple[SignatureMatrix, dict]:
         raise MatrixFileError(f"{path}: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise MatrixFileError(f"{path}: unsupported schema_version")
+    m, n, label = doc.get("m"), doc.get("n"), doc.get("label")
+    if not all(type(v) is int and v >= 1 for v in (m, n)):
+        raise MatrixFileError(f"{path}: m and n must be JSON integers >= 1")
+    if label is not None and not isinstance(label, str):
+        raise MatrixFileError(f"{path}: label must be a string or null")
     try:
-        m, n = int(doc["m"]), int(doc["n"])
         entries = np.asarray(doc["entries"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFileError(f"{path}: missing or malformed field ({exc})") from exc
@@ -130,7 +134,7 @@ def load_matrix(path) -> tuple[SignatureMatrix, dict]:
         matrix = SignatureMatrix(entries.reshape(m, n))
     except ValueError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
-    meta = {"label": doc.get("label"), "sigma_design": doc.get("sigma_design")}
+    meta = {"label": label, "sigma_design": doc.get("sigma_design")}
     return matrix, meta
 
 
@@ -166,8 +170,8 @@ def evaluate_matrix(
     neg_log2_f, errors = _rng.channel_pass(A.entries[None], sigma, budget, seed)
     cap = _capacity_estimate(neg_log2_f[0], A.m, A.n, sigma)
     err = _ber_estimate(errors[0], A.n, sigma)
-    cons = build_constellation(A)
-    ub = union_bound(cons, sigma)
+    points = _points(A.entries[None])
+    ub = 2.0**-A.n * float(_pair_measure("qd", points, sigma)[0])
     return SweepRow(
         sigma=float(sigma),
         snr_db=-20.0 * float(np.log10(sigma)) + 0.0,  # avoid -0.0
@@ -175,9 +179,9 @@ def evaluate_matrix(
         capacity_std_error=cap.std_error,
         ber=err.ber,
         ber_std_error=err.std_error,
-        nu1=min_distance(cons),
-        nu2=2.0**cons.n * ub,
-        nu3=exp_distance(cons, sigma),
+        nu1=float(_pair_measure("md", points)[0]),
+        nu2=2.0**A.n * ub,
+        nu3=float(_pair_measure("ed", points, sigma)[0]),
         union_bound=ub,
     )
 
@@ -236,6 +240,8 @@ def cmd_sweep(args) -> int:
     for path in args.matrices:
         matrix, meta = load_matrix(path)
         name = meta["label"] or Path(path).stem
+        if any(c in name for c in ',"\r\n'):
+            raise ValueError(f"{path}: matrix name {name!r} has a comma, quote or line break")
         loaded.append((name, matrix))
     lines = ["matrix," + ",".join(SWEEP_COLUMNS)]
     for name, matrix in loaded:

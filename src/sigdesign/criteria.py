@@ -16,7 +16,7 @@ import numpy as np
 from . import _rng
 from .ber import _ber_estimate, _pair_measure, union_bound
 from .capacity import _capacity_estimate
-from .model import Constellation, SignatureMatrix, _check_columns, _check_sigma, enumerate_inputs
+from .model import SignatureMatrix, _check_columns, _check_sigma, _points
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")
@@ -52,33 +52,24 @@ class CriterionSpec:
             raise ValueError("eval_budget must be at least 100 for stochastic kinds")
 
 
-def q_approx(x) -> float | np.ndarray:
-    """Gaussian-shaped curve fit to the tail function: 0.7*exp(-((x+1)/1.6)**2)."""
-    x = np.asarray(x, dtype=float)
-    out = 0.7 * np.exp(-(((x + 1.0) / 1.6) ** 2))
-    return float(out) if out.ndim == 0 else out
+def min_distance(A: SignatureMatrix) -> float:
+    """Smallest distance between two of A's 2**n noiseless outputs (0 if two coincide)."""
+    return float(_pair_measure("md", _points(A.entries[None]))[0])
 
 
-def min_distance(cons: Constellation) -> float:
-    """Smallest pairwise distance between constellation points (0 if duplicated)."""
-    if cons.size < 2:
-        raise ValueError("need at least two constellation points")
-    return float(_pair_measure("md", cons.points[None])[0])
+def q_distance(A: SignatureMatrix, sigma: float) -> float:
+    """Sum over ordered output pairs of Q(distance / (2 sigma)); minimize."""
+    return 2.0**A.n * union_bound(A, sigma)
 
 
-def q_distance(cons: Constellation, sigma: float) -> float:
-    """Sum over ordered point pairs of Q(distance / (2 sigma)); minimize."""
-    return 2.0**cons.n * union_bound(cons, sigma)
-
-
-def exp_distance(cons: Constellation, sigma: float) -> float:
+def exp_distance(A: SignatureMatrix, sigma: float) -> float:
     """Q-distance with the tail replaced by its exponential fit; minimize.
 
     Sum over ordered pairs of exp(-((d/(2 sigma) + 1) / 1.6)**2).  The
     fit's constant prefactor multiplies every term equally and is dropped.
     """
     _check_sigma(sigma)
-    return float(_pair_measure("ed", cons.points[None], sigma)[0])
+    return float(_pair_measure("ed", _points(A.entries[None]), sigma)[0])
 
 
 def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.ndarray:
@@ -107,8 +98,7 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
             else:
                 scores += [-_ber_estimate(r, n, spec.sigma).ber for r in errors]
             continue
-        points = enumerate_inputs(n) @ chunk.transpose(0, 2, 1)
-        value = _pair_measure(spec.kind, points, spec.sigma)
+        value = _pair_measure(spec.kind, _points(chunk), spec.sigma)
         scores += list(value if spec.kind == "md" else -value)
     return np.array(scores)
 

@@ -6,10 +6,6 @@ to exit code 3.
 """
 
 
-class ZeroColumnError(ValueError):
-    """A matrix column has (near-)zero norm and cannot be normalized."""
-
-
 class TooManyUsersError(ValueError):
     """User count exceeds the 2**n enumeration guard."""
 

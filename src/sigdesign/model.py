@@ -1,4 +1,4 @@
-"""Channel model: signature matrices, input enumeration, constellations, noise conventions.
+"""Channel model: signature matrices, input enumeration, noise conventions.
 
 Conventions
 -----------
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooManyUsersError, ZeroColumnError
+from .errors import TooManyUsersError
 
 COLUMN_NORM_TOL = 1e-9
 MAX_USERS = 16
@@ -73,60 +73,6 @@ class SignatureMatrix:
         """User count (columns)."""
         return self.entries.shape[1]
 
-    @property
-    def overloading_factor(self) -> float:
-        """Users per chip, n/m."""
-        return self.n / self.m
-
-
-@dataclass(frozen=True)
-class Constellation:
-    """All 2**n noiseless outputs A @ x paired with their sign inputs.
-
-    points[i] equals A @ inputs[i] with the same arithmetic used at
-    construction; duplicate points are kept (never deduplicated).
-    """
-
-    points: np.ndarray  # (2**n, m)
-    inputs: np.ndarray  # (2**n, n)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        ins = np.asarray(self.inputs, dtype=float)
-        if pts.ndim != 2 or ins.ndim != 2 or pts.shape[0] != ins.shape[0]:
-            raise ValueError("points and inputs must be 2-D with matching length")
-        if pts.shape[0] != 2 ** ins.shape[1]:
-            raise ValueError("constellation must hold 2**n points")
-        object.__setattr__(self, "points", _frozen(pts))
-        object.__setattr__(self, "inputs", _frozen(ins))
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[1]
-
-
-def normalize_columns(raw) -> SignatureMatrix:
-    """Scale every column of `raw` to unit Euclidean norm.
-
-    Raises ZeroColumnError when a column norm falls below 1e-12, which
-    signals a degenerate candidate rather than a recoverable state.
-    """
-    a = np.asarray(raw, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    norms = np.linalg.norm(a, axis=0)
-    if np.any(norms < 1e-12):
-        raise ZeroColumnError("matrix has a (near-)zero column")
-    return SignatureMatrix(a / norms)
-
 
 def enumerate_inputs(n: int) -> np.ndarray:
     """All 2**n sign vectors in canonical order, as a read-only (2**n, n) array."""
@@ -141,9 +87,6 @@ def enumerate_inputs(n: int) -> np.ndarray:
     return _frozen(1.0 - 2.0 * bits)
 
 
-def build_constellation(A: SignatureMatrix) -> Constellation:
-    """Noiseless output points A @ x for every sign input x."""
-    inputs = enumerate_inputs(A.n)
-    points = inputs @ A.entries.T
-    return Constellation(points=points, inputs=inputs)
-
+def _points(a: np.ndarray) -> np.ndarray:
+    """(..., 2**n, m) noiseless outputs A @ x of each (m, n) matrix in a, in input order."""
+    return enumerate_inputs(a.shape[-1]) @ a.swapaxes(-1, -2)

@@ -16,7 +16,6 @@ from sigdesign import (
     CriterionSpec,
     GaConfig,
     SignatureMatrix,
-    build_constellation,
     estimate_capacity,
     evolve,
     exact_capacity_1d,
@@ -88,17 +87,16 @@ def test_criterion_03_union_bound_dominates_block_errors():
     worst = math.inf
     for i, seed in enumerate(SET_20_SEEDS):
         A = random_normalized(2, 3, seed=seed)
-        bound_of = build_constellation(A)
         for sigma in (0.25, 0.5, 1.0):
             est = simulate_ber(A, sigma, blocks=10_000, seed=seed)
-            bound = union_bound(bound_of, sigma)
+            bound = union_bound(A, sigma)
             worst = min(worst, bound + 3 * est.block_std_error - est.block_error_rate)
     ok = worst >= 0.0
     report(3, ok, f"60 (matrix, sigma) cases: worst bound margin {worst:+.4f} (>=0)")
 
 
 def test_criterion_04_q_distance_and_exp_distance_agree():
-    conss = [build_constellation(random_normalized(2, 3, seed=s)) for s in SET_50_SEEDS]
+    conss = [random_normalized(2, 3, seed=s) for s in SET_50_SEEDS]
     nu2 = np.array([q_distance(c, 0.5) for c in conss])
     nu3 = np.array([exp_distance(c, 0.5) for c in conss])
     rho = float(spearmanr(nu2, nu3).statistic)
@@ -109,7 +107,7 @@ def test_criterion_04_q_distance_and_exp_distance_agree():
 
 
 def test_criterion_05_min_distance_matches_exp_distance_at_high_snr():
-    conss = [build_constellation(random_normalized(2, 3, seed=s)) for s in SET_20_SEEDS]
+    conss = [random_normalized(2, 3, seed=s) for s in SET_20_SEEDS]
     nu1 = np.array([min_distance(c) for c in conss])
     best_md = int(np.argmax(nu1))
     grid = np.geomspace(1.0, 0.05, 30)

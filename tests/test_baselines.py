@@ -5,7 +5,6 @@ import pytest
 from sigdesign import (
     DimensionError,
     NonConvergenceError,
-    build_constellation,
     estimate_capacity,
     min_distance,
     orthogonal_matrix,
@@ -45,8 +44,7 @@ class TestOrthogonalMatrix:
 
     def test_min_distance_is_two(self):
         # orthonormal columns preserve input distances: min over sign flips = 2
-        cons = build_constellation(orthogonal_matrix(2, 2, seed=2))
-        assert min_distance(cons) == pytest.approx(2.0, abs=1e-9)
+        assert min_distance(orthogonal_matrix(2, 2, seed=2)) == pytest.approx(2.0, abs=1e-9)
 
     def test_clean_channel_per_user_capacity(self):
         A = orthogonal_matrix(2, 2, seed=3)

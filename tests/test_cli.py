@@ -121,6 +121,9 @@ class TestMatrixFiles:
             '{"schema_version": 2, "m": 1, "n": 1, "entries": [1.0]}',
             '{"schema_version": 1, "m": 2, "n": 2, "entries": [1.0, 0.0]}',
             '{"schema_version": 1, "m": 2, "n": 1, "entries": [1.0, 1.0]}',
+            '{"schema_version": 1, "m": 1.7, "n": true, "entries": [1.0]}',
+            '{"schema_version": 1, "m": 1, "n": true, "entries": [1.0]}',
+            '{"schema_version": 1, "m": 1, "n": 1, "entries": [1.0], "label": 5}',
         ],
     )
     def test_malformed_files_exit_2(self, tmp_path, capsys, doc):
@@ -300,6 +303,25 @@ class TestSweep:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "filename,label",
+        [("bad.json", "a,b"), ("bad.json", 'say "hi"'), ("bad.json", "two\nlines"),
+         ("bad.json", "cr\r"), ("a,b.json", None)],
+        ids=["comma", "quote", "newline", "carriage-return", "file-stem"],
+    )
+    def test_name_breaking_the_csv_exits_2(self, tmp_path, matrices, capsys, monkeypatch,
+                                           filename, label):
+        # the name (label, else file stem) is the row's unquoted first column
+        def no_eval(*args):
+            raise AssertionError("a matrix was evaluated before every name was checked")
+
+        monkeypatch.setattr(cli, "evaluate_matrix", no_eval)
+        bad = tmp_path / filename
+        bad.write_text(matrix_document(load_matrix(matrices[1])[0], label=label))
+        assert_rejected(capsys, "sweep", str(matrices[0]), str(bad), "--sigma-grid", "0.3:0.6:2",
+                        "--budget", "1000", "--out", str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("grid", ["nan:1:2", "0.1:inf:2", "1e-170:1:2"])
     def test_unusable_grid_exits_2(self, tmp_path, matrices, capsys, grid):
         assert_rejected(capsys, "sweep", str(matrices[0]), "--sigma-grid", grid,
@@ -355,8 +377,8 @@ class TestOverloadSweep:
 class TestEvaluateMatrix:
     def test_consistent_with_direct_calls(self, monkeypatch):
         from sigdesign import (
-            build_constellation,
             estimate_capacity,
+            exp_distance,
             min_distance,
             q_distance,
             simulate_ber,
@@ -370,14 +392,14 @@ class TestEvaluateMatrix:
             row = evaluate_matrix(A, 0.5, budget=budget, seed=3)
             cap = estimate_capacity(A, 0.5, samples=budget, seed=3)
             err = simulate_ber(A, 0.5, blocks=budget, seed=3)
-            cons = build_constellation(A)
             assert row.per_user_capacity == cap.per_user_bits
             assert row.capacity_std_error == cap.std_error
             assert row.ber == err.ber
             assert row.ber_std_error == err.std_error
-            assert row.nu1 == min_distance(cons)
-            assert row.nu2 == q_distance(cons, 0.5)
-            assert row.union_bound == union_bound(cons, 0.5)
+            assert row.nu1 == min_distance(A)
+            assert row.nu2 == q_distance(A, 0.5)
+            assert row.nu3 == exp_distance(A, 0.5)
+            assert row.union_bound == union_bound(A, 0.5)
             assert row.nu2 == 2**A.n * row.union_bound
             assert row.snr_db == pytest.approx(-20 * math.log10(0.5))
 
@@ -391,3 +413,12 @@ def test_import_leaves_out_scipy_integrate():
     )
     proc = run_subprocess("-c", code)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_subprocess("-c", example)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 3  # per-user capacity, its standard error, BER

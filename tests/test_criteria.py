@@ -8,102 +8,94 @@ from scipy.special import erfc
 
 import sigdesign.criteria as criteria_module
 from sigdesign import (
-    Constellation,
     CriterionSpec,
     SignatureMatrix,
-    build_constellation,
     enumerate_inputs,
     exp_distance,
     fitness,
     min_distance,
     population_fitness,
-    q_approx,
     q_distance,
     q_function,
     random_normalized,
     union_bound,
 )
-from sigdesign.ber import _pair_classes
+from sigdesign.ber import _pair_classes, _pair_measure
 from sigdesign.capacity import exact_capacity_1d
+from sigdesign.model import _points
 
-# max |q_approx - Q| over [0, 5]; sits at x=0, frozen after measurement
+# max |0.7 * exp(-((x+1)/1.6)**2) - Q(x)| over [0, 5]; sits at x=0, frozen after measurement
 Q_APPROX_MAX_DEV = 0.02635630768678976
 Q_APPROX_AT_0 = 0.47364369231321024
 
 
-def two_point_constellation(distance):
-    """Symmetric pair at the given separation (m=1, n=1 layout)."""
-    half = distance / 2.0
-    return Constellation(points=[[half], [-half]], inputs=enumerate_inputs(1))
+def two_point_constellations(*distances):
+    """(len(distances), 2, 1) stack of symmetric point pairs at the given separations."""
+    half = np.asarray(distances, dtype=float) / 2.0
+    return np.stack([half, -half], axis=1)[:, :, None]
 
 
 class TestQApprox:
-    def test_value_at_zero(self):
-        assert q_approx(0.0) == pytest.approx(Q_APPROX_AT_0, abs=1e-12)
+    # the nu3 tail, once scaled by the fit's 0.7, approximates Q; a
+    # coincident or separated pair contributes two ordered terms
 
-    def test_exact_at_minus_one(self):
-        assert q_approx(-1.0) == 0.7
+    def test_value_at_zero(self):
+        tail = _pair_measure("ed", two_point_constellations(0.0), 0.5)[0] / 2.0
+        assert 0.7 * tail == pytest.approx(Q_APPROX_AT_0, abs=1e-12)
 
     def test_fit_quality_regression(self):
+        # sigma 0.5 makes the tail argument d / (2 sigma) equal to d
         xs = np.linspace(0.0, 5.0, 10_001)
-        dev = np.max(np.abs(q_approx(xs) - q_function(xs)))
+        tail = _pair_measure("ed", two_point_constellations(*xs), 0.5) / 2.0
+        dev = np.max(np.abs(0.7 * tail - q_function(xs)))
         assert dev < 0.03
         assert dev == pytest.approx(Q_APPROX_MAX_DEV, abs=1e-12)
 
 
 class TestMinDistance:
     def test_orthonormal_two_users(self):
-        assert min_distance(build_constellation(SignatureMatrix(np.eye(2)))) == 2.0
+        assert min_distance(SignatureMatrix(np.eye(2))) == 2.0
 
     def test_duplicate_points_give_zero(self):
         # any one-chip matrix has +-1 columns, so two outputs coincide
-        assert min_distance(build_constellation(SignatureMatrix([[1.0, -1.0]]))) == 0.0
+        assert min_distance(SignatureMatrix([[1.0, -1.0]])) == 0.0
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 7.0])
     def test_homogeneous_in_scale(self, t):
-        cons = build_constellation(random_normalized(2, 3, seed=3))
-        scaled = Constellation(points=t * cons.points, inputs=cons.inputs)
-        assert min_distance(scaled) == pytest.approx(t * min_distance(cons), rel=1e-12)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            min_distance(Constellation(points=np.zeros((1, 1)), inputs=np.zeros((1, 0))))
+        A = random_normalized(2, 3, seed=3)
+        scaled = _pair_measure("md", t * _points(A.entries[None]))[0]
+        assert scaled == pytest.approx(t * min_distance(A), rel=1e-12)
 
 
 class TestQDistance:
     @pytest.mark.parametrize("seed", range(20))
     def test_is_two_to_the_n_times_union_bound(self, seed):
-        cons = build_constellation(random_normalized(2, 3, seed=seed))
-        assert q_distance(cons, 0.5) == 2**3 * union_bound(cons, 0.5)
+        A = random_normalized(2, 3, seed=seed)
+        assert q_distance(A, 0.5) == 2**3 * union_bound(A, 0.5)
 
     @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
     def test_two_points(self, d):
-        cons = two_point_constellation(d)
-        assert q_distance(cons, 0.7) == pytest.approx(
-            2.0 * q_function(d / (2 * 0.7)), rel=1e-12
-        )
+        qd = _pair_measure("qd", two_point_constellations(d), 0.7)[0]
+        assert qd == pytest.approx(2.0 * q_function(d / (2 * 0.7)), rel=1e-12)
 
     def test_vanishes_at_small_noise(self):
-        cons = build_constellation(random_normalized(2, 3, seed=1))
-        assert q_distance(cons, 0.01) < 1e-8
+        assert q_distance(random_normalized(2, 3, seed=1), 0.01) < 1e-8
 
 
 class TestExpDistance:
     def test_two_points_at_matched_sigma(self):
         # d / (2 sigma) = 1 when sigma = d/2: both ordered terms are exp(-1.5625)
-        cons = two_point_constellation(3.0)
-        assert exp_distance(cons, 1.5) == pytest.approx(0.4192227743021956, rel=1e-12)
+        ed = _pair_measure("ed", two_point_constellations(3.0), 1.5)[0]
+        assert ed == pytest.approx(0.4192227743021956, rel=1e-12)
 
     def test_each_term_decreasing_in_distance(self):
-        sigma = 0.5
-        values = [exp_distance(two_point_constellation(d), sigma) for d in
-                  (0.2, 0.5, 1.0, 2.0, 4.0)]
+        values = _pair_measure("ed", two_point_constellations(0.2, 0.5, 1.0, 2.0, 4.0), 0.5)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_tracks_q_distance_ranking(self):
-        conss = [build_constellation(random_normalized(2, 3, seed=s)) for s in range(12)]
-        nu2 = [q_distance(c, 0.5) for c in conss]
-        nu3 = [exp_distance(c, 0.5) for c in conss]
+        matrices = [random_normalized(2, 3, seed=s) for s in range(12)]
+        nu2 = [q_distance(A, 0.5) for A in matrices]
+        nu3 = [exp_distance(A, 0.5) for A in matrices]
         npt.assert_array_equal(np.argsort(nu2), np.argsort(nu3))
 
 
@@ -112,10 +104,9 @@ class TestInvariance:
     def test_criteria_ignore_column_permutation_and_negation(self, seed):
         A = random_normalized(2, 3, seed=seed)
         B = SignatureMatrix(A.entries[:, [2, 0, 1]] * np.array([-1.0, 1.0, -1.0]))
-        ca, cb = build_constellation(A), build_constellation(B)
-        assert min_distance(ca) == pytest.approx(min_distance(cb), rel=1e-12)
-        assert q_distance(ca, 0.5) == pytest.approx(q_distance(cb, 0.5), rel=1e-12)
-        assert exp_distance(ca, 0.5) == pytest.approx(exp_distance(cb, 0.5), rel=1e-12)
+        assert min_distance(A) == pytest.approx(min_distance(B), rel=1e-12)
+        assert q_distance(A, 0.5) == pytest.approx(q_distance(B, 0.5), rel=1e-12)
+        assert exp_distance(A, 0.5) == pytest.approx(exp_distance(B, 0.5), rel=1e-12)
 
 
 class TestCriterionSpec:
@@ -148,7 +139,7 @@ class TestFitness:
     def test_exp_distance_negated_ordering(self):
         spec = CriterionSpec(kind="ed", sigma=0.5)
         a, b = random_normalized(2, 3, seed=1), random_normalized(2, 3, seed=2)
-        nu3 = [exp_distance(build_constellation(x), 0.5) for x in (a, b)]
+        nu3 = [exp_distance(x, 0.5) for x in (a, b)]
         fits = [fitness(spec, x) for x in (a, b)]
         assert (fits[0] > fits[1]) == (nu3[0] < nu3[1])
 
@@ -207,7 +198,7 @@ class TestPopulationFitness:
         pop, sigma = _population(5, m, n), 0.4
         md, qd, ed = (population_fitness(_spec(k), pop) for k in ("md", "qd", "ed"))
         for k, a in enumerate(pop):
-            d = pdist(build_constellation(SignatureMatrix(a)).points)
+            d = pdist(enumerate_inputs(n) @ a.T)
             q = 0.5 * erfc(d / (2.0 * sigma) / math.sqrt(2.0))
             e = np.exp(-np.square((d / (2.0 * sigma) + 1.0) / 1.6))
             assert md[k] == pytest.approx(d.min(), rel=1e-12)
@@ -221,7 +212,7 @@ class TestPopulationFitness:
         assert len(i) == (3**n - 1) // 2
         assert np.all(i & j == 0)
         assert count.sum() == 2**n * (2**n - 1)
-        points = build_constellation(random_normalized(3, n, seed=n)).points
+        points = enumerate_inputs(n) @ random_normalized(3, n, seed=n).entries.T
         dist = np.linalg.norm(points[i] - points[j], axis=1)
         npt.assert_allclose(
             np.sort(np.repeat(dist, (count // 2).astype(int))),

@@ -5,37 +5,10 @@ import pytest
 from sigdesign import (
     SignatureMatrix,
     TooManyUsersError,
-    ZeroColumnError,
-    build_constellation,
     enumerate_inputs,
-    normalize_columns,
     random_normalized,
 )
-from sigdesign.model import MAX_USERS
-
-
-class TestNormalizeColumns:
-    def test_scales_to_unit_norm(self):
-        out = normalize_columns([[2.0, 0.0], [0.0, 2.0]])
-        npt.assert_array_equal(out.entries, np.eye(2))
-
-    def test_idempotent_on_normalized_input(self):
-        out = normalize_columns(np.eye(2))
-        npt.assert_array_equal(out.entries, np.eye(2))
-
-    def test_single_column(self):
-        out = normalize_columns([[3.0], [4.0]])
-        npt.assert_allclose(out.entries, [[0.6], [0.8]], rtol=0, atol=1e-15)
-        # independent check: the produced column really has unit norm
-        assert np.linalg.norm(out.entries[:, 0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_column_rejected(self):
-        with pytest.raises(ZeroColumnError):
-            normalize_columns([[1.0, 0.0], [0.0, 1e-13]])
-
-    def test_one_dimensional_input_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_columns([1.0, 2.0])
+from sigdesign.model import MAX_USERS, _points
 
 
 class TestSignatureMatrix:
@@ -50,7 +23,6 @@ class TestSignatureMatrix:
     def test_accessors(self):
         A = random_normalized(2, 3, seed=0)
         assert A.m == 2 and A.n == 3
-        assert A.overloading_factor == pytest.approx(1.5)
 
     def test_entries_read_only(self):
         A = random_normalized(2, 3, seed=0)
@@ -93,37 +65,40 @@ class TestEnumerateInputs:
 
 class TestBuildConstellation:
     def test_identity_two_users(self):
-        cons = build_constellation(SignatureMatrix(np.eye(2)))
-        npt.assert_array_equal(cons.points, cons.inputs)
-        assert {tuple(p) for p in cons.points} == {
+        points = _points(np.eye(2))
+        npt.assert_array_equal(points, enumerate_inputs(2))
+        assert {tuple(p) for p in points} == {
             (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)
         }
 
     def test_one_chip_two_users_expansion(self):
         # a=1, b=-1: canonical order gives a+b, -a+b, a-b, -a-b
-        cons = build_constellation(SignatureMatrix([[1.0, -1.0]]))
-        npt.assert_array_equal(cons.points.ravel(), [0.0, -2.0, 2.0, 0.0])
+        points = _points(np.array([[1.0, -1.0]]))
+        npt.assert_array_equal(points.ravel(), [0.0, -2.0, 2.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_under_negation(self, seed):
-        cons = build_constellation(random_normalized(2, 4, seed=seed))
-        npt.assert_array_equal(cons.points[::-1], -cons.points)
+        points = _points(random_normalized(2, 4, seed=seed).entries)
+        npt.assert_array_equal(points[::-1], -points)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_point_count(self, n):
-        cons = build_constellation(random_normalized(2, n, seed=1))
-        assert cons.size == 2**n
+        points = _points(random_normalized(2, n, seed=1).entries)
+        assert points.shape == (2**n, 2)
 
     def test_points_match_matrix_product(self):
         A = random_normalized(3, 4, seed=7)
-        cons = build_constellation(A)
+        points, inputs = _points(A.entries), enumerate_inputs(4)
         for i in (0, 5, 11, 15):
-            npt.assert_allclose(
-                cons.points[i], A.entries @ cons.inputs[i], rtol=0, atol=1e-14
-            )
+            npt.assert_allclose(points[i], A.entries @ inputs[i], rtol=0, atol=1e-14)
+
+    def test_stack_equals_each_matrix(self):
+        pop = np.stack([random_normalized(3, 5, seed=s).entries for s in range(4)])
+        stacked = _points(pop)
+        for a, points in zip(pop, stacked):
+            npt.assert_array_equal(points, _points(a))
 
     def test_guard_propagates(self):
-        A = normalize_columns(np.ones((1, 17)))
         with pytest.raises(TooManyUsersError):
-            build_constellation(A)
+            _points(SignatureMatrix(np.ones((1, 17))).entries)
 
