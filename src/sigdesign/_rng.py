@@ -27,6 +27,7 @@ BLOCK = 4096
 WORKERS_ENV = "SIGDESIGN_WORKERS"
 
 _SLAB = 512
+_EXP_FLOOR = -700.0  # np.exp leaves its vector path below about -708
 _LN2 = math.log(2.0)
 
 
@@ -58,35 +59,34 @@ def map_blocks(fn, n_blocks: int) -> list:
 def _scan(points: np.ndarray, sigma: float, ys: np.ndarray):
     """-log2 f_Y(y) and the nearest index into the (2**n, m) points for each row of ys.
 
-    Both come from one array ||y||^2 - 2 y.z + ||z||^2, clipped at zero, per
-    slab of points.  Ties go to the lowest index (first argmin in a slab,
-    strict update across slabs); the log-sum-exp is shifted by each row's
-    slab minimum, so it never underflows.
+    One GEMM per slab, e = [y, 1] @ [z, -||z||^2/2]^T = y.z - ||z||^2/2, into one
+    reused buffer; decode is its row argmax, ties to the lowest index (first in a
+    slab, strict update across slabs).  The log-sum-exp is shifted by each slab's
+    row maximum (term exp(0) = 1) and the clamped distance max(||y||^2 - 2 e_max, 0).
+    Clamping at _EXP_FLOOR before the 1/sigma^2 scale keeps exp off its slow
+    underflow path and changes no bit: terms below e^-700 cannot move a sum >= 1.
     """
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
     yy = np.einsum("ij,ij->i", ys, ys)
-    lse = np.full(ys.shape[0], -np.inf)
-    best_d = np.full(ys.shape[0], np.inf)
-    best_i = np.zeros(ys.shape[0], dtype=np.int64)
-    for start in range(0, len(points), _SLAB):
-        zs = points[start : start + _SLAB]
-        d2 = ys @ zs.T
-        d2 *= -2.0
-        d2 += yy[:, None]
-        d2 += np.einsum("ij,ij->i", zs, zs)
-        np.maximum(d2, 0.0, out=d2)
-        j = np.argmin(d2, axis=1)
-        d = np.take_along_axis(d2, j[:, None], axis=1)[:, 0]
-        upd = d < best_d
-        best_d[upd] = d[upd]
-        best_i[upd] = start + j[upd]
-        d2 -= d[:, None]
-        d2 *= -inv2s2
-        np.exp(d2, out=d2)
-        lse = np.logaddexp(lse, np.log(d2.sum(axis=1)) - inv2s2 * d)
-    n, m = len(points).bit_length() - 1, points.shape[1]
-    ln_f = lse - n * _LN2 - 0.5 * m * math.log(2.0 * math.pi * sigma * sigma)
-    return -ln_f / _LN2, best_i
+    y1 = np.column_stack([ys, np.ones(len(ys))])
+    z1 = np.column_stack([points, -0.5 * np.einsum("ij,ij->i", points, points)])
+    (lse, best_e), best_i = np.full((2, len(ys)), -np.inf), np.zeros(len(ys), dtype=np.int64)
+    e = np.empty((len(ys), min(_SLAB, len(points))))  # last, so the next call reuses its memory
+    for start in range(0, len(points), e.shape[1]):
+        np.matmul(y1, z1[start : start + e.shape[1]].T, out=e)
+        j = e.argmax(axis=1)
+        e_max = e[np.arange(len(ys)), j]
+        np.copyto(best_i, start + j, where=e_max > best_e)
+        np.maximum(best_e, e_max, out=best_e)
+        e -= e_max[:, None]
+        np.maximum(e, _EXP_FLOOR * sigma * sigma, out=e)
+        e *= 2.0 * inv2s2
+        np.exp(e, out=e)
+        np.logaddexp(lse, np.log(e.sum(1)) - inv2s2 * np.maximum(yy - 2 * e_max, 0), out=lse)
+    lse -= (len(points).bit_length() - 1) * _LN2
+    lse -= 0.5 * points.shape[1] * math.log(2.0 * math.pi * sigma * sigma)
+    lse /= -_LN2
+    return lse, best_i
 
 
 def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):

@@ -133,8 +133,8 @@ def _pair_measure(kind: str, points: np.ndarray, sigma: float | None = None) -> 
         if kind == "md":
             out = np.minimum(out, d.min(axis=1))
         else:
-            x = d / (2.0 * sigma)
-            tail = q_function(x) if kind == "qd" else np.exp(-np.square((x + 1.0) / 1.6))
+            x = d / (2.0 * sigma)  # "ed" caps (x + 1) / 1.6 at 28, past which exp(-t^2) is 0.0
+            tail = q_function(x) if kind == "qd" else np.exp(-np.minimum((x + 1) / 1.6, 28.0) ** 2)
             out += (tail * np.ldexp(1.0, n + 1 - support)).sum(axis=1)
     return out
 

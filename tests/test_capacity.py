@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp
 
 from sigdesign import (
     InvalidSamplesError,
@@ -16,6 +17,7 @@ from sigdesign import (
     noise_entropy,
     random_normalized,
 )
+from sigdesign import _rng
 from sigdesign._rng import _scan
 
 # 0.5*log2(2*pi*e), evaluated once in closed form
@@ -100,6 +102,45 @@ class TestLogOutputDensity:
         batch = log_output_density(A, 0.8, ys)
         singles = [log_output_density(A, 0.8, y[None])[0] for y in ys]
         npt.assert_allclose(batch, singles, rtol=1e-12)
+
+
+def channel_rows(A, sigma, rows, seed):
+    """The points of A and rows y = A x + sigma * noise for uniform random inputs x."""
+    rng = np.random.default_rng(seed)
+    points = enumerate_inputs(A.shape[1]) @ A.T
+    sent = points[rng.integers(0, len(points), rows)]
+    return points, sent + sigma * rng.standard_normal(sent.shape)
+
+
+class TestScan:
+    @pytest.mark.parametrize("m, n", [(3, 6), (4, 10)])  # 4x10 spans two 512-point slabs
+    @pytest.mark.parametrize("sigma", [0.1, 0.5])
+    def test_matches_direct_reference(self, m, n, sigma):
+        points, ys = channel_rows(random_normalized(m, n, seed=n).entries, sigma, 300, seed=m)
+        neg_log2_f, nearest = _scan(points, sigma, ys)
+        d2 = np.square(ys[:, None, :] - points[None]).sum(axis=2)
+        half_log = 0.5 * m * math.log2(2 * math.pi * sigma**2)
+        ref = n + half_log - logsumexp(-d2 / (2 * sigma**2), axis=1) / math.log(2)
+        # -log2 f is a difference of terms of size n and |half_log|, so where
+        # it is near 0 its rounding is relative to them, not to itself
+        npt.assert_allclose(neg_log2_f, ref, rtol=1e-12, atol=1e-12 * (n + abs(half_log)))
+        two = np.sort(d2, axis=1)[:, :2]
+        clear = two[:, 1] - two[:, 0] > 1e-9  # rows without a near-tie
+        assert clear.sum() > 250
+        npt.assert_array_equal(nearest[clear], d2.argmin(axis=1)[clear])
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 8, 10, 12])  # 10 and 12 span several slabs
+    def test_exp_floor_changes_no_bit(self, monkeypatch, n):
+        for seed in (0, 1):
+            A = random_normalized(max(1, n // 2), n, seed=seed).entries
+            for sigma in (0.05, 0.1, 0.158, 0.3, 1.0):
+                points, ys = channel_rows(A, sigma, 300, seed)
+                floored = _scan(points, sigma, ys)
+                with monkeypatch.context() as mp:
+                    mp.setattr(_rng, "_EXP_FLOOR", -np.inf)
+                    unfloored = _scan(points, sigma, ys)
+                npt.assert_array_equal(floored[0], unfloored[0])
+                npt.assert_array_equal(floored[1], unfloored[1])
 
 
 class TestEstimateCapacity:

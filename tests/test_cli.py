@@ -403,6 +403,12 @@ class TestEvaluateMatrix:
             assert row.nu2 == 2**A.n * row.union_bound
             assert row.snr_db == pytest.approx(-20 * math.log10(0.5))
 
+    def test_smallest_accepted_sigma_warns_nothing(self):
+        # the suite turns RuntimeWarning into an error; the capacity at this
+        # sigma is not pinned, only that every column is a finite number
+        row = evaluate_matrix(random_normalized(2, 3, seed=0), 1e-154, budget=100, seed=0)
+        assert all(math.isfinite(getattr(row, c)) for c in SWEEP_COLUMNS)
+
 
 def test_import_leaves_out_scipy_integrate():
     # only the 1-D quadrature oracle needs scipy.integrate, and it imports it
