@@ -7,10 +7,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import _rng
-from .model import SignatureMatrix, _check_sigma, _points
+from .model import SignatureMatrix, _check_sigma, _check_users
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,8 @@ class BerEstimate:
 
 def q_function(x) -> float | np.ndarray:
     """Exact Gaussian tail probability Q(x) via the complementary error function."""
+    from scipy.special import erfc  # only nu2 and the union bound need it: not on import
+
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
@@ -87,55 +88,57 @@ def simulate_ber(
     return _ber_estimate(errors[0], A.n, sigma)
 
 
-# classes per slab of _pair_measure: bounds memory at any n and keeps each slab in cache
-_CLASS_SLAB = 1 << 16
+# users in the low half u of each class: a slab is 3**8 rows, and when n is
+# smaller a chunk takes 3**(8 - n) matrices, so slabs stay cache-sized at any n
+_LOW_USERS = 8
 
 
-@functools.lru_cache(maxsize=1)
-def _pair_classes(n: int):
-    """Representative input pair (i, j) and support |d| of each difference class of n users.
+@functools.lru_cache(maxsize=2)
+def _ternary(k: int):
+    """Every d in {-1,0,1}**k as a read-only (3**k, k) table, and |d| per row.
 
-    Inputs with x_i - x_j = 2d give points 2 A d apart; d and -d, d in
-    {-1,0,1}**n, form one class of 2 * 2**(n - |d|) ordered pairs.  i holds
-    the users with d = -1, j those with d = +1.  Block h of the classes is
-    d_h = 1 alone, then with each lower class, then with each one negated.
+    Rows run in balanced-ternary order, last user most significant: the middle
+    row is d = 0 and the rows after it are the d > 0, one per class {d, -d}.
     """
-    size = (3**n - 1) // 2
-    i, j, support = (np.empty(size, dtype=t) for t in (np.int32, np.int32, np.int8))
-    end = 0
-    for h in range(n):
-        lo, mid, hi = end + 1, 2 * end + 1, 3 * end + 1
-        i[end], j[end], support[end] = 0, 1 << h, 1
-        i[lo:mid], j[lo:mid], support[lo:mid] = i[:end], j[:end] + (1 << h), support[:end] + 1
-        i[mid:hi], j[mid:hi], support[mid:hi] = j[:end], i[:end] + (1 << h), support[:end] + 1
-        end = hi
-    for a in (i, j, support):
-        a.flags.writeable = False  # cached: shared by every later call with this n
-    return i, j, support
+    d = np.zeros((1, 0))
+    for _ in range(k):
+        d = np.hstack([np.tile(d, (3, 1)), np.repeat([-1.0, 0.0, 1.0], len(d))[:, None]])
+    support = np.count_nonzero(d, axis=1)
+    d.flags.writeable = support.flags.writeable = False  # cached: shared by later calls
+    return d, support
 
 
-def _pair_measure(kind: str, points: np.ndarray, sigma: float | None = None) -> np.ndarray:
-    """Minimum distance "md", Q-distance "qd" or exp distance "ed" per (2**n, m) constellation.
+def _pair_measures(a: np.ndarray, sigma: float | None = None, kinds=("md", "qd", "ed")):
+    """(len(kinds), P) min distance "md", Q-distance "qd", exp distance "ed" of a (P, m, n) stack.
 
-    One distance per difference class, squares summed in coordinate order;
-    "qd" and "ed" weight its tail by the class's ordered-pair count.  Each
-    slab sums fresh C-contiguous rows, so stacking changes no value.
+    Outputs of inputs x_i - x_j = 2d lie ||2 A d|| apart; d and -d form one
+    class of 2**(n + 1 - |d|) ordered pairs, which weights the "qd" and "ed"
+    tails.  2 A d = u + w over the low _LOW_USERS users and the rest.  Row
+    norms sum in coordinate order, so stacking changes no value.
     """
-    n = points.shape[1].bit_length() - 1
-    classes = _pair_classes(n)
-    out = np.full(len(points), np.inf) if kind == "md" else np.zeros(len(points))
-    for lo in range(0, len(classes[0]), _CLASS_SLAB):
-        i, j, support = (c[lo : lo + _CLASS_SLAB] for c in classes)
-        d = np.zeros((len(points), len(i)))
-        for coord in points.transpose(2, 0, 1):
-            d += np.square(coord[:, i] - coord[:, j])
-        np.sqrt(d, out=d)
-        if kind == "md":
-            out = np.minimum(out, d.min(axis=1))
-        else:
-            x = d / (2.0 * sigma)  # "ed" caps (x + 1) / 1.6 at 28, past which exp(-t^2) is 0.0
-            tail = q_function(x) if kind == "qd" else np.exp(-np.minimum((x + 1) / 1.6, 28.0) ** 2)
-            out += (tail * np.ldexp(1.0, n + 1 - support)).sum(axis=1)
+    n = a.shape[-1]
+    _check_users(n)
+    low = min(n, _LOW_USERS)
+    (d_lo, s_lo), (d_hi, s_hi) = _ternary(low), _ternary(n - low)
+    mid, top = len(d_lo) // 2, len(d_hi) // 2
+    out = np.repeat([[np.inf if k == "md" else 0.0] for k in kinds], len(a), axis=1)
+    step = 3 ** (_LOW_USERS - low)
+    for lo in range(0, len(a), step):
+        chunk = 2.0 * a[lo : lo + step]
+        u = d_lo @ chunk[..., :low].swapaxes(-1, -2)
+        w = d_hi[top + 1 :] @ chunk[..., low:].swapaxes(-1, -2)
+        for h in range(top, len(d_hi)):  # d_hi = 0 first: only its d_lo > 0 rows, with no add
+            v = u[:, mid + 1 :] if h == top else u + w[:, h - top - 1, None]
+            support = s_lo[mid + 1 :] if h == top else s_lo + s_hi[h]
+            dist = np.sqrt(np.einsum("...ij,...ij->...i", v, v, order="C"))
+            x = None if sigma is None else dist / (2.0 * sigma)
+            for row, kind in zip(out[:, lo : lo + step], kinds):
+                if kind == "md":
+                    np.minimum(row, dist.min(axis=1), out=row)
+                else:  # "ed" caps (x + 1) / 1.6 at 28, past which exp(-t^2) is 0.0
+                    ed = kind == "ed"
+                    tail = np.exp(-np.minimum((x + 1) / 1.6, 28.0) ** 2) if ed else q_function(x)
+                    row += (tail * np.ldexp(1.0, n + 1 - support)).sum(axis=1)
     return out
 
 
@@ -147,4 +150,4 @@ def union_bound(A: SignatureMatrix, sigma: float) -> float:
     may exceed 1.
     """
     _check_sigma(sigma)
-    return 2.0**-A.n * float(_pair_measure("qd", _points(A.entries[None]), sigma)[0])
+    return 2.0**-A.n * float(_pair_measures(A.entries[None], sigma, ("qd",))[0, 0])

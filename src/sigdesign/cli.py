@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng, baselines
-from .ber import _ber_estimate, _pair_measure
+from .ber import _ber_estimate, _pair_measures
 from .capacity import _capacity_estimate, _check_samples, estimate_capacity
 from .criteria import KINDS, CriterionSpec
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .ga import GaConfig, GaRun, evolve
-from .model import SignatureMatrix, _check_sigma, _points
+from .model import SignatureMatrix, _check_sigma, _check_users
 
 SCHEMA_VERSION = 1
 
@@ -170,8 +170,8 @@ def evaluate_matrix(
     neg_log2_f, errors = _rng.channel_pass(A.entries[None], sigma, budget, seed)
     cap = _capacity_estimate(neg_log2_f[0], A.m, A.n, sigma)
     err = _ber_estimate(errors[0], A.n, sigma)
-    points = _points(A.entries[None])
-    ub = 2.0**-A.n * float(_pair_measure("qd", points, sigma)[0])
+    md, qd, ed = _pair_measures(A.entries[None], sigma)[:, 0]
+    ub = 2.0**-A.n * float(qd)
     return SweepRow(
         sigma=float(sigma),
         snr_db=-20.0 * float(np.log10(sigma)) + 0.0,  # avoid -0.0
@@ -179,9 +179,9 @@ def evaluate_matrix(
         capacity_std_error=cap.std_error,
         ber=err.ber,
         ber_std_error=err.std_error,
-        nu1=float(_pair_measure("md", points)[0]),
+        nu1=float(md),
         nu2=2.0**A.n * ub,
-        nu3=float(_pair_measure("ed", points, sigma)[0]),
+        nu3=float(ed),
         union_bound=ub,
     )
 
@@ -258,6 +258,7 @@ def cmd_overload_sweep(args) -> int:
         raise ValueError("--n-list must name at least one user count")
     if any(n < args.m for n in n_list):
         raise ValueError("every n in --n-list must be >= m")
+    _check_users(max(n_list))
     _check_samples(args.budget)  # the final capacity estimates need it; fail before any GA
     lines = ["m,n,beta,sigma,criterion,best_fitness,per_user_capacity,capacity_std_error"]
     spec = _criterion_spec(args)

@@ -14,17 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .ber import _ber_estimate, _pair_measure, union_bound
+from .ber import _ber_estimate, _pair_measures, union_bound
 from .capacity import _capacity_estimate
-from .model import SignatureMatrix, _check_columns, _check_sigma, _points
+from .model import SignatureMatrix, _check_columns, _check_sigma
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")
 
-# population_fitness chunk sizes, in float64s per (individuals, classes or rows) array:
-# class distances stay cache-sized for the tails; Monte-Carlo rows only
-# need bounded memory, and fewer chunks share each block's draws more widely
-_PAIR_CHUNK = 1 << 16
+# population_fitness chunk size for stochastic kinds, in float64s per (individuals, rows)
+# array: it bounds memory, and fewer chunks share each block's draws more widely
 _ROW_CHUNK = 1 << 22
 
 
@@ -54,7 +52,7 @@ class CriterionSpec:
 
 def min_distance(A: SignatureMatrix) -> float:
     """Smallest distance between two of A's 2**n noiseless outputs (0 if two coincide)."""
-    return float(_pair_measure("md", _points(A.entries[None]))[0])
+    return float(_pair_measures(A.entries[None], kinds=("md",))[0, 0])
 
 
 def q_distance(A: SignatureMatrix, sigma: float) -> float:
@@ -69,14 +67,14 @@ def exp_distance(A: SignatureMatrix, sigma: float) -> float:
     fit's constant prefactor multiplies every term equally and is dropped.
     """
     _check_sigma(sigma)
-    return float(_pair_measure("ed", _points(A.entries[None]), sigma)[0])
+    return float(_pair_measures(A.entries[None], sigma, ("ed",))[0, 0])
 
 
 def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.ndarray:
     """Score each matrix of a (P, m, n) unit-column stack, equal bit for bit to scoring it alone.
 
-    Stochastic kinds draw each block once for a chunk of individuals and
-    constellation kinds enumerate the inputs once; chunks bound memory.
+    Stochastic kinds draw each block once for a chunk of individuals, and
+    chunks bound memory; constellation kinds make one pair-kernel call.
     Non-finite entries or non-unit columns raise SignatureMatrix's ValueError.
     """
     pop = np.ascontiguousarray(population, dtype=float)
@@ -84,22 +82,17 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
         raise ValueError("population must be a non-empty (P, m, n) array")
     _check_columns(pop)
     _, m, n = pop.shape
-    stochastic = spec.kind in STOCHASTIC_KINDS
-    if stochastic:
-        step = max(1, _ROW_CHUNK // spec.eval_budget)
-    else:
-        step = max(1, _PAIR_CHUNK // ((3**n - 1) // 2))
+    if spec.kind not in STOCHASTIC_KINDS:
+        value = _pair_measures(pop, spec.sigma, (spec.kind,))[0]
+        return value if spec.kind == "md" else -value
     scores = []
+    step = max(1, _ROW_CHUNK // spec.eval_budget)
     for chunk in (pop[lo : lo + step] for lo in range(0, len(pop), step)):
-        if stochastic:
-            neg_log2_f, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed)
-            if spec.kind == "capacity":
-                scores += [_capacity_estimate(r, m, n, spec.sigma).sum_bits for r in neg_log2_f]
-            else:
-                scores += [-_ber_estimate(r, n, spec.sigma).ber for r in errors]
-            continue
-        value = _pair_measure(spec.kind, _points(chunk), spec.sigma)
-        scores += list(value if spec.kind == "md" else -value)
+        neg_log2_f, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed)
+        if spec.kind == "capacity":
+            scores += [_capacity_estimate(r, m, n, spec.sigma).sum_bits for r in neg_log2_f]
+        else:
+            scores += [-_ber_estimate(r, n, spec.sigma).ber for r in errors]
     return np.array(scores)
 
 

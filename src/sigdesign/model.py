@@ -44,6 +44,12 @@ def _check_columns(a: np.ndarray) -> None:
         raise ValueError(f"every column must have unit norm within {COLUMN_NORM_TOL:g}")
 
 
+def _check_users(n: int) -> None:
+    """Raise TooManyUsersError for more than MAX_USERS users."""
+    if n > MAX_USERS:
+        raise TooManyUsersError(f"n={n} exceeds the 2**n enumeration guard (MAX_USERS={MAX_USERS})")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -78,10 +84,7 @@ def enumerate_inputs(n: int) -> np.ndarray:
     """All 2**n sign vectors in canonical order, as a read-only (2**n, n) array."""
     if n < 1:
         raise ValueError("need at least one user")
-    if n > MAX_USERS:
-        raise TooManyUsersError(
-            f"n={n} exceeds the 2**n enumeration guard (MAX_USERS={MAX_USERS})"
-        )
+    _check_users(n)
     idx = np.arange(2**n, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(n, dtype=np.int64)) & 1
     return _frozen(1.0 - 2.0 * bits)

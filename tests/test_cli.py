@@ -180,14 +180,22 @@ class TestEval:
                         "--budget", "1000")
 
     def test_sixteen_users_finish(self, tmp_path):
-        # MAX_USERS: 3**16 / 2 difference classes, not 2**31 point pairs
+        # MAX_USERS: 3**16 / 2 difference classes in 3**8-row slabs, not 2**31 point pairs
         path = tmp_path / "r816.json"
         save_matrix(path, random_normalized(8, 16, seed=0))
-        proc = run_subprocess("-m", "sigdesign", "eval", "--matrix", str(path),
-                              "--sigma", "0.5", "--budget", "100")
+        # the child's own peak: VmHWM starts afresh at exec, while ru_maxrss keeps
+        # the peak of the process that forked it (here the test runner)
+        argv = ["eval", "--matrix", str(path), "--sigma", "0.5", "--budget", "100"]
+        code = (
+            f"import sys; from sigdesign.cli import main; code = main({argv!r}); "
+            "status = open('/proc/self/status').read(); "
+            "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr); sys.exit(code)"
+        )
+        proc = run_subprocess("-c", code)
         assert proc.returncode == 0, proc.stderr
         row = read_csv(proc.stdout)[0]
         assert all(math.isfinite(float(v)) for v in row.values())
+        assert int(proc.stderr.split()[-1]) < 160 * 1024  # kB
 
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
         def exhausted(*args):
@@ -374,6 +382,17 @@ class TestOverloadSweep:
                         "--out", str(tmp_path / "x.csv"))
 
 
+    def test_too_many_users_exits_2_before_any_ga(self, tmp_path, capsys, monkeypatch):
+        def no_ga(*args):
+            raise AssertionError("evolve ran before the user counts were checked")
+
+        monkeypatch.setattr(cli, "evolve", no_ga)
+        assert_rejected(capsys, "overload-sweep", "--criterion", "ed", "-m", "3",
+                        "--n-list", "3,4,17", "--sigma", "0.3", "--budget", "1000",
+                        "--out", str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestEvaluateMatrix:
     def test_consistent_with_direct_calls(self, monkeypatch):
         from sigdesign import (
@@ -411,11 +430,11 @@ class TestEvaluateMatrix:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # only the 1-D quadrature oracle needs scipy.integrate, and it imports it
-    # itself; the pair measures run over difference classes without scipy.spatial
+    # only the 1-D quadrature oracle needs scipy.integrate and only q_function
+    # scipy.special, and each imports it itself; nothing uses scipy.spatial
     code = (
-        "import sys, sigdesign.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.spatial') if m in sys.modules])"
+        "import sys, sigdesign.cli; print([m for m in "
+        "('scipy.integrate', 'scipy.spatial', 'scipy.special') if m in sys.modules])"
     )
     proc = run_subprocess("-c", code)
     assert proc.returncode == 0 and proc.stdout == "[]\n"

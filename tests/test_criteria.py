@@ -6,10 +6,12 @@ import pytest
 from scipy.spatial.distance import pdist
 from scipy.special import erfc
 
+import sigdesign.ber as ber_module
 import sigdesign.criteria as criteria_module
 from sigdesign import (
     CriterionSpec,
     SignatureMatrix,
+    TooManyUsersError,
     enumerate_inputs,
     exp_distance,
     fitness,
@@ -20,19 +22,21 @@ from sigdesign import (
     random_normalized,
     union_bound,
 )
-from sigdesign.ber import _pair_classes, _pair_measure
+from sigdesign.ber import _pair_measures, _ternary
 from sigdesign.capacity import exact_capacity_1d
-from sigdesign.model import _points
 
 # max |0.7 * exp(-((x+1)/1.6)**2) - Q(x)| over [0, 5]; sits at x=0, frozen after measurement
 Q_APPROX_MAX_DEV = 0.02635630768678976
 Q_APPROX_AT_0 = 0.47364369231321024
 
 
-def two_point_constellations(*distances):
-    """(len(distances), 2, 1) stack of symmetric point pairs at the given separations."""
-    half = np.asarray(distances, dtype=float) / 2.0
-    return np.stack([half, -half], axis=1)[:, :, None]
+def two_point_matrices(*distances):
+    """(len(distances), 1, 1) stack of matrices [d/2], whose two outputs lie d apart."""
+    return (np.asarray(distances, dtype=float) / 2.0)[:, None, None]
+
+
+def pair_measure(kind, a, sigma=None):
+    return _pair_measures(a, sigma, (kind,))[0]
 
 
 class TestQApprox:
@@ -40,13 +44,13 @@ class TestQApprox:
     # coincident or separated pair contributes two ordered terms
 
     def test_value_at_zero(self):
-        tail = _pair_measure("ed", two_point_constellations(0.0), 0.5)[0] / 2.0
+        tail = pair_measure("ed", two_point_matrices(0.0), 0.5)[0] / 2.0
         assert 0.7 * tail == pytest.approx(Q_APPROX_AT_0, abs=1e-12)
 
     def test_fit_quality_regression(self):
         # sigma 0.5 makes the tail argument d / (2 sigma) equal to d
         xs = np.linspace(0.0, 5.0, 10_001)
-        tail = _pair_measure("ed", two_point_constellations(*xs), 0.5) / 2.0
+        tail = pair_measure("ed", two_point_matrices(*xs), 0.5) / 2.0
         dev = np.max(np.abs(0.7 * tail - q_function(xs)))
         assert dev < 0.03
         assert dev == pytest.approx(Q_APPROX_MAX_DEV, abs=1e-12)
@@ -63,7 +67,7 @@ class TestMinDistance:
     @pytest.mark.parametrize("t", [0.5, 2.0, 7.0])
     def test_homogeneous_in_scale(self, t):
         A = random_normalized(2, 3, seed=3)
-        scaled = _pair_measure("md", t * _points(A.entries[None]))[0]
+        scaled = pair_measure("md", t * A.entries[None])[0]
         assert scaled == pytest.approx(t * min_distance(A), rel=1e-12)
 
 
@@ -75,7 +79,7 @@ class TestQDistance:
 
     @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
     def test_two_points(self, d):
-        qd = _pair_measure("qd", two_point_constellations(d), 0.7)[0]
+        qd = pair_measure("qd", two_point_matrices(d), 0.7)[0]
         assert qd == pytest.approx(2.0 * q_function(d / (2 * 0.7)), rel=1e-12)
 
     def test_vanishes_at_small_noise(self):
@@ -85,11 +89,11 @@ class TestQDistance:
 class TestExpDistance:
     def test_two_points_at_matched_sigma(self):
         # d / (2 sigma) = 1 when sigma = d/2: both ordered terms are exp(-1.5625)
-        ed = _pair_measure("ed", two_point_constellations(3.0), 1.5)[0]
+        ed = pair_measure("ed", two_point_matrices(3.0), 1.5)[0]
         assert ed == pytest.approx(0.4192227743021956, rel=1e-12)
 
     def test_each_term_decreasing_in_distance(self):
-        values = _pair_measure("ed", two_point_constellations(0.2, 0.5, 1.0, 2.0, 4.0), 0.5)
+        values = pair_measure("ed", two_point_matrices(0.2, 0.5, 1.0, 2.0, 4.0), 0.5)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_tracks_q_distance_ranking(self):
@@ -186,7 +190,7 @@ class TestPopulationFitness:
     def test_chunks_do_not_change_values(self, monkeypatch, kind):
         pop, spec = _population(7, 3, 4), _spec(kind)
         whole = population_fitness(spec, pop, seed=3)
-        monkeypatch.setattr(criteria_module, "_PAIR_CHUNK", 1)  # one individual per chunk
+        monkeypatch.setattr(ber_module, "_LOW_USERS", 4)  # same split, one matrix per chunk
         monkeypatch.setattr(criteria_module, "_ROW_CHUNK", 1)
         npt.assert_array_equal(population_fitness(spec, pop, seed=3), whole)
 
@@ -205,18 +209,35 @@ class TestPopulationFitness:
             assert qd[k] == pytest.approx(-2.0 * np.sum(q), rel=1e-12)
             assert ed[k] == pytest.approx(-2.0 * np.sum(e), rel=1e-12)
 
+    @pytest.mark.parametrize("low", [1, 2, 3])
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 5), (4, 8)])
+    def test_split_equals_pdist_reference(self, monkeypatch, low, m, n):
+        # high halves of up to 7 users, against all point pairs
+        monkeypatch.setattr(ber_module, "_LOW_USERS", low)
+        pop, sigma = _population(3, m, n), 0.4
+        md, qd, ed = _pair_measures(pop, sigma)
+        for k, a in enumerate(pop):
+            d = pdist(enumerate_inputs(n) @ a.T)
+            q = 0.5 * erfc(d / (2.0 * sigma) / math.sqrt(2.0))
+            e = np.exp(-np.square((d / (2.0 * sigma) + 1.0) / 1.6))
+            assert md[k] == pytest.approx(d.min(), rel=1e-12)
+            assert qd[k] == pytest.approx(2.0 * np.sum(q), rel=1e-12)
+            assert ed[k] == pytest.approx(2.0 * np.sum(e), rel=1e-12)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pair_classes_cover_every_pair(self, n):
-        i, j, support = _pair_classes(n)
+        table, support = _ternary(n)
+        d, support = table[len(table) // 2 + 1 :], support[len(table) // 2 + 1 :]
         count = 2.0 ** (n + 1 - support)  # ordered pairs in the class of d and -d
-        assert len(i) == (3**n - 1) // 2
-        assert np.all(i & j == 0)
+        assert len(d) == (3**n - 1) // 2
+        assert np.all(np.abs(d).sum(axis=1) == support)
+        assert len(np.unique(np.vstack([d, -d, table[len(d)]]), axis=0)) == 3**n
         assert count.sum() == 2**n * (2**n - 1)
-        points = enumerate_inputs(n) @ random_normalized(3, n, seed=n).entries.T
-        dist = np.linalg.norm(points[i] - points[j], axis=1)
+        a = random_normalized(3, n, seed=n).entries
+        dist = np.linalg.norm(2.0 * d @ a.T, axis=1)
         npt.assert_allclose(
             np.sort(np.repeat(dist, (count // 2).astype(int))),
-            np.sort(pdist(points)),
+            np.sort(pdist(enumerate_inputs(n) @ a.T)),
             rtol=0,
             atol=1e-12,
         )
@@ -234,3 +255,22 @@ class TestPopulationFitness:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             population_fitness(_spec("md"), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        min_distance,
+        lambda A: q_distance(A, 0.5),
+        lambda A: exp_distance(A, 0.5),
+        lambda A: union_bound(A, 0.5),
+        lambda A: population_fitness(_spec("md"), A.entries[None]),
+        lambda A: population_fitness(_spec("qd"), A.entries[None]),
+        lambda A: population_fitness(_spec("ed"), A.entries[None]),
+    ],
+    ids=["min_distance", "q_distance", "exp_distance", "union_bound", "md", "qd", "ed"],
+)
+def test_pair_measures_keep_user_guard(call):
+    # the pair kernel reads the matrix, not the 2**n inputs, so it checks n itself
+    with pytest.raises(TooManyUsersError):
+        call(SignatureMatrix(np.ones((1, 17))))
