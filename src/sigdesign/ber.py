@@ -1,4 +1,4 @@
-"""Maximum-likelihood decoding, BER simulation, and the one pair-distance kernel."""
+"""BER estimates and the one pair-distance kernel; ML decoding itself runs in `_rng._scan`."""
 
 from __future__ import annotations
 
@@ -118,6 +118,8 @@ def _pair_measures(a: np.ndarray, sigma: float | None = None, kinds=("md", "qd",
     """
     n = a.shape[-1]
     _check_users(n)
+    if sigma is not None:
+        _check_sigma(sigma)
     low = min(n, _LOW_USERS)
     (d_lo, s_lo), (d_hi, s_hi) = _ternary(low), _ternary(n - low)
     mid, top = len(d_lo) // 2, len(d_hi) // 2
@@ -149,5 +151,4 @@ def union_bound(A: SignatureMatrix, sigma: float) -> float:
     with Z_i = A x_i and the exact tail function.  Not clamped: the bound
     may exceed 1.
     """
-    _check_sigma(sigma)
     return 2.0**-A.n * float(_pair_measures(A.entries[None], sigma, ("qd",))[0, 0])

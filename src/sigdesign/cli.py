@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 invalid input, 3 numeric failure or out of memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -81,23 +82,18 @@ def matrix_document(
     sigma_design: float | None = None,
 ) -> str:
     """Matrix file text: JSON with full-precision row-major entries."""
-    lines = [
-        "{",
-        f'  "schema_version": {SCHEMA_VERSION},',
-        f'  "m": {matrix.m},',
-        f'  "n": {matrix.n},',
-        '  "entries": ['
-        + ", ".join(_fmt_entry(v) for v in matrix.entries.ravel())
-        + "]",
+    entries = ", ".join(_fmt_entry(v) for v in matrix.entries.ravel())
+    parts = [
+        f'"schema_version": {SCHEMA_VERSION}',
+        f'"m": {matrix.m}',
+        f'"n": {matrix.n}',
+        f'"entries": [{entries}]',
     ]
     if label is not None:
-        lines[-1] += ","
-        lines.append(f'  "label": {json.dumps(label)}')
+        parts.append(f'"label": {json.dumps(label)}')
     if sigma_design is not None:
-        lines[-1] += ","
-        lines.append(f'  "sigma_design": {_fmt_entry(sigma_design)}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        parts.append(f'"sigma_design": {_fmt_entry(sigma_design)}')
+    return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
 def save_matrix(
@@ -117,7 +113,7 @@ def load_matrix(path) -> tuple[SignatureMatrix, dict]:
         raise MatrixFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise MatrixFileError(f"{path}: expected a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if type(doc.get("schema_version")) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise MatrixFileError(f"{path}: unsupported schema_version")
     m, n, label = doc.get("m"), doc.get("n"), doc.get("label")
     if not all(type(v) is int and v >= 1 for v in (m, n)):
@@ -145,14 +141,7 @@ def save_run(path, run: GaRun, label: str | None = None) -> None:
         "criterion": asdict(run.criterion),
         "config": asdict(run.config),
         "best_fitness": run.best_fitness,
-        "best_matrix": {
-            "schema_version": SCHEMA_VERSION,
-            "m": run.best_matrix.m,
-            "n": run.best_matrix.n,
-            "entries": [float(v) for v in run.best_matrix.entries.ravel()],
-            "label": label,
-            "sigma_design": run.criterion.sigma,
-        },
+        "best_matrix": json.loads(matrix_document(run.best_matrix, label, run.criterion.sigma)),
         "history": [asdict(rec) for rec in run.history],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -242,6 +231,7 @@ def cmd_sweep(args) -> int:
         name = meta["label"] or Path(path).stem
         if any(c in name for c in ',"\r\n'):
             raise ValueError(f"{path}: matrix name {name!r} has a comma, quote or line break")
+        _check_users(matrix.n)
         loaded.append((name, matrix))
     lines = ["matrix," + ",".join(SWEEP_COLUMNS)]
     for name, matrix in loaded:
@@ -298,53 +288,49 @@ def _build_parser() -> argparse.ArgumentParser:
         "outputs are byte-identical for any worker count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)  # --seed, shared by every command
+    seeded.add_argument("--seed", type=int, default=0)
+    command = functools.partial(sub.add_parser, parents=[seeded])
 
-    p = sub.add_parser("generate", help="write a baseline matrix file")
+    p = command("generate", help="write a baseline matrix file")
     p.add_argument("--kind", choices=baselines.KINDS, required=True)
     p.add_argument("-m", type=int, required=True, help="chip count (rows)")
     p.add_argument("-n", type=int, required=True, help="user count (columns)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10, help="row-Gram tolerance (wbe)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("eval", help="evaluate a matrix at one sigma (CSV on stdout)")
+    p = command("eval", help="evaluate a matrix at one sigma (CSV on stdout)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("optimize", help="GA-optimize a matrix for a criterion")
+    p = command("optimize", help="GA-optimize a matrix for a criterion")
     p.add_argument("--criterion", choices=KINDS, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--sigma", type=float, help="design noise level (all but md)")
     p.add_argument("--budget", type=int, default=20_000,
                    help="samples/blocks per stochastic fitness evaluation")
-    p.add_argument("--seed", type=int, default=0)
     _add_ga_flags(p)
     p.add_argument("--out", required=True, help="matrix file path")
     p.add_argument("--run-out", help="results file path (default: OUT.run.json)")
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("sweep", help="evaluate matrices across a sigma grid")
+    p = command("sweep", help="evaluate matrices across a sigma grid")
     p.add_argument("matrices", nargs="+", help="matrix file paths")
     p.add_argument("--sigma-grid", required=True, help="lo:hi:steps (log spacing)")
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser(
-        "overload-sweep", help="optimize per user count; per-user capacity vs n/m"
-    )
+    p = command("overload-sweep", help="optimize per user count; per-user capacity vs n/m")
     p.add_argument("--criterion", choices=KINDS, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--n-list", required=True, help="comma-separated user counts")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
     _add_ga_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_overload_sweep)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _rng
 from .ber import _ber_estimate, _pair_measures, union_bound
-from .capacity import _capacity_estimate
+from .capacity import _capacity_estimate, _check_samples
 from .model import SignatureMatrix, _check_columns, _check_sigma
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
@@ -46,8 +46,8 @@ class CriterionSpec:
             if self.sigma is None:
                 raise ValueError(f"criterion {self.kind!r} needs sigma")
             _check_sigma(self.sigma)
-        if self.kind in STOCHASTIC_KINDS and self.eval_budget < 100:
-            raise ValueError("eval_budget must be at least 100 for stochastic kinds")
+        if self.kind in STOCHASTIC_KINDS:
+            _check_samples(self.eval_budget)
 
 
 def min_distance(A: SignatureMatrix) -> float:
@@ -66,7 +66,6 @@ def exp_distance(A: SignatureMatrix, sigma: float) -> float:
     Sum over ordered pairs of exp(-((d/(2 sigma) + 1) / 1.6)**2).  The
     fit's constant prefactor multiplies every term equally and is dropped.
     """
-    _check_sigma(sigma)
     return float(_pair_measures(A.entries[None], sigma, ("ed",))[0, 0])
 
 

@@ -183,7 +183,7 @@ def random_search(
         raise ValueError("need at least one evaluation")
     rng = np.random.default_rng(seed)
     eval_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
-    cands = np.stack([_random_unit_columns((m, n), rng) for _ in range(evaluations)])
+    cands = _random_unit_columns((evaluations, m, n), rng)
     fits = population_fitness(criterion, cands, eval_seed)
     best = int(np.argmax(fits))
     return SignatureMatrix(cands[best]), float(fits[best])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -15,6 +16,7 @@ from sigdesign import (
     union_bound,
 )
 from sigdesign._rng import _scan
+from sigdesign.ber import _pair_measures
 
 Q_AT_1 = 0.15865525393145707  # Gaussian tail at 1, from the tail quadrature
 
@@ -147,6 +149,18 @@ class TestUnionBound:
         est = simulate_ber(A, sigma, blocks=10_000, seed=seed)
         bound = union_bound(A, sigma)
         assert est.block_error_rate <= bound + 3 * est.block_std_error
+
+
+@pytest.mark.parametrize(
+    "sigma", [0.0, math.nan, math.inf, -1.0, 1e-170], ids=["0", "nan", "inf", "-1", "1e-170"]
+)
+def test_pair_measures_check_sigma(sigma):
+    # unchecked, these gave 0, nan or finite nonsense, and 0 a divide-by-zero warning
+    a = random_normalized(2, 3, seed=0).entries[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sigma"):
+            _pair_measures(a, sigma, ("qd", "ed"))
 
 
 @pytest.mark.parametrize("estimator", ["capacity", "ber"])

@@ -124,6 +124,8 @@ class TestMatrixFiles:
             '{"schema_version": 1, "m": 1.7, "n": true, "entries": [1.0]}',
             '{"schema_version": 1, "m": 1, "n": true, "entries": [1.0]}',
             '{"schema_version": 1, "m": 1, "n": 1, "entries": [1.0], "label": 5}',
+            '{"schema_version": true, "m": 1, "n": 1, "entries": [1.0]}',
+            '{"schema_version": 1.0, "m": 1, "n": 1, "entries": [1.0]}',
         ],
     )
     def test_malformed_files_exit_2(self, tmp_path, capsys, doc):
@@ -211,6 +213,24 @@ class TestEval:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--kind", "wbe", "-m", "2", "-n", "3", "--out", "x.json"],
+        ["eval", "--matrix", "x.json", "--sigma", "0.5"],
+        ["optimize", "--criterion", "md", "-m", "2", "-n", "3", "--out", "x.json"],
+        ["sweep", "x.json", "--sigma-grid", "0.1:1:2", "--out", "x.csv"],
+        ["overload-sweep", "--criterion", "md", "-m", "2", "--n-list", "2,3",
+         "--sigma", "0.5", "--out", "x.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_takes_seed(argv):
+    parser = cli._build_parser()
+    assert parser.parse_args(argv).seed == 0
+    assert parser.parse_args(argv + ["--seed", "7"]).seed == 7
+
+
 class TestOptimize:
     def test_writes_matrix_and_run_files(self, tmp_path):
         out = tmp_path / "md23.json"
@@ -236,6 +256,16 @@ class TestOptimize:
         assert (tmp_path / "a.json.run.json").read_bytes() == (
             tmp_path / "b.json.run.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("criterion", ["md", "ed"])
+    def test_run_file_best_matrix_is_the_matrix_document(self, tmp_path, criterion):
+        # md runs used to add "sigma_design": null, a key the matrix file never has
+        out = tmp_path / "m.json"
+        assert main(["optimize", "--criterion", criterion, "-m", "2", "-n", "3",
+                     "--sigma", "0.5", "--generations", "5", "--population-size", "6",
+                     "--out", str(out)]) == 0
+        run_doc = json.loads((tmp_path / "m.json.run.json").read_text())
+        assert run_doc["best_matrix"] == json.loads(out.read_text())
 
     def test_sigma_required_for_stochastic(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "optimize", "--criterion", "ed", "-m", "2", "-n", "3",
@@ -328,6 +358,18 @@ class TestSweep:
         bad.write_text(matrix_document(load_matrix(matrices[1])[0], label=label))
         assert_rejected(capsys, "sweep", str(matrices[0]), str(bad), "--sigma-grid", "0.3:0.6:2",
                         "--budget", "1000", "--out", str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_too_many_users_exits_2_before_any_evaluation(self, tmp_path, matrices, capsys,
+                                                          monkeypatch):
+        def no_eval(*args):
+            raise AssertionError("a matrix was evaluated before every user count was checked")
+
+        monkeypatch.setattr(cli, "evaluate_matrix", no_eval)
+        wide = tmp_path / "wide.json"
+        save_matrix(wide, SignatureMatrix(np.ones((1, 17))))
+        assert_rejected(capsys, "sweep", str(matrices[0]), str(matrices[1]), str(wide),
+                        "--sigma-grid", "0.1:1:3", "--out", str(tmp_path / "x.csv"))
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("grid", ["nan:1:2", "0.1:inf:2", "1e-170:1:2"])

@@ -14,9 +14,11 @@ from sigdesign import (
     evolve,
     init_population,
     min_distance,
+    population_fitness,
     random_normalized,
     random_search,
 )
+from sigdesign.baselines import _random_unit_columns
 
 MD = CriterionSpec(kind="md")
 ED_HALF = CriterionSpec(kind="ed", sigma=0.5)
@@ -297,3 +299,14 @@ class TestRandomSearch:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             random_search(2, 3, MD, evaluations=0, seed=0)
+
+    @pytest.mark.parametrize("spec", [MD, ED_HALF], ids=["md", "ed"])
+    def test_equals_scoring_per_candidate_draws(self, spec):
+        # one (evaluations, m, n) draw is the stack of per-candidate (m, n) draws, bit for bit
+        rng = np.random.default_rng(3)
+        cands = np.stack([_random_unit_columns((2, 3), rng) for _ in range(40)])
+        eval_seed = int(np.random.SeedSequence(3).generate_state(1)[0])
+        fits = population_fitness(spec, cands, eval_seed)
+        best, best_fit = random_search(2, 3, spec, evaluations=40, seed=3)
+        npt.assert_array_equal(best.entries, cands[np.argmax(fits)])
+        assert best_fit == fits.max()
