@@ -43,14 +43,15 @@ def map_blocks(fn, n_blocks: int) -> list:
     """Apply fn(block_index) for all blocks, in index order.
 
     Blocks run on a thread pool when SIGDESIGN_WORKERS is above one (1 if
-    unset or unparsable); the returned list is always ordered by block
-    index, so reductions over it are identical for any worker count.
+    unset or empty; any other value that is not a positive integer raises
+    ValueError); the returned list is always ordered by block index, so
+    reductions over it are identical for any worker count.
     """
-    try:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    except ValueError:
-        workers = 1
-    if workers <= 1 or n_blocks <= 1:
+    text = os.environ.get(WORKERS_ENV) or "1"
+    if not (text.isdecimal() and int(text) >= 1):
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
+    workers = int(text)
+    if workers == 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n_blocks)))

@@ -11,6 +11,9 @@ from .model import SignatureMatrix
 
 KINDS = ("wbe", "random", "orthogonal")
 
+_WBE_TOL = 1e-10
+_WBE_MAX_ITER = 10_000
+
 
 def _random_unit_columns(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """iid Gaussian entries of shape (..., m, n) from rng, columns scaled to unit norm."""
@@ -46,45 +49,37 @@ def wbe_verify(A: SignatureMatrix) -> float:
     return float(np.max(np.abs(gram - target * np.eye(A.m))))
 
 
-def wbe_matrix(
-    m: int,
-    n: int,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> SignatureMatrix:
+def wbe_matrix(m: int, n: int, seed: int = 0) -> SignatureMatrix:
     """Unit-column matrix with A @ A.T = (n/m) * I, by alternating projection.
 
     Starts from a random normalized matrix and alternates (i) symmetric
     orthogonalization of the rows scaled to the target row Gram with
-    (ii) column renormalization, until the row-Gram deviation drops below
-    tol.  Raises NonConvergenceError at the iteration cap; retrying with a
-    new seed is the caller's choice.
+    (ii) column renormalization, until the row-Gram deviation drops to
+    _WBE_TOL.  Raises NonConvergenceError after _WBE_MAX_ITER iterations;
+    retrying with a new seed is the caller's choice.
     """
     if n < m:
         raise DimensionError(f"tight frame needs n >= m, got n={n} < m={m}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     a = _random_unit_columns((m, n), np.random.default_rng(seed))
     target = n / m
     eye = np.eye(m)
-    for _ in range(max_iter):
+    for _ in range(_WBE_MAX_ITER):
         gram = a @ a.T
-        if np.max(np.abs(gram - target * eye)) <= tol:
+        if np.max(np.abs(gram - target * eye)) <= _WBE_TOL:
             return SignatureMatrix(a)
         w, v = np.linalg.eigh(gram)
         w = np.maximum(w, 1e-300)
         a = np.sqrt(target) * (v * (1.0 / np.sqrt(w))) @ v.T @ a
         a /= np.linalg.norm(a, axis=0)
     raise NonConvergenceError(
-        f"row Gram did not reach tolerance {tol:g} in {max_iter} iterations"
+        f"row Gram did not reach tolerance {_WBE_TOL:g} in {_WBE_MAX_ITER} iterations"
     )
 
 
-def generate(kind: str, m: int, n: int, seed: int = 0, tol: float = 1e-10) -> SignatureMatrix:
+def generate(kind: str, m: int, n: int, seed: int = 0) -> SignatureMatrix:
     """Baseline factory keyed by the stable kind names used in files and CLI."""
     if kind == "wbe":
-        return wbe_matrix(m, n, seed, tol=tol)
+        return wbe_matrix(m, n, seed)
     if kind == "random":
         return random_normalized(m, n, seed)
     if kind == "orthogonal":

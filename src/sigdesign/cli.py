@@ -126,11 +126,16 @@ def load_matrix(path) -> tuple[SignatureMatrix, dict]:
         raise MatrixFileError(f"{path}: missing or malformed field ({exc})") from exc
     if entries.shape != (m * n,):
         raise MatrixFileError(f"{path}: expected {m * n} entries, got {entries.size}")
+    sigma = doc.get("sigma_design")
+    if sigma is not None and type(sigma) not in (int, float):
+        raise MatrixFileError(f"{path}: sigma_design must be a JSON number or null")
     try:
         matrix = SignatureMatrix(entries.reshape(m, n))
-    except ValueError as exc:
+        if sigma is not None:
+            _check_sigma(sigma)
+    except (ValueError, OverflowError) as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
-    meta = {"label": label, "sigma_design": doc.get("sigma_design")}
+    meta = {"label": label, "sigma_design": sigma}
     return matrix, meta
 
 
@@ -201,7 +206,7 @@ def _criterion_spec(args) -> CriterionSpec:
 
 
 def cmd_generate(args) -> int:
-    matrix = baselines.generate(args.kind, args.m, args.n, seed=args.seed, tol=args.tol)
+    matrix = baselines.generate(args.kind, args.m, args.n, seed=args.seed)
     save_matrix(args.out, matrix, label=args.kind)
     return 0
 
@@ -296,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=baselines.KINDS, required=True)
     p.add_argument("-m", type=int, required=True, help="chip count (rows)")
     p.add_argument("-n", type=int, required=True, help="user count (columns)")
-    p.add_argument("--tol", type=float, default=1e-10, help="row-Gram tolerance (wbe)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -11,7 +11,6 @@ within a generation).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,36 +21,26 @@ from .errors import NanFitnessError
 from .model import SignatureMatrix
 
 _COLUMN_DEGENERATE = 1e-9
+_TOURNAMENT_SIZE = 3
+_CROSSOVER_RATE = 0.9
+_MUTATION_SCALE = 0.1
+_MUTATION_DECAY = 0.99
+_ELITISM = 2
 
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Optimizer hyperparameters; defaults suit desk-scale problems."""
+    """Optimizer size and seed; the variation constants above are fixed."""
 
     population_size: int = 64
     generations: int = 200
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_scale: float = 0.1
-    mutation_decay: float = 0.99
-    elitism: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
+        if self.population_size < _TOURNAMENT_SIZE:
+            raise ValueError(f"population_size must be at least {_TOURNAMENT_SIZE}")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ValueError("tournament_size must be in [1, population_size]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not 0.0 < self.mutation_scale < math.inf:
-            raise ValueError("mutation_scale must be positive and finite")
-        if not 0.0 < self.mutation_decay <= 1.0:
-            raise ValueError("mutation_decay must be in (0, 1]")
-        if not 0 <= self.elitism < self.population_size:
-            raise ValueError("elitism must be below population_size")
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,7 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
 
     One population_fitness call per generation; elites are copied
     unchanged, the rest of the next population comes from tournament ->
-    crossover (with probability crossover_rate, else clone) -> mutation
+    crossover (with probability _CROSSOVER_RATE, else clone) -> mutation
     with a geometrically decayed scale.  Aborts with NanFitnessError if
     any fitness comes back NaN.
     """
@@ -110,12 +99,12 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
     eval_seeds = np.random.SeedSequence([config.seed, 2]).generate_state(
         config.generations
     )
-    n_children = config.population_size - config.elitism
+    n_children = config.population_size - _ELITISM
 
     best_matrix = None
     best_fitness = -np.inf
     history: list[GenerationRecord] = []
-    scale = config.mutation_scale
+    scale = _MUTATION_SCALE
 
     for gen in range(config.generations):
         fits = population_fitness(criterion, population, int(eval_seeds[gen]))
@@ -144,8 +133,8 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
         lam = np.zeros((n_children, 1, 1))
         noise = np.empty((n_children, m, n))
         for c in range(n_children):
-            parents[c] = [_tournament(fits, config.tournament_size, var_rng) for _ in range(2)]
-            crossed[c] = var_rng.random() < config.crossover_rate
+            parents[c] = [_tournament(fits, _TOURNAMENT_SIZE, var_rng) for _ in range(2)]
+            crossed[c] = var_rng.random() < _CROSSOVER_RATE
             if crossed[c]:
                 lam[c] = var_rng.uniform()
             noise[c] = var_rng.standard_normal((m, n))
@@ -155,8 +144,8 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
         lam = lam[crossed]
         children[crossed] = _project(lam * a + (1.0 - lam) * b, a)
         children = _project(children + scale * noise, children)
-        population = np.concatenate([population[order[: config.elitism]], children])
-        scale *= config.mutation_decay
+        population = np.concatenate([population[order[:_ELITISM]], children])
+        scale *= _MUTATION_DECAY
 
     return GaRun(
         best_matrix=best_matrix,
