@@ -9,7 +9,9 @@ share their draws across different noise levels (common random numbers).
 
 `channel_pass` scores every drawn channel use against the constellation
 once, for both the capacity and the BER estimators and for a whole stack
-of matrices.
+of matrices.  Each row is scored against the point that was sent, so the
+mean of its per-row capacity terms is the sum capacity at every sigma that
+`_check_sigma` accepts.
 """
 
 from __future__ import annotations
@@ -39,62 +41,72 @@ def draw_block(seed: int, block: int, n_users: int, m_chips: int):
     return signs, noise
 
 
-def map_blocks(fn, n_blocks: int) -> list:
-    """Apply fn(block_index) for all blocks, in index order.
-
-    Blocks run on a thread pool when SIGDESIGN_WORKERS is above one (1 if
-    unset or empty; any other value that is not a positive integer raises
-    ValueError); the returned list is always ordered by block index, so
-    reductions over it are identical for any worker count.
-    """
+def workers() -> int:
+    """SIGDESIGN_WORKERS as a positive integer (1 if unset or empty); ValueError otherwise."""
     text = os.environ.get(WORKERS_ENV) or "1"
     if not (text.isdecimal() and int(text) >= 1):
         raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
-    workers = int(text)
-    if workers == 1 or n_blocks <= 1:
+    return int(text)
+
+
+def map_blocks(fn, n_blocks: int) -> list:
+    """fn(block_index) for all blocks on `workers()` threads, in index order.
+
+    The list is ordered by block index, so reductions over it are identical for any worker count.
+    """
+    count = workers()
+    if count == 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=count) as pool:
         return list(pool.map(fn, range(n_blocks)))
 
 
-def _scan(points: np.ndarray, sigma: float, ys: np.ndarray):
-    """-log2 f_Y(y) and the nearest index into the (2**n, m) points for each row of ys.
+def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
+    """Information density i and nearest index into the (2**n, m) points for each row of ys.
 
-    One GEMM per slab, e = [y, 1] @ [z, -||z||^2/2]^T = y.z - ||z||^2/2, into one
-    reused buffer; decode is its row argmax, ties to the lowest index (first in a
-    slab, strict update across slabs).  The log-sum-exp is shifted by each slab's
-    row maximum (term exp(0) = 1) and the clamped distance max(||y||^2 - 2 e_max, 0).
-    Clamping at _EXP_FLOOR before the 1/sigma^2 scale keeps exp off its slow
-    underflow path and changes no bit: terms below e^-700 cannot move a sum >= 1.
+    Row k is scored against its sent point s = sent[k]:
+    i = n - log2 sum_i exp((||y - z_s||^2 - ||y - z_i||^2) / 2 sigma^2).  One GEMM per slab,
+    e = [y, 1] @ [2 z, -||z||^2]^T = ||y||^2 - ||y - z||^2, into one reused buffer; decode is
+    its row argmax, ties to the lowest index (first in a slab, strict update across slabs).
+    The sum runs relative to the running row maximum and ends on the sent point's own entry
+    e_s, so the sent point and any point equal to it count exactly 1 at every sigma.  Clamping
+    at _EXP_FLOOR before the 1/(2 sigma^2) scale keeps exp off its slow underflow path and
+    changes no bit: terms below e^-700 cannot move a sum >= 1.
     """
-    inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    yy = np.einsum("ij,ij->i", ys, ys)
+    sigma = float(sigma)
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)  # as _check_sigma forms it, so it is finite
+    floor = _EXP_FLOOR / inv2s2  # -inf at the largest sigma, which clamps nothing
     y1 = np.column_stack([ys, np.ones(len(ys))])
-    z1 = np.column_stack([points, -0.5 * np.einsum("ij,ij->i", points, points)])
-    (lse, best_e), best_i = np.full((2, len(ys)), -np.inf), np.zeros(len(ys), dtype=np.int64)
+    z1 = np.column_stack([2.0 * points, -np.einsum("ij,ij->i", points, points)])
+    rows, best_i = np.arange(len(ys)), np.zeros(len(ys), dtype=np.int64)
+    top, e_s, total = np.full(len(ys), -np.inf), np.empty(len(ys)), np.zeros(len(ys))
     e = np.empty((len(ys), min(_SLAB, len(points))))  # last, so the next call reuses its memory
-    for start in range(0, len(points), e.shape[1]):
+    slab_of, col = np.divmod(sent, e.shape[1])
+    for slab, start in enumerate(range(0, len(points), e.shape[1])):
         np.matmul(y1, z1[start : start + e.shape[1]].T, out=e)
+        np.copyto(e_s, e[rows, col], where=slab_of == slab)
         j = e.argmax(axis=1)
-        e_max = e[np.arange(len(ys)), j]
-        np.copyto(best_i, start + j, where=e_max > best_e)
-        np.maximum(best_e, e_max, out=best_e)
-        e -= e_max[:, None]
-        np.maximum(e, _EXP_FLOOR * sigma * sigma, out=e)
-        e *= 2.0 * inv2s2
+        e_max = e[rows, j]
+        np.copyto(best_i, start + j, where=e_max > top)
+        raised = np.maximum(top, e_max)
+        total *= np.exp(np.maximum(top - raised, floor) * inv2s2)
+        top = raised
+        e -= top[:, None]
+        np.maximum(e, floor, out=e)
+        e *= inv2s2
         np.exp(e, out=e)
-        np.logaddexp(lse, np.log(e.sum(1)) - inv2s2 * np.maximum(yy - 2 * e_max, 0), out=lse)
-    lse -= (len(points).bit_length() - 1) * _LN2
-    lse -= 0.5 * points.shape[1] * math.log(2.0 * math.pi * sigma * sigma)
-    lse /= -_LN2
-    return lse, best_i
+        total += e.sum(axis=1)
+    log_sum = np.log(total) + (top - e_s) * inv2s2
+    return (len(points).bit_length() - 1) - log_sum / _LN2, best_i
 
 
 def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
-    """Per-row -log2 f_Y(y) and ML bit-error counts, each (P, rows), for a (P, m, n) stack.
+    """Per-row capacity terms and ML bit-error counts, each (P, rows), for a (P, m, n) stack.
 
-    Rows come in order from the per-block substreams of `seed`; each block
-    is drawn once, cut to `rows`, and shared by all P matrices.
+    A row's term is its information density plus (||u||^2 - m) / (2 ln 2) for its unit noise
+    u: that equals -log2 f_Y(y) - h(N), so the terms average to the sum capacity.  Rows come
+    in order from the per-block substreams of `seed`; each block is drawn once, cut to
+    `rows`, and shared by all P matrices.
     """
     _check_sigma(sigma)
     _, m, n = pop.shape
@@ -104,9 +116,10 @@ def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
 
     def one_block(b):
         signs, unit = (a[: rows - b * BLOCK] for a in draw_block(seed, b, n, m))
-        noise = sigma * unit
-        scans = [_scan(z, sigma, signs @ a + noise) for z, a in zip(points, at)]
-        return [f for f, _ in scans], [(inputs[i] != signs).sum(axis=1) for _, i in scans]
+        sent, noise = (signs < 0) @ (1 << np.arange(n)), sigma * unit
+        chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2.0 * _LN2)
+        scans = [_scan(z, sigma, signs @ a + noise, sent) for z, a in zip(points, at)]
+        return [i + chi for i, _ in scans], [(inputs[i] != signs).sum(axis=1) for _, i in scans]
 
-    neg_log2_f, errors = zip(*map_blocks(one_block, -(-rows // BLOCK)))
-    return np.concatenate(neg_log2_f, axis=1), np.concatenate(errors, axis=1)
+    terms, errors = zip(*map_blocks(one_block, -(-rows // BLOCK)))
+    return np.concatenate(terms, axis=1), np.concatenate(errors, axis=1)

@@ -1,10 +1,11 @@
 """Sum-capacity evaluation of a signature matrix.
 
 With uniform sign inputs the channel output Y = A X + N has an exact
-Gaussian-mixture density over the 2**n constellation points, so the
-differential entropy h(Y) is estimated by Monte Carlo as the sample mean
-of -log2 f_Y(Y_k); the sum capacity follows as h(Y) - h(N).  A 1-D
-adaptive-quadrature oracle covers the scalar case for validation.
+Gaussian-mixture density over the 2**n constellation points.  Each drawn
+row is scored against the point that was sent, and the mean of the
+per-row terms -log2 f_Y(Y_k) - h(N) is the sum capacity, for every sigma
+that `_check_sigma` accepts.  A 1-D adaptive-quadrature oracle covers the
+scalar case for validation.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ def _check_samples(samples: int) -> None:
         raise InvalidSamplesError("need at least 100 samples")
 
 
-def _capacity_estimate(neg_log2_f: np.ndarray, m: int, n: int, sigma: float):
-    sum_bits = float(np.mean(neg_log2_f)) - noise_entropy(m, sigma)
+def _capacity_estimate(terms: np.ndarray, n: int, sigma: float):
+    sum_bits = float(np.mean(terms))
     return CapacityEstimate(
         sum_bits=sum_bits,
         per_user_bits=sum_bits / n,
-        std_error=float(np.std(neg_log2_f, ddof=1) / math.sqrt(neg_log2_f.size)),
-        samples=neg_log2_f.size,
+        std_error=float(np.std(terms, ddof=1) / math.sqrt(terms.size)),
+        samples=terms.size,
         sigma=float(sigma),
     )
 
@@ -69,8 +70,8 @@ def estimate_capacity(
     values (the noise is drawn at unit variance and scaled).
     """
     _check_samples(samples)
-    neg_log2_f, _ = _rng.channel_pass(A.entries[None], sigma, samples, seed)
-    return _capacity_estimate(neg_log2_f[0], A.m, A.n, sigma)
+    terms, _ = _rng.channel_pass(A.entries[None], sigma, samples, seed)
+    return _capacity_estimate(terms[0], A.n, sigma)
 
 
 def exact_capacity_1d(scale: float, sigma: float, tol: float = 1e-6) -> float:

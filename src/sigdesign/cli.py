@@ -120,17 +120,16 @@ def load_matrix(path) -> tuple[SignatureMatrix, dict]:
         raise MatrixFileError(f"{path}: m and n must be JSON integers >= 1")
     if label is not None and not isinstance(label, str):
         raise MatrixFileError(f"{path}: label must be a string or null")
-    try:
-        entries = np.asarray(doc["entries"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFileError(f"{path}: missing or malformed field ({exc})") from exc
-    if entries.shape != (m * n,):
-        raise MatrixFileError(f"{path}: expected {m * n} entries, got {entries.size}")
+    entries = doc.get("entries")
+    if not isinstance(entries, list) or any(type(v) not in (int, float) for v in entries):
+        raise MatrixFileError(f"{path}: entries must be a list of JSON numbers")
+    if len(entries) != m * n:
+        raise MatrixFileError(f"{path}: expected {m * n} entries, got {len(entries)}")
     sigma = doc.get("sigma_design")
     if sigma is not None and type(sigma) not in (int, float):
         raise MatrixFileError(f"{path}: sigma_design must be a JSON number or null")
     try:
-        matrix = SignatureMatrix(entries.reshape(m, n))
+        matrix = SignatureMatrix(np.reshape(entries, (m, n)))
         if sigma is not None:
             _check_sigma(sigma)
     except (ValueError, OverflowError) as exc:
@@ -161,8 +160,8 @@ def evaluate_matrix(
 ) -> SweepRow:
     """All sweep-table quantities for one matrix at one noise level."""
     _check_samples(budget)
-    neg_log2_f, errors = _rng.channel_pass(A.entries[None], sigma, budget, seed)
-    cap = _capacity_estimate(neg_log2_f[0], A.m, A.n, sigma)
+    terms, errors = _rng.channel_pass(A.entries[None], sigma, budget, seed)
+    cap = _capacity_estimate(terms[0], A.n, sigma)
     err = _ber_estimate(errors[0], A.n, sigma)
     md, qd, ed = _pair_measures(A.entries[None], sigma)[:, 0]
     ub = 2.0**-A.n * float(qd)
@@ -345,6 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _rng.workers()  # a malformed SIGDESIGN_WORKERS fails every command, before any work
         return args.func(args)
     except (QuadratureFailure, NonConvergenceError, NanFitnessError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

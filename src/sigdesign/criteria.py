@@ -80,16 +80,16 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
     if pop.ndim != 3 or 0 in pop.shape:
         raise ValueError("population must be a non-empty (P, m, n) array")
     _check_columns(pop)
-    _, m, n = pop.shape
+    n = pop.shape[-1]
     if spec.kind not in STOCHASTIC_KINDS:
         value = _pair_measures(pop, spec.sigma, (spec.kind,))[0]
         return value if spec.kind == "md" else -value
     scores = []
     step = max(1, _ROW_CHUNK // spec.eval_budget)
     for chunk in (pop[lo : lo + step] for lo in range(0, len(pop), step)):
-        neg_log2_f, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed)
+        terms, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed)
         if spec.kind == "capacity":
-            scores += [_capacity_estimate(r, m, n, spec.sigma).sum_bits for r in neg_log2_f]
+            scores += [_capacity_estimate(r, n, spec.sigma).sum_bits for r in terms]
         else:
             scores += [-_ber_estimate(r, n, spec.sigma).ber for r in errors]
     return np.array(scores)

@@ -41,8 +41,8 @@ class TestQFunction:
 def ml_decode(A, y):
     """Index of the input whose noiseless point A x is nearest to y, as the channel pass decodes."""
     points = enumerate_inputs(A.shape[1]) @ A.T
-    # the nearest point does not depend on the sigma the density uses
-    return int(_scan(points, 1.0, np.asarray(y, dtype=float)[None, :])[1][0])
+    # the nearest point depends on neither the sigma nor the reference point the density uses
+    return int(_scan(points, 1.0, np.asarray(y, dtype=float)[None, :], np.zeros(1, int))[1][0])
 
 
 class TestMlDecode:

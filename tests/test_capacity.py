@@ -19,6 +19,7 @@ from sigdesign import (
 )
 from sigdesign import _rng
 from sigdesign._rng import _scan
+from sigdesign.model import _check_sigma
 
 # 0.5*log2(2*pi*e), evaluated once in closed form
 NOISE_ENTROPY_M1_S1 = 2.047095585180641
@@ -28,6 +29,27 @@ NOISE_ENTROPY_M1_S1 = 2.047095585180641
 CAPACITY_SCALE1_SIGMA1 = 0.4859441541329352
 
 SCALAR_ONE = SignatureMatrix([[1.0]])
+
+
+def smallest_accepted_sigma() -> float:
+    """The least sigma that _check_sigma accepts, found by bisection."""
+    lo, hi = 0.0, 1e-150  # rejected, accepted
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        try:
+            _check_sigma(mid)
+            hi = mid
+        except ValueError:
+            lo = mid
+    return hi
+
+
+SMALLEST_SIGMA = smallest_accepted_sigma()
+
+
+def binomial_entropy(n):
+    """H(Binomial(n, 1/2)) in bits: the sigma -> 0 capacity of a 1 x n all-ones matrix."""
+    probs = [math.comb(n, j) / 2**n for j in range(n + 1)]
+    return -sum(p * math.log2(p) for p in probs)
 
 
 def hermite_capacity(scale, sigma, nodes=150):
@@ -66,9 +88,16 @@ class TestNoiseEntropy:
 
 
 def log_output_density(A, sigma, ys):
-    """log2 f_Y at each row of ys, as the channel pass computes it for y = A x + noise."""
+    """log2 f_Y at each row of ys, rebuilt from the channel pass's information density i.
+
+    For any reference point z_ref (here input 0), log2 f(y) = log2 phi(y - z_ref) - i.
+    """
     points = enumerate_inputs(A.shape[1]) @ A.T
-    return -_scan(points, sigma, np.asarray(ys, dtype=float))[0]
+    ys = np.asarray(ys, dtype=float)
+    ref = np.zeros(len(ys), dtype=int)
+    d2 = np.square(ys - points[ref]).sum(axis=1)
+    log_phi = -d2 / (2 * sigma**2) - 0.5 * ys.shape[1] * math.log(2 * math.pi * sigma**2)
+    return log_phi / math.log(2) - _scan(points, sigma, ys, ref)[0]
 
 
 class TestLogOutputDensity:
@@ -105,40 +134,53 @@ class TestLogOutputDensity:
 
 
 def channel_rows(A, sigma, rows, seed):
-    """The points of A and rows y = A x + sigma * noise for uniform random inputs x."""
+    """The points of A, the indices of uniform random inputs x, and rows y = A x + sigma * noise."""
     rng = np.random.default_rng(seed)
     points = enumerate_inputs(A.shape[1]) @ A.T
-    sent = points[rng.integers(0, len(points), rows)]
-    return points, sent + sigma * rng.standard_normal(sent.shape)
+    sent = rng.integers(0, len(points), rows)
+    return points, sent, points[sent] + sigma * rng.standard_normal((rows, A.shape[0]))
 
 
 class TestScan:
     @pytest.mark.parametrize("m, n", [(3, 6), (4, 10)])  # 4x10 spans two 512-point slabs
     @pytest.mark.parametrize("sigma", [0.1, 0.5])
     def test_matches_direct_reference(self, m, n, sigma):
-        points, ys = channel_rows(random_normalized(m, n, seed=n).entries, sigma, 300, seed=m)
-        neg_log2_f, nearest = _scan(points, sigma, ys)
+        points, sent, ys = channel_rows(random_normalized(m, n, seed=n).entries, sigma, 300, seed=m)
+        info, nearest = _scan(points, sigma, ys, sent)
         d2 = np.square(ys[:, None, :] - points[None]).sum(axis=2)
-        half_log = 0.5 * m * math.log2(2 * math.pi * sigma**2)
-        ref = n + half_log - logsumexp(-d2 / (2 * sigma**2), axis=1) / math.log(2)
-        # -log2 f is a difference of terms of size n and |half_log|, so where
-        # it is near 0 its rounding is relative to them, not to itself
-        npt.assert_allclose(neg_log2_f, ref, rtol=1e-12, atol=1e-12 * (n + abs(half_log)))
+        d2_sent = d2[np.arange(len(ys)), sent, None]
+        ref = n - logsumexp((d2_sent - d2) / (2 * sigma**2), axis=1) / math.log(2)
+        # i is n minus a log-sum of size up to n, so where it is near 0 its
+        # rounding is relative to n, not to itself
+        npt.assert_allclose(info, ref, rtol=1e-12, atol=1e-12 * n)
         two = np.sort(d2, axis=1)[:, :2]
         clear = two[:, 1] - two[:, 0] > 1e-9  # rows without a near-tie
         assert clear.sum() > 250
         npt.assert_array_equal(nearest[clear], d2.argmin(axis=1)[clear])
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 2.0])
+    def test_channel_pass_terms_are_density_minus_noise_entropy(self, sigma):
+        # the (||u||^2 - m) / (2 ln 2) term has mean 0, so only a per-row check sees its sign
+        A = random_normalized(3, 6, seed=1).entries
+        terms, _ = _rng.channel_pass(A[None], sigma, 300, seed=2)
+        signs, unit = (a[:300] for a in _rng.draw_block(2, 0, 6, 3))
+        points = enumerate_inputs(6) @ A.T
+        d2 = np.square((signs @ A.T + sigma * unit)[:, None, :] - points[None]).sum(axis=2)
+        norm = math.log(2**6) + 1.5 * math.log(2 * math.pi * sigma**2)
+        ln_f = logsumexp(-d2 / (2 * sigma**2), axis=1) - norm
+        ref = -ln_f / math.log(2) - noise_entropy(3, sigma)
+        npt.assert_allclose(terms[0], ref, rtol=1e-12, atol=1e-11)
 
     @pytest.mark.parametrize("n", [1, 3, 6, 8, 10, 12])  # 10 and 12 span several slabs
     def test_exp_floor_changes_no_bit(self, monkeypatch, n):
         for seed in (0, 1):
             A = random_normalized(max(1, n // 2), n, seed=seed).entries
             for sigma in (0.05, 0.1, 0.158, 0.3, 1.0):
-                points, ys = channel_rows(A, sigma, 300, seed)
-                floored = _scan(points, sigma, ys)
+                points, sent, ys = channel_rows(A, sigma, 300, seed)
+                floored = _scan(points, sigma, ys, sent)
                 with monkeypatch.context() as mp:
                     mp.setattr(_rng, "_EXP_FLOOR", -np.inf)
-                    unfloored = _scan(points, sigma, ys)
+                    unfloored = _scan(points, sigma, ys, sent)
                 npt.assert_array_equal(floored[0], unfloored[0])
                 npt.assert_array_equal(floored[1], unfloored[1])
 
@@ -213,6 +255,32 @@ class TestEstimateCapacity:
         assert abs(ea.sum_bits - eb.sum_bits) <= 3 * math.hypot(
             ea.std_error, eb.std_error
         )
+
+
+class TestSmallSigma:
+    def test_floor_is_the_smallest_accepted_sigma(self):
+        _check_sigma(SMALLEST_SIGMA)
+        with pytest.raises(ValueError):
+            _check_sigma(np.nextafter(SMALLEST_SIGMA, 0))
+
+    # each limit is exact to far below the SE already at sigma = 1e-2; the
+    # all-ones points coincide, so each row's sent point has twins
+    @pytest.mark.parametrize(
+        "A, limit, samples",
+        [
+            (SignatureMatrix(np.eye(2)), 2.0, 4_096),
+            (random_normalized(2, 3, seed=0), 3.0, 4_096),
+            *[(SignatureMatrix(np.ones((1, n))), binomial_entropy(n), 4_096) for n in (4, 8, 12)],
+            (SignatureMatrix(np.ones((1, 16))), binomial_entropy(16), 256),
+        ],
+        ids=["eye2", "random2x3", "ones1x4", "ones1x8", "ones1x12", "ones1x16"],
+    )
+    @pytest.mark.parametrize(
+        "sigma", [1e-2, 1e-6, 1e-8, 1e-9, 1e-10, 1e-20, 1e-100, 1e-150, 6e-155, SMALLEST_SIGMA]
+    )
+    def test_capacity_reads_its_noiseless_limit(self, A, limit, samples, sigma):
+        est = estimate_capacity(A, sigma, samples=samples, seed=0)
+        assert abs(est.sum_bits - limit) <= 3 * est.std_error
 
 
 class TestExactCapacity1d:

@@ -20,6 +20,7 @@ from sigdesign.cli import (
     matrix_document,
     save_matrix,
 )
+from test_capacity import SMALLEST_SIGMA
 
 
 def run_cli(capsys, *argv):
@@ -37,11 +38,15 @@ def assert_rejected(capsys, *argv):
 
 
 def run_subprocess(*argv):
-    """Run python with argv against this checkout's package, with a 120 s timeout."""
+    """Run python with argv against this checkout's package, with a 120 s timeout.
+
+    A numpy RuntimeWarning fails the child as it fails the tests in this process.
+    """
     src = str(Path(sigdesign.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-W", "error::RuntimeWarning", *argv],
+        capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -128,6 +133,10 @@ class TestMatrixFiles:
             '{"schema_version": 1, "m": 1, "n": 1, "entries": [1.0], "sigma_design": 0}',
             pytest.param('{"schema_version": 1, "m": 1, "n": 1, "entries": [1.0], '
                          '"sigma_design": 1' + "0" * 400 + "}", id="sigma_design-400-digits"),
+            pytest.param('{"schema_version": 1, "m": 1, "n": 2, "entries": ["1", 1.0]}',
+                         id="entry-string"),
+            pytest.param('{"schema_version": 1, "m": 1, "n": 2, "entries": [1.0, true]}',
+                         id="entry-boolean"),
         ],
     )
     def test_malformed_files_exit_2(self, tmp_path, capsys, doc):
@@ -166,6 +175,15 @@ class TestEval:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: SIGDESIGN_WORKERS must be a positive integer, got {workers!r}\n"
+
+    @pytest.mark.parametrize("sigma", ["6e-155", "5.28e-155"])
+    def test_sigma_near_floor_warns_nothing(self, tmp_path, sigma):
+        path = tmp_path / "r23.json"
+        save_matrix(path, random_normalized(2, 3, seed=0))
+        proc = run_subprocess("-m", "sigdesign", "eval", "--matrix", str(path),
+                              "--sigma", sigma, "--budget", "100")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert math.isfinite(float(read_csv(proc.stdout)[0]["per_user_capacity"]))
 
     def test_empty_workers_means_one(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "eye2.json"
@@ -287,6 +305,12 @@ class TestOptimize:
         bests = [rec["best"] for rec in run_doc["history"]]
         assert bests[-1] >= bests[0]
         assert run_doc["best_fitness"] == max(bests)
+
+    def test_malformed_workers_exits_2_without_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIGDESIGN_WORKERS", "two")
+        assert_rejected(capsys, "optimize", "--criterion", "md", "-m", "2", "-n", "3",
+                        "--generations", "5", "--out", str(tmp_path / "x.json"))
+        assert not (tmp_path / "x.json").exists()
 
     def test_repeat_runs_identical_bytes(self, tmp_path):
         args = ["optimize", "--criterion", "ed", "-m", "2", "-n", "3", "--sigma", "0.5",
@@ -473,6 +497,16 @@ class TestOverloadSweep:
                         "--out", str(tmp_path / "x.csv"))
 
 
+    def test_malformed_workers_exits_2_before_any_ga(self, tmp_path, capsys, monkeypatch):
+        def no_ga(*args):
+            raise AssertionError("evolve ran before SIGDESIGN_WORKERS was checked")
+
+        monkeypatch.setattr(cli, "evolve", no_ga)
+        monkeypatch.setenv("SIGDESIGN_WORKERS", "two")
+        assert_rejected(capsys, "overload-sweep", "--criterion", "md", "-m", "2",
+                        "--n-list", "2,3", "--sigma", "0.3", "--budget", "1000",
+                        "--out", str(tmp_path / "x.csv"))
+
     def test_too_many_users_exits_2_before_any_ga(self, tmp_path, capsys, monkeypatch):
         def no_ga(*args):
             raise AssertionError("evolve ran before the user counts were checked")
@@ -513,10 +547,11 @@ class TestEvaluateMatrix:
             assert row.nu2 == 2**A.n * row.union_bound
             assert row.snr_db == pytest.approx(-20 * math.log10(0.5))
 
-    def test_smallest_accepted_sigma_warns_nothing(self):
-        # the suite turns RuntimeWarning into an error; the capacity at this
-        # sigma is not pinned, only that every column is a finite number
-        row = evaluate_matrix(random_normalized(2, 3, seed=0), 1e-154, budget=100, seed=0)
+    @pytest.mark.parametrize("sigma", [1e-154, 6e-155, SMALLEST_SIGMA])
+    def test_smallest_accepted_sigma_warns_nothing(self, sigma):
+        # the suite turns RuntimeWarning into an error; the capacity at these
+        # sigmas is pinned in test_capacity, here only that every column is finite
+        row = evaluate_matrix(random_normalized(2, 3, seed=0), sigma, budget=100, seed=0)
         assert all(math.isfinite(getattr(row, c)) for c in SWEEP_COLUMNS)
 
 
