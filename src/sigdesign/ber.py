@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
+from .capacity import _check_samples
 from .model import SignatureMatrix, _check_sigma, _check_users
 
 
@@ -51,8 +52,7 @@ def _ber_estimate(errors: np.ndarray, n_users: int, sigma: float) -> BerEstimate
     block_errors = int(np.count_nonzero(errors))
     bits = blocks * n_users
     bler = block_errors / blocks
-    spread = float(np.std(errors, ddof=1)) if blocks > 1 else math.nan
-    std_error = spread / (n_users * math.sqrt(blocks))
+    std_error = float(np.std(errors, ddof=1)) / (n_users * math.sqrt(blocks))
     block_std_error = math.sqrt(bler * (1.0 - bler) / blocks)
     if bit_errors == 0:
         std_error = block_std_error = 1.0 / blocks
@@ -79,11 +79,10 @@ def simulate_ber(
 
     Deterministic per seed and worker count; draws come from the same
     per-block substreams as the capacity estimator, so matched seeds share
-    inputs and (sigma-scaled) noise.  `std_error` is nan for one block
-    with errors; with no errors both standard errors are 1 / blocks.
+    inputs and (sigma-scaled) noise.  With no errors both standard errors
+    are 1 / blocks.  Fewer than 100 blocks raise InvalidSamplesError.
     """
-    if blocks < 1:
-        raise ValueError("need at least one block")
+    _check_samples(blocks)
     _, errors = _rng.channel_pass(A.entries[None], sigma, blocks, seed)
     return _ber_estimate(errors[0], A.n, sigma)
 

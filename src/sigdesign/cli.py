@@ -164,7 +164,6 @@ def evaluate_matrix(
     cap = _capacity_estimate(terms[0], A.n, sigma)
     err = _ber_estimate(errors[0], A.n, sigma)
     md, qd, ed = _pair_measures(A.entries[None], sigma)[:, 0]
-    ub = 2.0**-A.n * float(qd)
     return SweepRow(
         sigma=float(sigma),
         snr_db=-20.0 * float(np.log10(sigma)) + 0.0,  # avoid -0.0
@@ -173,9 +172,9 @@ def evaluate_matrix(
         ber=err.ber,
         ber_std_error=err.std_error,
         nu1=float(md),
-        nu2=2.0**A.n * ub,
+        nu2=float(qd),
         nu3=float(ed),
-        union_bound=ub,
+        union_bound=2.0**-A.n * float(qd),
     )
 
 

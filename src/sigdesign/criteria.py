@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .ber import _ber_estimate, _pair_measures, union_bound
-from .capacity import _capacity_estimate, _check_samples
+from .ber import _pair_measures
+from .capacity import _check_samples
 from .model import SignatureMatrix, _check_columns, _check_sigma
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
@@ -57,7 +57,7 @@ def min_distance(A: SignatureMatrix) -> float:
 
 def q_distance(A: SignatureMatrix, sigma: float) -> float:
     """Sum over ordered output pairs of Q(distance / (2 sigma)); minimize."""
-    return 2.0**A.n * union_bound(A, sigma)
+    return float(_pair_measures(A.entries[None], sigma, ("qd",))[0, 0])
 
 
 def exp_distance(A: SignatureMatrix, sigma: float) -> float:
@@ -89,10 +89,10 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
     for chunk in (pop[lo : lo + step] for lo in range(0, len(pop), step)):
         terms, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed)
         if spec.kind == "capacity":
-            scores += [_capacity_estimate(r, n, spec.sigma).sum_bits for r in terms]
-        else:
-            scores += [-_ber_estimate(r, n, spec.sigma).ber for r in errors]
-    return np.array(scores)
+            scores.append(terms.mean(axis=1))
+        else:  # negate the quotient: a BER of 0 scores -0.0, the same as -BerEstimate.ber
+            scores.append(-(errors.sum(axis=1) / (spec.eval_budget * n)))
+    return np.concatenate(scores)
 
 
 def fitness(spec: CriterionSpec, A: SignatureMatrix, seed: int = 0) -> float:

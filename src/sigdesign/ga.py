@@ -3,10 +3,11 @@
 Generational loop with tournament selection, arithmetic crossover,
 decaying Gaussian mutation, and elitism, on one (population_size, m, n)
 array.  Every variation step re-projects onto the unit-column manifold.
-Runs are fully deterministic per seed: variation randomness flows through
-one coordinator stream, and stochastic fitness evaluations use a
-per-generation seed shared by all individuals (common random numbers
-within a generation).
+Runs are deterministic per seed: each generation makes four whole-array
+draws from one variation stream (tournament entrants of every parent slot,
+crossover coins, lambda for every child, mutation noise, in that order),
+and stochastic fitness uses a per-generation seed shared by all
+individuals (common random numbers within a generation).
 """
 
 from __future__ import annotations
@@ -69,10 +70,19 @@ def init_population(m: int, n: int, config: GaConfig) -> np.ndarray:
     return _random_unit_columns((config.population_size, m, n), rng)
 
 
-def _tournament(fits: np.ndarray, k: int, rng: np.random.Generator) -> int:
-    """Index of the fittest of k distinct random individuals; ties go to the lowest."""
-    cand = np.sort(rng.choice(fits.size, size=k, replace=False))
-    return int(cand[np.argmax(fits[cand])])
+def _tournament(fits: np.ndarray, k: int, rng: np.random.Generator, shape) -> np.ndarray:
+    """Per entry of shape, the fittest of k distinct random individuals; ties go to the lowest.
+
+    Pick j, drawn from [0, P - j), steps past the earlier picks in ascending
+    order, so it is uniform over the rest; memory is O(size of shape * k).
+    """
+    picks = rng.integers(0, fits.size - np.arange(k), size=(*shape, k))
+    for j in range(1, k):
+        for i in range(j):  # picks[..., :j] are sorted
+            picks[..., j] += picks[..., j] >= picks[..., i]
+        picks[..., : j + 1].sort(axis=-1)
+    best = np.argmax(fits[picks], axis=-1)
+    return np.take_along_axis(picks, best[..., None], axis=-1)[..., 0]
 
 
 def _project(raw: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -126,23 +136,12 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
         if gen == config.generations - 1:
             break
 
-        # per child, in stream order: two tournaments, the crossover coin,
-        # lambda (only when crossing), the mutation noise
-        parents = np.empty((n_children, 2), dtype=np.int64)
-        crossed = np.zeros(n_children, dtype=bool)
-        lam = np.zeros((n_children, 1, 1))
-        noise = np.empty((n_children, m, n))
-        for c in range(n_children):
-            parents[c] = [_tournament(fits, _TOURNAMENT_SIZE, var_rng) for _ in range(2)]
-            crossed[c] = var_rng.random() < _CROSSOVER_RATE
-            if crossed[c]:
-                lam[c] = var_rng.uniform()
-            noise[c] = var_rng.standard_normal((m, n))
-
-        children = population[parents[:, 0]]
-        a, b = children[crossed], population[parents[crossed, 1]]
-        lam = lam[crossed]
-        children[crossed] = _project(lam * a + (1.0 - lam) * b, a)
+        parents = _tournament(fits, _TOURNAMENT_SIZE, var_rng, (n_children, 2))
+        crossed = var_rng.random((n_children, 1, 1)) < _CROSSOVER_RATE
+        lam = var_rng.random((n_children, 1, 1))
+        noise = var_rng.standard_normal((n_children, m, n))
+        a, b = population[parents[:, 0]], population[parents[:, 1]]
+        children = np.where(crossed, _project(lam * a + (1.0 - lam) * b, a), a)
         children = _project(children + scale * noise, children)
         population = np.concatenate([population[order[:_ELITISM]], children])
         scale *= _MUTATION_DECAY

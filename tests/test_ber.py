@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import hadamard
 
 from sigdesign import (
+    InvalidSamplesError,
     SignatureMatrix,
     enumerate_inputs,
     estimate_capacity,
@@ -123,6 +124,10 @@ class TestSimulateBer:
     def test_blocks_validated(self):
         with pytest.raises(ValueError):
             simulate_ber(SCALAR_ONE, 1.0, blocks=0, seed=0)
+
+    def test_blocks_below_sample_floor(self):
+        with pytest.raises(InvalidSamplesError):
+            simulate_ber(SCALAR_ONE, 1.0, blocks=99, seed=0)
 
 
 class TestUnionBound:

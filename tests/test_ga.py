@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -83,12 +85,12 @@ class TestTournamentSelect:
         rng = np.random.default_rng(0)
         fits = np.array([0.3, 2.0, -1.0, 0.9])
         for _ in range(10):
-            assert ga_module._tournament(fits, 4, rng) == 1
+            assert ga_module._tournament(fits, 4, rng, ()) == 1
 
     def test_ties_break_to_lowest_index(self):
         rng = np.random.default_rng(0)
-        assert ga_module._tournament(np.array([1.0, 5.0, 5.0, 2.0]), 4, rng) == 1
-        assert ga_module._tournament(np.array([3.0, 3.0, 3.0, 3.0]), 4, rng) == 0
+        assert ga_module._tournament(np.array([1.0, 5.0, 5.0, 2.0]), 4, rng, ()) == 1
+        assert ga_module._tournament(np.array([3.0, 3.0, 3.0, 3.0]), 4, rng, ()) == 0
 
     def test_single_entrant_is_uniform(self):
         # chi-square over 10^4 draws, 8 cells, crit value at p=0.001 (df=7)
@@ -96,9 +98,33 @@ class TestTournamentSelect:
         fits = np.arange(8.0)
         counts = np.zeros(8)
         for _ in range(10_000):
-            counts[ga_module._tournament(fits, 1, rng)] += 1
+            counts[ga_module._tournament(fits, 1, rng, ())] += 1
         chi2 = np.sum((counts - 1250.0) ** 2 / 1250.0)
         assert chi2 < 24.32
+
+    def test_entrants_are_distinct(self):
+        # winner i of 3 distinct entrants from 6 has probability C(i, 2) / C(6, 3) = C(i, 2) / 20;
+        # entrants drawn with replacement give ((i+1)^3 - i^3) / 216 and fail.
+        # chi-square over 2*10^4 winners, 4 cells, crit value at p=0.001 (df=3)
+        rng = np.random.default_rng(7)
+        winners = ga_module._tournament(np.arange(6.0), 3, rng, (10_000, 2))
+        counts = np.bincount(winners.ravel(), minlength=6)
+        assert counts[:2].sum() == 0
+        expected = winners.size * np.array([math.comb(i, 2) for i in range(2, 6)]) / 20
+        chi2 = np.sum((counts[2:] - expected) ** 2 / expected)
+        assert chi2 < 16.27
+
+    def test_memory_independent_of_population_size(self):
+        fits = np.random.default_rng(0).standard_normal(10**6)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            winners = ga_module._tournament(fits, 3, rng, (64, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert winners.shape == (64, 2)
+        assert peak < 1 << 20
 
 
 class TestArithmeticCrossover:
@@ -193,8 +219,8 @@ class TestEvolve:
         assert a.history == b.history
 
     def test_pinned_result(self):
-        # Recorded with the pairwise-distance kernel before the difference-class
-        # one; any change to the draw order or an operator moves it.  Values
+        # Recorded with the four whole-generation variation draws; any change
+        # to the draw order or an operator moves it.  Values
         # are rounded to 12 significant digits, so last-ulp differences in
         # the kernel or in BLAS between machines do not.
         run = evolve(3, 4, CriterionSpec(kind="ed", sigma=0.1), GaConfig(seed=11))
@@ -202,7 +228,7 @@ class TestEvolve:
         values += [v for rec in run.history for v in astuple(rec)]
         text = " ".join(format(v, ".11e") for v in values)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "cbc9e46c6e26a71c7f841323f37d35ac9daba80eb60246020312a281744c315e"
+            "8f9e62a6dcb593ffe48c394e6d48f19988d0e2ae06d3c4dcbab2f243ed8a9770"
         )
 
     def test_worker_count_does_not_change_result(self, monkeypatch):
