@@ -8,12 +8,7 @@ measures under additive white Gaussian noise.
 
 from .baselines import orthogonal_matrix, random_normalized, wbe_matrix, wbe_verify
 from .ber import BerEstimate, q_function, simulate_ber, union_bound
-from .capacity import (
-    CapacityEstimate,
-    estimate_capacity,
-    exact_capacity_1d,
-    noise_entropy,
-)
+from .capacity import CapacityEstimate, estimate_capacity, exact_capacity_1d
 from .criteria import (
     CriterionSpec,
     exp_distance,
@@ -67,7 +62,6 @@ __all__ = [
     "fitness",
     "init_population",
     "min_distance",
-    "noise_entropy",
     "orthogonal_matrix",
     "population_fitness",
     "q_distance",

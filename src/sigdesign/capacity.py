@@ -4,8 +4,9 @@ With uniform sign inputs the channel output Y = A X + N has an exact
 Gaussian-mixture density over the 2**n constellation points.  Each drawn
 row is scored against the point that was sent, and the mean of the
 per-row terms -log2 f_Y(Y_k) - h(N) is the sum capacity, for every sigma
-that `_check_sigma` accepts.  A 1-D adaptive-quadrature oracle covers the
-scalar case for validation.
+that `_check_sigma` accepts.  For validation, an adaptive-quadrature
+oracle gives the exact capacity of any 1 x n matrix: its outputs are the
+n + 1 points n - 2j with binomial weights, coinciding points included.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .errors import InvalidSamplesError, QuadratureFailure
+from .errors import DimensionError, InvalidSamplesError, QuadratureFailure
 from .model import SignatureMatrix, _check_sigma
+
+_QUAD_TOL = 1e-6  # largest accepted quadrature error estimate, in bits
 
 
 @dataclass(frozen=True)
@@ -30,14 +33,6 @@ class CapacityEstimate:
     std_error: float
     samples: int
     sigma: float
-
-
-def noise_entropy(m: int, sigma: float) -> float:
-    """Differential entropy in bits of m iid Gaussian(0, sigma**2) chips."""
-    if m < 1:
-        raise ValueError("need at least one chip")
-    _check_sigma(sigma)
-    return 0.5 * m * math.log2(2.0 * math.pi * math.e * sigma * sigma)
 
 
 def _check_samples(samples: int) -> None:
@@ -74,45 +69,46 @@ def estimate_capacity(
     return _capacity_estimate(terms[0], A.n, sigma)
 
 
-def exact_capacity_1d(scale: float, sigma: float, tol: float = 1e-6) -> float:
-    """Mutual information of Y = scale*X + N, X uniform on {+1, -1}, in bits.
+def exact_capacity_1d(A: SignatureMatrix, sigma: float) -> float:
+    """Sum capacity in bits of a 1 x n matrix A, by adaptive quadrature.
 
-    Computed by adaptive quadrature of -integral f_Y log2 f_Y minus the
-    Gaussian noise entropy; serves as the independent oracle for the
-    Monte-Carlo estimator on 1x1 systems.
+    Its unit columns are +-1, so whatever their signs the outputs are the
+    n + 1 points x_j = n - 2j with weights p_j = C(n, j) / 2**n.  Writing
+    y = x_j + sigma z turns h(Y) - h(N) into one integral over the noise
+    z ~ N(0, 1) of sum_j p_j i_j(z), with the information density
+    i_j(z) = -log2 sum_i p_i exp(-d_ji (d_ji / 2 + z)), d_ji = (x_j - x_i) / sigma,
+    which stays exact at every sigma that `_check_sigma` accepts, coinciding
+    points included.  Serves as the independent oracle for the Monte-Carlo
+    estimator; raises QuadratureFailure if the error estimate exceeds _QUAD_TOL.
     """
     from scipy import integrate  # the only user; keeps it out of `import sigdesign`
 
+    if A.m != 1:
+        raise DimensionError(f"exact_capacity_1d needs a 1 x n matrix, got {A.m} x {A.n}")
     _check_sigma(sigma)
-    a, s = float(scale), float(sigma)
-    log_half_phi = math.log(0.5) - 0.5 * math.log(2.0 * math.pi * s * s)
-    inv2s2 = 1.0 / (2.0 * s * s)
+    n = A.n
+    x = n - 2.0 * np.arange(n + 1)
+    p = np.array([math.comb(n, j) for j in range(n + 1)]) / 2.0**n
+    log_p = np.log(p)
+    # past 1e3 a term is exp(-5e5) = 0 for every |z| <= 40 anyway; the cap keeps d * d finite
+    d = np.clip((x[:, None] - x) / float(sigma), -1e3, 1e3)
+    phi_bits = 1.0 / (math.sqrt(2.0 * math.pi) * _rng._LN2)
 
-    def integrand(y):
-        lf = np.logaddexp(
-            log_half_phi - (y - a) ** 2 * inv2s2,
-            log_half_phi - (y + a) ** 2 * inv2s2,
-        )
-        f = math.exp(lf)
-        if f == 0.0:
-            return 0.0
-        return -f * lf / _rng._LN2
+    def integrand(z):
+        e = log_p - d * (0.5 * d + z)
+        top = e.max(axis=1)
+        info = -top - np.log(np.exp(e - top[:, None]).sum(axis=1))  # max-shifted log-sum-exp
+        return math.exp(-0.5 * z * z) * phi_bits * (p @ info)
 
-    lim = abs(a) + 60.0 * s
     with warnings.catch_warnings():
         # accuracy is judged by the error estimate below, not the warning
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        h_y, err = integrate.quad(
-            integrand,
-            -lim,
-            lim,
-            limit=400,
-            epsabs=tol / 10.0,
-            epsrel=1e-10,
-            points=[-abs(a), 0.0, abs(a)],
+        # the Gaussian weight of |z| > 40 is below the smallest double
+        bits, err = integrate.quad(
+            integrand, -40.0, 40.0, limit=400, epsabs=_QUAD_TOL / 10.0, epsrel=1e-10
         )
-    if not math.isfinite(h_y) or err > tol:
+    if not math.isfinite(bits) or err > _QUAD_TOL:
         raise QuadratureFailure(
-            f"quadrature error estimate {err:g} exceeds tolerance {tol:g}"
+            f"quadrature error estimate {err:g} exceeds tolerance {_QUAD_TOL:g}"
         )
-    return h_y - noise_entropy(1, s)
+    return bits

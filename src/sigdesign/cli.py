@@ -33,12 +33,7 @@ from . import _rng, baselines
 from .ber import _ber_estimate, _pair_measures
 from .capacity import _capacity_estimate, _check_samples, estimate_capacity
 from .criteria import KINDS, CriterionSpec
-from .errors import (
-    MatrixFileError,
-    NanFitnessError,
-    NonConvergenceError,
-    QuadratureFailure,
-)
+from .errors import MatrixFileError, NanFitnessError, NonConvergenceError
 from .ga import GaConfig, GaRun, evolve
 from .model import SignatureMatrix, _check_sigma, _check_users
 
@@ -194,6 +189,16 @@ def _parse_sigma_grid(text: str) -> np.ndarray:
 # commands
 
 
+def _check_output_dirs(args) -> None:
+    """Fail before any work if the directory of --out or --run-out is missing.
+
+    optimize's default results file, OUT.run.json, sits beside --out.
+    """
+    for path in (getattr(args, "out", None), getattr(args, "run_out", None)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
+
+
 def _ga_config(args) -> GaConfig:
     return GaConfig(**{f.name: getattr(args, f.name) for f in fields(GaConfig)})
 
@@ -344,8 +349,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _rng.workers()  # a malformed SIGDESIGN_WORKERS fails every command, before any work
+        _check_output_dirs(args)
         return args.func(args)
-    except (QuadratureFailure, NonConvergenceError, NanFitnessError) as exc:
+    except (NonConvergenceError, NanFitnessError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -23,7 +23,7 @@ class MatrixFileError(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """The quadrature oracle missed its tolerance (library only: no CLI command calls it)."""
 
 
 class NonConvergenceError(RuntimeError):

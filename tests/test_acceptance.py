@@ -55,7 +55,7 @@ def test_criterion_01_capacity_oracle_agreement():
     for scale in (0.5, 1.0, 2.0):
         for s in (0.25, 0.5, 1.0, 2.0):
             est = estimate_capacity(one, s / scale, samples=200_000, seed=42)
-            exact = exact_capacity_1d(scale, s)
+            exact = exact_capacity_1d(one, s / scale)
             worst_z = max(worst_z, abs(est.sum_bits - exact) / est.std_error)
             worst_abs = max(worst_abs, abs(est.sum_bits - exact))
     elapsed = time.time() - t0

@@ -7,6 +7,7 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from sigdesign import (
+    DimensionError,
     InvalidSamplesError,
     QuadratureFailure,
     SignatureMatrix,
@@ -14,15 +15,11 @@ from sigdesign import (
     enumerate_inputs,
     estimate_capacity,
     exact_capacity_1d,
-    noise_entropy,
     random_normalized,
 )
-from sigdesign import _rng
+from sigdesign import _rng, capacity
 from sigdesign._rng import _scan
 from sigdesign.model import _check_sigma
-
-# 0.5*log2(2*pi*e), evaluated once in closed form
-NOISE_ENTROPY_M1_S1 = 2.047095585180641
 
 # Golden value for the scalar binary-input channel at scale=1, sigma=1:
 # adaptive quadrature and a 150-node Gauss-Hermite rule agree to < 1e-9.
@@ -52,39 +49,29 @@ def binomial_entropy(n):
     return -sum(p * math.log2(p) for p in probs)
 
 
-def hermite_capacity(scale, sigma, nodes=150):
-    """Independent oracle: h(Y) = -E[log2 f(Y)] via Gauss-Hermite expectation."""
+def all_ones(n):
+    return SignatureMatrix(np.ones((1, n)))
+
+
+def noise_entropy(m, sigma):
+    """Differential entropy in bits of m iid Gaussian(0, sigma**2) chips, in closed form."""
+    return 0.5 * m * math.log2(2.0 * math.pi * math.e * sigma * sigma)
+
+
+def hermite_capacity(n, sigma, nodes=150):
+    """Independent oracle for a 1 x n matrix: h(Y) = -E[log2 f(Y)] by one Gauss-Hermite
+    expectation per output point n - 2j, weighted by C(n, j) / 2**n."""
     t, w = np.polynomial.hermite.hermgauss(nodes)
     w = w / np.sqrt(np.pi)
-    c = math.log(0.5) - 0.5 * math.log(2.0 * math.pi * sigma * sigma)
+    points = n - 2.0 * np.arange(n + 1)
+    log_p = np.log([math.comb(n, j) / 2**n for j in range(n + 1)])
+    c = -0.5 * math.log(2.0 * math.pi * sigma * sigma)
     h_y = 0.0
-    for b in (1.0, -1.0):
-        y = b * scale + sigma * math.sqrt(2.0) * t
-        lf = np.logaddexp(
-            c - (y - scale) ** 2 / (2 * sigma**2),
-            c - (y + scale) ** 2 / (2 * sigma**2),
-        ) / math.log(2.0)
-        h_y += 0.5 * np.sum(w * (-lf))
-    return h_y - 0.5 * math.log2(2.0 * math.pi * math.e * sigma * sigma)
-
-
-class TestNoiseEntropy:
-    def test_reference_value(self):
-        assert noise_entropy(1, 1.0) == pytest.approx(NOISE_ENTROPY_M1_S1, abs=1e-12)
-
-    def test_additivity_in_chips(self):
-        assert noise_entropy(2, 1.0) == pytest.approx(2 * noise_entropy(1, 1.0))
-
-    @pytest.mark.parametrize("sigma", [0.3, 1.0, 4.0])
-    def test_doubling_sigma_adds_one_bit(self, sigma):
-        diff = noise_entropy(1, 2 * sigma) - noise_entropy(1, sigma)
-        assert diff == pytest.approx(1.0, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            noise_entropy(0, 1.0)
-        with pytest.raises(ValueError):
-            noise_entropy(1, 0.0)
+    for point, lp in zip(points, log_p):
+        y = point + sigma * math.sqrt(2.0) * t
+        ln_f = logsumexp(log_p + c - (y[:, None] - points) ** 2 / (2 * sigma**2), axis=1)
+        h_y += math.exp(lp) * np.sum(w * -ln_f) / math.log(2.0)
+    return h_y - noise_entropy(1, sigma)
 
 
 def log_output_density(A, sigma, ys):
@@ -270,8 +257,8 @@ class TestSmallSigma:
         [
             (SignatureMatrix(np.eye(2)), 2.0, 4_096),
             (random_normalized(2, 3, seed=0), 3.0, 4_096),
-            *[(SignatureMatrix(np.ones((1, n))), binomial_entropy(n), 4_096) for n in (4, 8, 12)],
-            (SignatureMatrix(np.ones((1, 16))), binomial_entropy(16), 256),
+            *[(all_ones(n), binomial_entropy(n), 4_096) for n in (4, 8, 12)],
+            (all_ones(16), binomial_entropy(16), 256),
         ],
         ids=["eye2", "random2x3", "ones1x4", "ones1x8", "ones1x12", "ones1x16"],
     )
@@ -285,27 +272,67 @@ class TestSmallSigma:
 
 class TestExactCapacity1d:
     def test_large_noise_limit(self):
-        assert exact_capacity_1d(1.0, 100.0) == pytest.approx(0.0, abs=1e-3)
+        assert exact_capacity_1d(SCALAR_ONE, 100.0) == pytest.approx(0.0, abs=1e-3)
 
     def test_small_noise_limit(self):
-        assert exact_capacity_1d(1.0, 0.01) == pytest.approx(1.0, abs=1e-6)
+        assert exact_capacity_1d(SCALAR_ONE, 0.01) == pytest.approx(1.0, abs=1e-6)
 
     def test_golden_value_dual_rule(self):
-        val = exact_capacity_1d(1.0, 1.0)
+        val = exact_capacity_1d(SCALAR_ONE, 1.0)
         assert val == pytest.approx(CAPACITY_SCALE1_SIGMA1, abs=1e-9)
-        assert val == pytest.approx(hermite_capacity(1.0, 1.0), abs=1e-6)
+        assert val == pytest.approx(hermite_capacity(1, 1.0), abs=1e-6)
 
+    # scale*X + N(0, sigma^2) carries the same information as X + N(0, (sigma/scale)^2)
     @pytest.mark.parametrize("scale", [0.5, 2.0])
     @pytest.mark.parametrize("sigma", [0.25, 2.0])
     def test_agrees_with_hermite_rule(self, scale, sigma):
-        assert exact_capacity_1d(scale, sigma) == pytest.approx(
-            hermite_capacity(scale, sigma), abs=1e-6
+        assert exact_capacity_1d(SCALAR_ONE, sigma / scale) == pytest.approx(
+            hermite_capacity(1, sigma / scale), abs=1e-6
         )
 
-    def test_unreachable_tolerance_raises(self):
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0])
+    def test_mixture_agrees_with_hermite_rule(self, n, sigma):
+        assert exact_capacity_1d(all_ones(n), sigma) == pytest.approx(
+            hermite_capacity(n, sigma), abs=1e-6
+        )
+
+    # small sigma, down to the floor: the peaks of f_Y are narrower there than
+    # the nodes of an integral over y, or than the spacing of doubles near y = n
+    @pytest.mark.parametrize("n", [1, 4, 8, 12, 16])
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-10, SMALLEST_SIGMA])
+    def test_reads_binomial_entropy_at_small_sigma(self, n, sigma):
+        assert exact_capacity_1d(all_ones(n), sigma) == pytest.approx(
+            binomial_entropy(n), abs=1e-6
+        )
+
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_QUAD_TOL", 1e-16)
         with pytest.raises(QuadratureFailure):
-            exact_capacity_1d(1.0, 1.0, tol=1e-16)
+            exact_capacity_1d(SCALAR_ONE, 1.0)
 
     def test_sigma_validated(self):
         with pytest.raises(ValueError):
-            exact_capacity_1d(1.0, 0.0)
+            exact_capacity_1d(SCALAR_ONE, 0.0)
+
+    def test_needs_one_row(self):
+        with pytest.raises(DimensionError):
+            exact_capacity_1d(SignatureMatrix(np.eye(2)), 1.0)
+
+
+class TestEstimatorAgainstOracle:
+    # the seed and the budgets were fixed before any cell was run
+    @pytest.mark.parametrize("n", [1, 4, 8, 12, 16])
+    @pytest.mark.parametrize("sigma", [1e-2, 0.1, 0.3, 1.0])
+    def test_all_ones_within_3_se(self, n, sigma):
+        est = estimate_capacity(all_ones(n), sigma, samples=1_024 if n == 16 else 4_096, seed=0)
+        assert abs(est.sum_bits - exact_capacity_1d(all_ones(n), sigma)) <= 3 * est.std_error
+
+    def test_reported_se_matches_spread_over_seeds(self):
+        ests = [estimate_capacity(all_ones(8), 0.3, samples=1_000, seed=s) for s in range(200)]
+        values = np.array([e.sum_bits for e in ests])
+        spread = np.std(values, ddof=1)
+        assert 0.8 <= spread / np.mean([e.std_error for e in ests]) <= 1.2
+        # the 200 estimates pooled are unbiased against the exact value
+        pooled_se = spread / math.sqrt(len(values))
+        assert abs(values.mean() - exact_capacity_1d(all_ones(8), 0.3)) <= 3 * pooled_se

@@ -204,7 +204,7 @@ class TestEval:
         row = read_csv(out)[0]
         got = float(row["per_user_capacity"])
         se = float(row["capacity_std_error"])
-        assert abs(got - exact_capacity_1d(1.0, 1.0)) <= 3 * se
+        assert abs(got - exact_capacity_1d(SignatureMatrix([[1.0]]), 1.0)) <= 3 * se
 
     def test_header_matches_columns(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -289,6 +289,35 @@ def test_removed_flags_exit_2(tmp_path, capsys, argv, flag):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--kind", "random", "-m", "2", "-n", "3", "--out", "NO/g.json"],
+        ["optimize", "--criterion", "md", "-m", "2", "-n", "3", "--out", "NO/m.json"],
+        ["optimize", "--criterion", "md", "-m", "2", "-n", "3", "--out", "m.json",
+         "--run-out", "NO/m.run.json"],
+        ["sweep", "r23.json", "--sigma-grid", "0.1:1:2", "--out", "NO/s.csv"],
+        ["overload-sweep", "--criterion", "md", "-m", "2", "--n-list", "2,3",
+         "--sigma", "0.5", "--out", "NO/o.csv"],
+    ],
+    ids=["generate", "optimize-out", "optimize-run-out", "sweep", "overload-sweep"],
+)
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its output paths were checked")
+
+    monkeypatch.setattr(cli, "evolve", work)
+    monkeypatch.setattr(cli, "evaluate_matrix", work)
+    save_matrix(tmp_path / "r23.json", random_normalized(2, 3, seed=0))
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    missing = next(a for a in argv if "/NO/" in a)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith(f"error: {missing}: directory ")
+    assert [p.name for p in tmp_path.iterdir()] == ["r23.json"]  # no file made early
 
 
 class TestOptimize:

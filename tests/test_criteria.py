@@ -150,7 +150,7 @@ class TestFitness:
     def test_capacity_matches_oracle(self):
         spec = CriterionSpec(kind="capacity", sigma=1.0, eval_budget=100_000)
         got = fitness(spec, SignatureMatrix([[1.0]]), seed=5)
-        assert got == pytest.approx(exact_capacity_1d(1.0, 1.0), abs=0.01)
+        assert got == pytest.approx(exact_capacity_1d(SignatureMatrix([[1.0]]), 1.0), abs=0.01)
 
     def test_ber_negated(self):
         spec = CriterionSpec(kind="ber", sigma=1.0, eval_budget=2_000)
