@@ -7,12 +7,11 @@ measures under additive white Gaussian noise.
 """
 
 from .baselines import orthogonal_matrix, random_normalized, wbe_matrix, wbe_verify
-from .ber import BerEstimate, q_function, simulate_ber, union_bound
-from .capacity import CapacityEstimate, estimate_capacity, exact_capacity_1d
+from .ber import BerEstimate, q_function, union_bound
+from .capacity import CapacityEstimate, estimate, exact_capacity_1d
 from .criteria import (
     CriterionSpec,
     exp_distance,
-    fitness,
     min_distance,
     population_fitness,
     q_distance,
@@ -55,11 +54,10 @@ __all__ = [
     "SignatureMatrix",
     "TooManyUsersError",
     "enumerate_inputs",
-    "estimate_capacity",
+    "estimate",
     "evolve",
     "exact_capacity_1d",
     "exp_distance",
-    "fitness",
     "init_population",
     "min_distance",
     "orthogonal_matrix",
@@ -68,7 +66,6 @@ __all__ = [
     "q_function",
     "random_normalized",
     "random_search",
-    "simulate_ber",
     "union_bound",
     "wbe_matrix",
     "wbe_verify",

@@ -1,4 +1,4 @@
-"""BER estimates and the one pair-distance kernel; ML decoding itself runs in `_rng._scan`."""
+"""The BER estimate and the one pair-distance kernel; ML decoding itself runs in `_rng._scan`."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng
-from .capacity import _check_samples
 from .model import SignatureMatrix, _check_sigma, _check_users
 
 
@@ -67,24 +65,6 @@ def _ber_estimate(errors: np.ndarray, n_users: int, sigma: float) -> BerEstimate
         blocks=blocks,
         block_std_error=block_std_error,
     )
-
-
-def simulate_ber(
-    A: SignatureMatrix,
-    sigma: float,
-    blocks: int,
-    seed: int = 0,
-) -> BerEstimate:
-    """ML-decode `blocks` random transmissions and count bit errors.
-
-    Deterministic per seed and worker count; draws come from the same
-    per-block substreams as the capacity estimator, so matched seeds share
-    inputs and (sigma-scaled) noise.  With no errors both standard errors
-    are 1 / blocks.  Fewer than 100 blocks raise InvalidSamplesError.
-    """
-    _check_samples(blocks)
-    _, errors = _rng.channel_pass(A.entries[None], sigma, blocks, seed)
-    return _ber_estimate(errors[0], A.n, sigma)
 
 
 # users in the low half u of each class: a slab is 3**8 rows, and when n is

@@ -1,12 +1,12 @@
-"""Sum-capacity evaluation of a signature matrix.
+"""Monte-Carlo sum capacity and BER of a signature matrix, and a 1 x n oracle.
 
 With uniform sign inputs the channel output Y = A X + N has an exact
-Gaussian-mixture density over the 2**n constellation points.  Each drawn
-row is scored against the point that was sent, and the mean of the
-per-row terms -log2 f_Y(Y_k) - h(N) is the sum capacity, for every sigma
-that `_check_sigma` accepts.  For validation, an adaptive-quadrature
-oracle gives the exact capacity of any 1 x n matrix: its outputs are the
-n + 1 points n - 2j with binomial weights, coinciding points included.
+Gaussian-mixture density over the 2**n constellation points.  `estimate`
+scores each drawn row against the point that was sent: the mean of the
+per-row terms -log2 f_Y(Y_k) - h(N) is the sum capacity at every sigma that
+`_check_sigma` accepts, and the same rows' ML decisions give the BER.  An
+adaptive-quadrature oracle gives the exact capacity of any 1 x n matrix,
+whose outputs are the n + 1 points n - 2j with binomial weights.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
+from .ber import BerEstimate, _ber_estimate
 from .errors import DimensionError, InvalidSamplesError, QuadratureFailure
 from .model import SignatureMatrix, _check_sigma
 
@@ -51,22 +52,23 @@ def _capacity_estimate(terms: np.ndarray, n: int, sigma: float):
     )
 
 
-def estimate_capacity(
+def estimate(
     A: SignatureMatrix,
     sigma: float,
     samples: int = 200_000,
     seed: int = 0,
-) -> CapacityEstimate:
-    """Monte-Carlo estimate of the sum capacity of A at noise level sigma.
+) -> tuple[CapacityEstimate, BerEstimate]:
+    """Sum capacity and ML-decoded BER of A at noise level sigma, from one Monte-Carlo pass.
 
-    h(Y) is averaged over `samples` channel uses drawn from fixed per-block
-    substreams of `seed`, so the result is deterministic for a given seed,
+    Both read the same `samples` channel uses, drawn from fixed per-block
+    substreams of `seed`, so the pair is deterministic for a given seed,
     independent of the worker count, and shares its draws across sigma
-    values (the noise is drawn at unit variance and scaled).
+    values (the noise is drawn at unit variance and scaled).  Fewer than
+    100 samples raise InvalidSamplesError.
     """
     _check_samples(samples)
-    terms, _ = _rng.channel_pass(A.entries[None], sigma, samples, seed)
-    return _capacity_estimate(terms[0], A.n, sigma)
+    terms, errors = _rng.channel_pass(A.entries[None], sigma, samples, seed)
+    return _capacity_estimate(terms[0], A.n, sigma), _ber_estimate(errors[0], A.n, sigma)
 
 
 def exact_capacity_1d(A: SignatureMatrix, sigma: float) -> float:

@@ -12,7 +12,7 @@ All commands are deterministic given --seed, and their outputs are
 byte-identical for any worker count (set the SIGDESIGN_WORKERS
 environment variable to parallelize the Monte-Carlo evaluators).
 
-eval and sweep read capacity and BER off one shared Monte-Carlo pass
+eval and sweep read capacity and BER off one `capacity.estimate` pass
 (same draws); ber_std_error is the per-vector (cluster) estimate.
 
 Exit codes: 0 success, 2 invalid input, 3 numeric failure or out of memory.
@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng, baselines
-from .ber import _ber_estimate, _pair_measures
-from .capacity import _capacity_estimate, _check_samples, estimate_capacity
+from .ber import _pair_measures
+from .capacity import _check_samples, estimate
 from .criteria import KINDS, CriterionSpec
 from .errors import MatrixFileError, NanFitnessError, NonConvergenceError
 from .ga import GaConfig, GaRun, evolve
@@ -154,10 +154,7 @@ def evaluate_matrix(
     A: SignatureMatrix, sigma: float, budget: int, seed: int
 ) -> SweepRow:
     """All sweep-table quantities for one matrix at one noise level."""
-    _check_samples(budget)
-    terms, errors = _rng.channel_pass(A.entries[None], sigma, budget, seed)
-    cap = _capacity_estimate(terms[0], A.n, sigma)
-    err = _ber_estimate(errors[0], A.n, sigma)
+    cap, err = estimate(A, sigma, budget, seed)
     md, qd, ed = _pair_measures(A.entries[None], sigma)[:, 0]
     return SweepRow(
         sigma=float(sigma),
@@ -189,13 +186,18 @@ def _parse_sigma_grid(text: str) -> np.ndarray:
 # commands
 
 
-def _check_output_dirs(args) -> None:
-    """Fail before any work if the directory of --out or --run-out is missing.
+def _run_path(args) -> str:
+    """optimize's results file: --run-out, else OUT.run.json beside --out."""
+    return args.run_out or str(args.out) + ".run.json"
 
-    optimize's default results file, OUT.run.json, sits beside --out.
-    """
-    for path in (getattr(args, "out", None), getattr(args, "run_out", None)):
-        if path is not None and not Path(path).parent.is_dir():
+
+def _check_output_dirs(args) -> None:
+    """Fail before any work if a path the command writes is a directory or lies in a missing one."""
+    paths = [getattr(args, "out", None)] + ([_run_path(args)] if args.command == "optimize" else [])
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise ValueError(f"{path}: is a directory")
+        if not Path(path).parent.is_dir():
             raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
 
 
@@ -226,8 +228,7 @@ def cmd_optimize(args) -> int:
     run = evolve(args.m, args.n, spec, _ga_config(args))
     label = f"ga-{args.criterion}"
     save_matrix(args.out, run.best_matrix, label=label, sigma_design=spec.sigma)
-    run_path = args.run_out or str(args.out) + ".run.json"
-    save_run(run_path, run, label=label)
+    save_run(_run_path(args), run, label=label)
     return 0
 
 
@@ -263,9 +264,7 @@ def cmd_overload_sweep(args) -> int:
     config = _ga_config(args)
     for n in n_list:
         run = evolve(args.m, n, spec, config)
-        cap = estimate_capacity(
-            run.best_matrix, args.sigma, samples=args.budget, seed=args.seed
-        )
+        cap = estimate(run.best_matrix, args.sigma, samples=args.budget, seed=args.seed)[0]
         lines.append(
             f"{args.m},{n},{repr(n / args.m)},{repr(float(args.sigma))},"
             f"{args.criterion},{repr(run.best_fitness)},"
@@ -354,8 +353,11 @@ def main(argv=None) -> int:
     except (NonConvergenceError, NanFitnessError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # name the command and the sizes it was given
+        sizes = [(f, vars(args).get(f.lstrip("-").replace("-", "_"))) for f in
+                 ("-m", "-n", "--n-list", "--budget", "--population-size", "--generations", "--matrix")]
+        given = " ".join(f"{f} {v}" for f, v in sizes if v is not None)
+        print(f"out of memory in {args.command} ({given}): {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

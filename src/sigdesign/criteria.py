@@ -4,7 +4,8 @@ Five criteria: estimated sum capacity, simulated BER, and three
 constellation measures (minimum distance, Q-distance, exponential
 distance).  Criteria that are natively minimized enter the fitness as
 their negation, so the optimizer always maximizes.  `population_fitness`
-scores a whole (P, m, n) stack in one call; `fitness` is its P = 1 case.
+scores a whole (P, m, n) stack in one call, each individual equal to its
+named single-matrix evaluator.
 """
 
 from __future__ import annotations
@@ -94,7 +95,3 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
             scores.append(-(errors.sum(axis=1) / (spec.eval_budget * n)))
     return np.concatenate(scores)
 
-
-def fitness(spec: CriterionSpec, A: SignatureMatrix, seed: int = 0) -> float:
-    """Score A under spec; larger is always better (population_fitness with P = 1)."""
-    return float(population_fitness(spec, A.entries[None], seed)[0])

@@ -16,14 +16,13 @@ from sigdesign import (
     CriterionSpec,
     GaConfig,
     SignatureMatrix,
-    estimate_capacity,
+    estimate,
     evolve,
     exact_capacity_1d,
     exp_distance,
     min_distance,
     q_distance,
     random_normalized,
-    simulate_ber,
     union_bound,
     wbe_matrix,
     wbe_verify,
@@ -54,7 +53,7 @@ def test_criterion_01_capacity_oracle_agreement():
     worst_z = worst_abs = 0.0
     for scale in (0.5, 1.0, 2.0):
         for s in (0.25, 0.5, 1.0, 2.0):
-            est = estimate_capacity(one, s / scale, samples=200_000, seed=42)
+            est = estimate(one, s / scale, samples=200_000, seed=42)[0]
             exact = exact_capacity_1d(one, s / scale)
             worst_z = max(worst_z, abs(est.sum_bits - exact) / est.std_error)
             worst_abs = max(worst_abs, abs(est.sum_bits - exact))
@@ -69,7 +68,7 @@ def test_criterion_02_optimized_matrix_near_unit_per_user_capacity():
     run = evolve(3, 4, CriterionSpec(kind="ed", sigma=0.1), GaConfig(seed=11))
     results = []
     for sigma, floor in ((0.1, 0.95), (0.03, 0.99)):
-        est = estimate_capacity(run.best_matrix, sigma, samples=200_000, seed=123)
+        est = estimate(run.best_matrix, sigma, samples=200_000, seed=123)[0]
         per_user_se = est.std_error / 4
         results.append((sigma, floor, est.per_user_bits, per_user_se))
     elapsed = time.time() - t0
@@ -88,7 +87,7 @@ def test_criterion_03_union_bound_dominates_block_errors():
     for i, seed in enumerate(SET_20_SEEDS):
         A = random_normalized(2, 3, seed=seed)
         for sigma in (0.25, 0.5, 1.0):
-            est = simulate_ber(A, sigma, blocks=10_000, seed=seed)
+            est = estimate(A, sigma, samples=10_000, seed=seed)[1]
             bound = union_bound(A, sigma)
             worst = min(worst, bound + 3 * est.block_std_error - est.block_error_rate)
     ok = worst >= 0.0
@@ -130,8 +129,8 @@ def test_criterion_05_min_distance_matches_exp_distance_at_high_snr():
 
 def test_criterion_06_ber_capacity_inverse_relation():
     mats = [random_normalized(2, 3, seed=s) for s in SET_30_SEEDS]
-    bers = [simulate_ber(A, 0.5, blocks=30_000, seed=777).ber for A in mats]
-    caps = [estimate_capacity(A, 0.5, samples=60_000, seed=777).sum_bits for A in mats]
+    bers = [estimate(A, 0.5, samples=30_000, seed=777)[1].ber for A in mats]
+    caps = [estimate(A, 0.5, samples=60_000, seed=777)[0].sum_bits for A in mats]
     rho = float(spearmanr(bers, caps).statistic)
     ok = rho <= -0.8
     report(6, ok, f"spearman(ber, capacity)={rho:.4f} (<=-0.8) over 30 matrices")
@@ -142,9 +141,9 @@ def test_criterion_07_optimized_not_worse_than_wbe():
     ok = True
     for sigma in (0.3, 0.5):
         run = evolve(3, 4, CriterionSpec(kind="ed", sigma=sigma), GaConfig(seed=11))
-        opt = estimate_capacity(run.best_matrix, sigma, samples=100_000, seed=99)
+        opt = estimate(run.best_matrix, sigma, samples=100_000, seed=99)[0]
         wbes = [
-            estimate_capacity(wbe_matrix(3, 4, seed=w), sigma, samples=100_000, seed=99)
+            estimate(wbe_matrix(3, 4, seed=w), sigma, samples=100_000, seed=99)[0]
             for w in range(5)
         ]
         wbe_mean = float(np.mean([w.sum_bits for w in wbes]))

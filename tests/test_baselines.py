@@ -6,7 +6,7 @@ import sigdesign.baselines as baselines
 from sigdesign import (
     DimensionError,
     NonConvergenceError,
-    estimate_capacity,
+    estimate,
     min_distance,
     orthogonal_matrix,
     random_normalized,
@@ -49,7 +49,7 @@ class TestOrthogonalMatrix:
 
     def test_clean_channel_per_user_capacity(self):
         A = orthogonal_matrix(2, 2, seed=3)
-        est = estimate_capacity(A, 1e-3, samples=100_000, seed=1)
+        est = estimate(A, 1e-3, samples=100_000, seed=1)[0]
         assert est.per_user_bits == pytest.approx(1.0, abs=0.01)
 
 

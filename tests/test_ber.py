@@ -10,10 +10,9 @@ from sigdesign import (
     InvalidSamplesError,
     SignatureMatrix,
     enumerate_inputs,
-    estimate_capacity,
+    estimate,
     q_function,
     random_normalized,
-    simulate_ber,
     union_bound,
 )
 from sigdesign._rng import _scan
@@ -80,22 +79,22 @@ class TestMlDecode:
 class TestSimulateBer:
     def test_noiseless_separable(self):
         A = random_normalized(2, 3, seed=4)  # distinct points, checked above
-        est = simulate_ber(A, 1e-6, blocks=10_000, seed=1)
+        est = estimate(A, 1e-6, samples=10_000, seed=1)[1]
         assert est.bit_errors == 0
         assert est.ber == 0.0
         # rule of three: a 3-sigma band reaches the 95 % bound 3 / blocks
         assert est.std_error == est.block_std_error == 1.0 / 10_000
 
     def test_scalar_bpsk_matches_tail(self):
-        est = simulate_ber(SCALAR_ONE, 1.0, blocks=100_000, seed=2)
+        est = estimate(SCALAR_ONE, 1.0, samples=100_000, seed=2)[1]
         assert abs(est.ber - Q_AT_1) < 3 * est.std_error
 
     def test_pure_noise_limit(self):
-        est = simulate_ber(SCALAR_ONE, 1e6, blocks=50_000, seed=3)
+        est = estimate(SCALAR_ONE, 1e6, samples=50_000, seed=3)[1]
         assert abs(est.ber - 0.5) < 3 * est.std_error
 
     def test_fields_consistent(self):
-        est = simulate_ber(random_normalized(2, 3, seed=5), 0.5, blocks=4_000, seed=4)
+        est = estimate(random_normalized(2, 3, seed=5), 0.5, samples=4_000, seed=4)[1]
         assert est.ber == est.bit_errors / est.bits_simulated
         assert est.bits_simulated == 3 * est.blocks
         assert est.block_error_rate == est.block_errors / est.blocks
@@ -104,30 +103,30 @@ class TestSimulateBer:
 
     def test_deterministic_per_seed(self):
         A = random_normalized(2, 3, seed=6)
-        assert simulate_ber(A, 0.5, 5_000, seed=7) == simulate_ber(A, 0.5, 5_000, seed=7)
+        assert estimate(A, 0.5, 5_000, seed=7)[1] == estimate(A, 0.5, 5_000, seed=7)[1]
 
     def test_user_permutation_invariance(self):
         A = random_normalized(2, 3, seed=8)
         B = SignatureMatrix(A.entries[:, [1, 2, 0]])
-        ea = simulate_ber(A, 0.5, blocks=20_000, seed=9)
-        eb = simulate_ber(B, 0.5, blocks=20_000, seed=9)
+        ea = estimate(A, 0.5, samples=20_000, seed=9)[1]
+        eb = estimate(B, 0.5, samples=20_000, seed=9)[1]
         assert abs(ea.ber - eb.ber) <= 3 * math.hypot(ea.std_error, eb.std_error)
 
     def test_monotone_in_sigma(self):
         A = random_normalized(2, 3, seed=10)
         grid = [0.25, 0.5, 1.0, 2.0]
-        ests = [simulate_ber(A, s, blocks=20_000, seed=11) for s in grid]
+        ests = [estimate(A, s, samples=20_000, seed=11)[1] for s in grid]
         for lo, hi in zip(ests, ests[1:]):
             slack = 3 * math.hypot(lo.std_error, hi.std_error)
             assert hi.ber >= lo.ber - slack
 
     def test_blocks_validated(self):
         with pytest.raises(ValueError):
-            simulate_ber(SCALAR_ONE, 1.0, blocks=0, seed=0)
+            estimate(SCALAR_ONE, 1.0, samples=0, seed=0)[1]
 
     def test_blocks_below_sample_floor(self):
         with pytest.raises(InvalidSamplesError):
-            simulate_ber(SCALAR_ONE, 1.0, blocks=99, seed=0)
+            estimate(SCALAR_ONE, 1.0, samples=99, seed=0)[1]
 
 
 class TestUnionBound:
@@ -151,7 +150,7 @@ class TestUnionBound:
     @pytest.mark.parametrize("sigma", [0.25, 0.5])
     def test_bounds_simulated_block_errors(self, seed, sigma):
         A = random_normalized(2, 3, seed=40 + seed)
-        est = simulate_ber(A, sigma, blocks=10_000, seed=seed)
+        est = estimate(A, sigma, samples=10_000, seed=seed)[1]
         bound = union_bound(A, sigma)
         assert est.block_error_rate <= bound + 3 * est.block_std_error
 
@@ -168,17 +167,23 @@ def test_pair_measures_check_sigma(sigma):
             _pair_measures(a, sigma, ("qd", "ed"))
 
 
+@pytest.fixture(scope="module")
+def estimates_over_seeds():
+    # one pass per seed gives both estimates
+    A = random_normalized(3, 6, seed=1)
+    return [estimate(A, 0.5, samples=4096, seed=s) for s in range(200)]
+
+
 @pytest.mark.parametrize("estimator", ["capacity", "ber"])
-def test_std_error_matches_spread_over_seeds(estimator):
+def test_std_error_matches_spread_over_seeds(estimator, estimates_over_seeds):
     # 200 seeds pin the empirical SD to about 5 %, so a correct standard
     # error lands well inside the band; a per-bit BER error (which treats
     # the bits of one vector as independent) reads about 1.3
-    A = random_normalized(3, 6, seed=1)
     if estimator == "capacity":
-        ests = [estimate_capacity(A, 0.5, samples=4096, seed=s) for s in range(200)]
+        ests = [cap for cap, _ in estimates_over_seeds]
         values = [e.sum_bits for e in ests]
     else:
-        ests = [simulate_ber(A, 0.5, blocks=4096, seed=s) for s in range(200)]
+        ests = [err for _, err in estimates_over_seeds]
         values = [e.ber for e in ests]
     ratio = np.std(values, ddof=1) / np.mean([e.std_error for e in ests])
     assert 0.8 <= ratio <= 1.2

@@ -13,7 +13,7 @@ from sigdesign import (
     SignatureMatrix,
     TooManyUsersError,
     enumerate_inputs,
-    estimate_capacity,
+    estimate,
     exact_capacity_1d,
     random_normalized,
 )
@@ -174,21 +174,21 @@ class TestScan:
 
 class TestEstimateCapacity:
     def test_matches_quadrature_oracle(self):
-        est = estimate_capacity(SCALAR_ONE, 1.0, samples=200_000, seed=7)
+        est = estimate(SCALAR_ONE, 1.0, samples=200_000, seed=7)[0]
         assert abs(est.sum_bits - CAPACITY_SCALE1_SIGMA1) < 3 * est.std_error
         assert abs(est.sum_bits - CAPACITY_SCALE1_SIGMA1) < 0.01
 
     def test_vanishes_in_pure_noise(self):
         A = random_normalized(2, 3, seed=2)
-        est = estimate_capacity(A, 1e3, samples=20_000, seed=3)
+        est = estimate(A, 1e3, samples=20_000, seed=3)[0]
         assert abs(est.sum_bits) < 3 * est.std_error + 1e-6
 
     def test_clean_parallel_channels(self):
-        est = estimate_capacity(SignatureMatrix(np.eye(3)), 1e-3, samples=100_000, seed=11)
+        est = estimate(SignatureMatrix(np.eye(3)), 1e-3, samples=100_000, seed=11)[0]
         assert est.per_user_bits == pytest.approx(1.0, abs=0.01)
 
     def test_fields_consistent(self):
-        est = estimate_capacity(SCALAR_ONE, 1.0, samples=500, seed=0)
+        est = estimate(SCALAR_ONE, 1.0, samples=500, seed=0)[0]
         assert est.per_user_bits == est.sum_bits
         assert est.std_error >= 0
         assert est.samples == 500
@@ -196,29 +196,29 @@ class TestEstimateCapacity:
 
     def test_deterministic_per_seed(self):
         A = random_normalized(2, 3, seed=9)
-        a = estimate_capacity(A, 0.5, samples=5_000, seed=4)
-        b = estimate_capacity(A, 0.5, samples=5_000, seed=4)
+        a = estimate(A, 0.5, samples=5_000, seed=4)[0]
+        b = estimate(A, 0.5, samples=5_000, seed=4)[0]
         assert a == b
 
     def test_sample_budget_validated(self):
         with pytest.raises(InvalidSamplesError):
-            estimate_capacity(SCALAR_ONE, 1.0, samples=99, seed=0)
+            estimate(SCALAR_ONE, 1.0, samples=99, seed=0)[0]
 
     def test_user_guard(self):
         wide = SignatureMatrix(np.ones((1, 17)))
         with pytest.raises(TooManyUsersError):
-            estimate_capacity(wide, 1.0, samples=1_000, seed=0)
+            estimate(wide, 1.0, samples=1_000, seed=0)[0]
 
     def test_bounded_by_input_entropy(self):
         A = random_normalized(2, 3, seed=13)
-        est = estimate_capacity(A, 0.5, samples=50_000, seed=5)
+        est = estimate(A, 0.5, samples=50_000, seed=5)[0]
         assert est.sum_bits + 3 * est.std_error >= 0.0
         assert est.sum_bits - 3 * est.std_error <= A.n
 
     def test_monotone_in_sigma(self):
         A = random_normalized(2, 3, seed=17)
         grid = [0.25, 0.5, 1.0, 2.0]
-        ests = [estimate_capacity(A, s, samples=50_000, seed=6) for s in grid]
+        ests = [estimate(A, s, samples=50_000, seed=6)[0] for s in grid]
         for lo, hi in zip(ests, ests[1:]):
             slack = 3 * math.hypot(lo.std_error, hi.std_error)
             assert lo.sum_bits >= hi.sum_bits - slack
@@ -228,8 +228,8 @@ class TestEstimateCapacity:
         # saturated regime the Monte-Carlo fluctuation cancels between
         # sigma values almost exactly (independent seeds differ by ~se)
         A = SignatureMatrix(np.eye(2))
-        e1 = estimate_capacity(A, 1e-4, samples=20_000, seed=5)
-        e2 = estimate_capacity(A, 3e-4, samples=20_000, seed=5)
+        e1 = estimate(A, 1e-4, samples=20_000, seed=5)[0]
+        e2 = estimate(A, 3e-4, samples=20_000, seed=5)[0]
         assert abs(e1.sum_bits - e2.sum_bits) < 1e-6
         assert e1.std_error > 1e-3  # the cancellation is not for lack of noise
 
@@ -237,8 +237,8 @@ class TestEstimateCapacity:
         A = random_normalized(2, 3, seed=21)
         flipped = A.entries[:, [2, 0, 1]] * np.array([1.0, -1.0, 1.0])
         B = SignatureMatrix(flipped)
-        ea = estimate_capacity(A, 0.5, samples=50_000, seed=8)
-        eb = estimate_capacity(B, 0.5, samples=50_000, seed=8)
+        ea = estimate(A, 0.5, samples=50_000, seed=8)[0]
+        eb = estimate(B, 0.5, samples=50_000, seed=8)[0]
         assert abs(ea.sum_bits - eb.sum_bits) <= 3 * math.hypot(
             ea.std_error, eb.std_error
         )
@@ -266,7 +266,7 @@ class TestSmallSigma:
         "sigma", [1e-2, 1e-6, 1e-8, 1e-9, 1e-10, 1e-20, 1e-100, 1e-150, 6e-155, SMALLEST_SIGMA]
     )
     def test_capacity_reads_its_noiseless_limit(self, A, limit, samples, sigma):
-        est = estimate_capacity(A, sigma, samples=samples, seed=0)
+        est = estimate(A, sigma, samples=samples, seed=0)[0]
         assert abs(est.sum_bits - limit) <= 3 * est.std_error
 
 
@@ -325,11 +325,11 @@ class TestEstimatorAgainstOracle:
     @pytest.mark.parametrize("n", [1, 4, 8, 12, 16])
     @pytest.mark.parametrize("sigma", [1e-2, 0.1, 0.3, 1.0])
     def test_all_ones_within_3_se(self, n, sigma):
-        est = estimate_capacity(all_ones(n), sigma, samples=1_024 if n == 16 else 4_096, seed=0)
+        est = estimate(all_ones(n), sigma, samples=1_024 if n == 16 else 4_096, seed=0)[0]
         assert abs(est.sum_bits - exact_capacity_1d(all_ones(n), sigma)) <= 3 * est.std_error
 
     def test_reported_se_matches_spread_over_seeds(self):
-        ests = [estimate_capacity(all_ones(8), 0.3, samples=1_000, seed=s) for s in range(200)]
+        ests = [estimate(all_ones(8), 0.3, samples=1_000, seed=s)[0] for s in range(200)]
         values = np.array([e.sum_bits for e in ests])
         spread = np.std(values, ddof=1)
         assert 0.8 <= spread / np.mean([e.std_error for e in ests]) <= 1.2

@@ -240,17 +240,27 @@ class TestEval:
         assert int(proc.stderr.split()[-1]) < 160 * 1024  # kB
 
     def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the message keeps numpy's text and adds the command and the sizes it was given
         def exhausted(*args):
             raise MemoryError("Unable to allocate 16.0 GiB")
 
         monkeypatch.setattr(cli, "evaluate_matrix", exhausted)
+        monkeypatch.setattr(cli, "evolve", exhausted)
         path = tmp_path / "one.json"
         save_matrix(path, SignatureMatrix([[1.0]]))
-        assert main(["eval", "--matrix", str(path), "--sigma", "1.0"]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "16.0 GiB" in err
-        assert "Traceback" not in err
+        cases = [
+            (["eval", "--matrix", str(path), "--sigma", "1.0"],
+             f"out of memory in eval (--budget 200000 --matrix {path}): "),
+            (["optimize", "--criterion", "ed", "-m", "2", "-n", "3", "--sigma", "0.1",
+              "--population-size", "2000000000", "--out", str(tmp_path / "x.json")],
+             "out of memory in optimize (-m 2 -n 3 --budget 20000 "
+             "--population-size 2000000000 --generations 200): "),
+        ]
+        for argv, prefix in cases:
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err == prefix + "Unable to allocate 16.0 GiB\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["one.json"]
 
 
 @pytest.mark.parametrize(
@@ -291,33 +301,55 @@ def test_removed_flags_exit_2(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "x.json").exists()
 
 
+GENERATE = ["generate", "--kind", "random", "-m", "2", "-n", "3"]
+OPTIMIZE = ["optimize", "--criterion", "md", "-m", "2", "-n", "3"]
+SWEEP = ["sweep", "r23.json", "--sigma-grid", "0.1:1:2"]
+OVERLOAD_SWEEP = ["overload-sweep", "--criterion", "md", "-m", "2", "--n-list", "2,3",
+                  "--sigma", "0.5"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,directory",
     [
-        ["generate", "--kind", "random", "-m", "2", "-n", "3", "--out", "NO/g.json"],
-        ["optimize", "--criterion", "md", "-m", "2", "-n", "3", "--out", "NO/m.json"],
-        ["optimize", "--criterion", "md", "-m", "2", "-n", "3", "--out", "m.json",
-         "--run-out", "NO/m.run.json"],
-        ["sweep", "r23.json", "--sigma-grid", "0.1:1:2", "--out", "NO/s.csv"],
-        ["overload-sweep", "--criterion", "md", "-m", "2", "--n-list", "2,3",
-         "--sigma", "0.5", "--out", "NO/o.csv"],
+        (GENERATE + ["--out", "NO/g.json"], None),
+        (OPTIMIZE + ["--out", "NO/m.json"], None),
+        (OPTIMIZE + ["--out", "m.json", "--run-out", "NO/m.run.json"], None),
+        (SWEEP + ["--out", "NO/s.csv"], None),
+        (OVERLOAD_SWEEP + ["--out", "NO/o.csv"], None),
+        (GENERATE + ["--out", "d.json"], "d.json"),
+        (OPTIMIZE + ["--out", "d.json"], "d.json"),
+        (OPTIMIZE + ["--out", "m.json", "--run-out", "d.json"], "d.json"),
+        (OPTIMIZE + ["--out", "m.json"], "m.json.run.json"),
+        (SWEEP + ["--out", "d.csv"], "d.csv"),
+        (OVERLOAD_SWEEP + ["--out", "d.csv"], "d.csv"),
     ],
-    ids=["generate", "optimize-out", "optimize-run-out", "sweep", "overload-sweep"],
+    ids=["generate", "optimize-out", "optimize-run-out", "sweep", "overload-sweep",
+         "generate-is-dir", "optimize-out-is-dir", "optimize-run-out-is-dir",
+         "optimize-default-run-out-is-dir", "sweep-is-dir", "overload-sweep-is-dir"],
 )
-def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+def test_missing_output_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, directory
+):
+    # `directory`: an output path that already exists as a directory
     def work(*args, **kwargs):
         raise AssertionError("the command ran before its output paths were checked")
 
     monkeypatch.setattr(cli, "evolve", work)
     monkeypatch.setattr(cli, "evaluate_matrix", work)
     save_matrix(tmp_path / "r23.json", random_normalized(2, 3, seed=0))
+    if directory is not None:
+        (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.iterdir())
     argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
-    missing = next(a for a in argv if "/NO/" in a)
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1
-    assert out.err.startswith(f"error: {missing}: directory ")
-    assert [p.name for p in tmp_path.iterdir()] == ["r23.json"]  # no file made early
+    if directory is None:
+        missing = next(a for a in argv if "/NO/" in a)
+        assert out.err.startswith(f"error: {missing}: directory ")
+    else:
+        assert out.err == f"error: {tmp_path / directory}: is a directory\n"
+    assert sorted(tmp_path.iterdir()) == before  # no file made early
 
 
 class TestOptimize:
@@ -549,22 +581,14 @@ class TestOverloadSweep:
 
 class TestEvaluateMatrix:
     def test_consistent_with_direct_calls(self, monkeypatch):
-        from sigdesign import (
-            estimate_capacity,
-            exp_distance,
-            min_distance,
-            q_distance,
-            simulate_ber,
-            union_bound,
-        )
+        from sigdesign import estimate, exp_distance, min_distance, q_distance, union_bound
 
         # 4x8 at 5000 rows: two blocks, the second cut to 904 rows
         cases = [(SignatureMatrix(np.eye(2)), 2_000), (random_normalized(4, 8, seed=2), 5_000)]
         for (A, budget), workers in itertools.product(cases, ["1", "2"]):
             monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
             row = evaluate_matrix(A, 0.5, budget=budget, seed=3)
-            cap = estimate_capacity(A, 0.5, samples=budget, seed=3)
-            err = simulate_ber(A, 0.5, blocks=budget, seed=3)
+            cap, err = estimate(A, 0.5, samples=budget, seed=3)
             assert row.per_user_capacity == cap.per_user_bits
             assert row.capacity_std_error == cap.std_error
             assert row.ber == err.ber

@@ -13,8 +13,8 @@ from sigdesign import (
     SignatureMatrix,
     TooManyUsersError,
     enumerate_inputs,
+    estimate,
     exp_distance,
-    fitness,
     min_distance,
     population_fitness,
     q_distance,
@@ -136,32 +136,35 @@ class TestCriterionSpec:
 
 
 class TestFitness:
+    # population_fitness on one- and two-matrix stacks
+
     def test_min_distance_pass_through(self):
         spec = CriterionSpec(kind="md")
-        assert fitness(spec, SignatureMatrix(np.eye(2))) == 2.0
+        assert population_fitness(spec, np.eye(2)[None]).tolist() == [2.0]
 
     def test_exp_distance_negated_ordering(self):
         spec = CriterionSpec(kind="ed", sigma=0.5)
         a, b = random_normalized(2, 3, seed=1), random_normalized(2, 3, seed=2)
         nu3 = [exp_distance(x, 0.5) for x in (a, b)]
-        fits = [fitness(spec, x) for x in (a, b)]
+        fits = population_fitness(spec, np.stack([a.entries, b.entries]))
         assert (fits[0] > fits[1]) == (nu3[0] < nu3[1])
 
     def test_capacity_matches_oracle(self):
         spec = CriterionSpec(kind="capacity", sigma=1.0, eval_budget=100_000)
-        got = fitness(spec, SignatureMatrix([[1.0]]), seed=5)
+        (got,) = population_fitness(spec, np.ones((1, 1, 1)), seed=5)
         assert got == pytest.approx(exact_capacity_1d(SignatureMatrix([[1.0]]), 1.0), abs=0.01)
 
     def test_ber_negated(self):
         spec = CriterionSpec(kind="ber", sigma=1.0, eval_budget=2_000)
-        assert fitness(spec, SignatureMatrix([[1.0]]), seed=1) <= 0.0
+        assert population_fitness(spec, np.ones((1, 1, 1)), seed=1)[0] <= 0.0
 
     @pytest.mark.parametrize("kind", ["capacity", "ber", "md", "qd", "ed"])
     def test_deterministic(self, kind):
         sigma = None if kind == "md" else 0.5
         spec = CriterionSpec(kind=kind, sigma=sigma, eval_budget=1_000)
-        A = random_normalized(2, 3, seed=3)
-        assert fitness(spec, A, seed=9) == fitness(spec, A, seed=9)
+        pop = random_normalized(2, 3, seed=3).entries[None]
+        npt.assert_array_equal(population_fitness(spec, pop, seed=9),
+                               population_fitness(spec, pop, seed=9))
 
 
 def _population(p, m, n):
@@ -171,6 +174,18 @@ def _population(p, m, n):
 def _spec(kind):
     # budget 5000: two blocks, the second cut to 904 rows
     return CriterionSpec(kind=kind, sigma=None if kind == "md" else 0.4, eval_budget=5_000)
+
+
+def _named_evaluator(kind, A, seed):
+    """The public single-matrix evaluator of a criterion, as a maximize-me score."""
+    sigma, budget = _spec(kind).sigma, _spec(kind).eval_budget
+    return {
+        "capacity": lambda: estimate(A, sigma, budget, seed)[0].sum_bits,
+        "ber": lambda: -estimate(A, sigma, budget, seed)[1].ber,
+        "md": lambda: min_distance(A),
+        "qd": lambda: -q_distance(A, sigma),
+        "ed": lambda: -exp_distance(A, sigma),
+    }[kind]()
 
 
 class TestPopulationFitness:
@@ -184,7 +199,7 @@ class TestPopulationFitness:
         got = population_fitness(spec, pop, seed=7)
         assert got.shape == (p,)
         for a, value in zip(pop, got):
-            assert value == fitness(spec, SignatureMatrix(a), seed=7)
+            assert value == _named_evaluator(kind, SignatureMatrix(a), seed=7)
 
     @pytest.mark.parametrize("kind", ["capacity", "ber", "md", "qd", "ed"])
     def test_chunks_do_not_change_values(self, monkeypatch, kind):
