@@ -7,14 +7,15 @@ measures under additive white Gaussian noise.
 """
 
 from .baselines import orthogonal_matrix, random_normalized, wbe_matrix, wbe_verify
-from .ber import BerEstimate, q_function, union_bound
-from .capacity import CapacityEstimate, estimate, exact_capacity_1d
+from .capacity import BerEstimate, CapacityEstimate, estimate, exact_capacity_1d
 from .criteria import (
     CriterionSpec,
     exp_distance,
     min_distance,
     population_fitness,
     q_distance,
+    q_function,
+    union_bound,
 )
 from .errors import (
     DimensionError,

@@ -3,15 +3,17 @@
 Randomness is derived from (seed, block index) for fixed-size blocks of
 samples, never from the worker layout, so results are bit-identical for
 any worker count and extending a sample budget leaves earlier draws
-unchanged.  Each block yields sign vectors plus unit-variance noise;
-callers scale the noise by sigma, which makes runs with matched seeds
-share their draws across different noise levels (common random numbers).
+unchanged.  Each block yields sent input indices, in the model's canonical
+order, plus unit-variance noise; callers scale the noise by sigma, which
+makes runs with matched seeds share their draws across different noise
+levels (common random numbers).
 
 `channel_pass` scores every drawn channel use against the constellation
 once, for both the capacity and the BER estimators and for a whole stack
 of matrices.  Each row is scored against the point that was sent, so the
 mean of its per-row capacity terms is the sum capacity at every sigma that
-`_check_sigma` accepts.
+`_check_sigma` accepts.  Sent and decoded inputs stay indices throughout:
+a row's bit errors are the popcount of their XOR.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .model import _check_sigma, _points, enumerate_inputs
+from .model import _check_sigma, _points
 
 BLOCK = 4096
 
@@ -34,11 +36,10 @@ _LN2 = math.log(2.0)
 
 
 def draw_block(seed: int, block: int, n_users: int, m_chips: int):
-    """One block of uniform sign inputs (BLOCK, n) and unit noise (BLOCK, m)."""
+    """One block of uniform input indices (BLOCK,), bit k for user k, and unit noise (BLOCK, m)."""
     rng = np.random.default_rng([int(seed), int(block)])
-    signs = 1.0 - 2.0 * rng.integers(0, 2, size=(BLOCK, n_users)).astype(float)
-    noise = rng.standard_normal((BLOCK, m_chips))
-    return signs, noise
+    sent = rng.integers(0, 2, size=(BLOCK, n_users)) @ (1 << np.arange(n_users))
+    return sent, rng.standard_normal((BLOCK, m_chips))
 
 
 def workers() -> int:
@@ -110,16 +111,14 @@ def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
     """
     _check_sigma(sigma)
     _, m, n = pop.shape
-    inputs = enumerate_inputs(n)
-    at = pop.transpose(0, 2, 1)
     points = _points(pop)
 
     def one_block(b):
-        signs, unit = (a[: rows - b * BLOCK] for a in draw_block(seed, b, n, m))
-        sent, noise = (signs < 0) @ (1 << np.arange(n)), sigma * unit
+        sent, unit = (a[: rows - b * BLOCK] for a in draw_block(seed, b, n, m))
+        noise = sigma * unit
         chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2.0 * _LN2)
-        scans = [_scan(z, sigma, signs @ a + noise, sent) for z, a in zip(points, at)]
-        return [i + chi for i, _ in scans], [(inputs[i] != signs).sum(axis=1) for _, i in scans]
+        scans = [_scan(z, sigma, z[sent] + noise, sent) for z in points]
+        return [i + chi for i, _ in scans], [np.bitwise_count(sent ^ i) for _, i in scans]
 
     terms, errors = zip(*map_blocks(one_block, -(-rows // BLOCK)))
     return np.concatenate(terms, axis=1), np.concatenate(errors, axis=1)

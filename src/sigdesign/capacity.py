@@ -4,7 +4,8 @@ With uniform sign inputs the channel output Y = A X + N has an exact
 Gaussian-mixture density over the 2**n constellation points.  `estimate`
 scores each drawn row against the point that was sent: the mean of the
 per-row terms -log2 f_Y(Y_k) - h(N) is the sum capacity at every sigma that
-`_check_sigma` accepts, and the same rows' ML decisions give the BER.  An
+`_check_sigma` accepts, and the same rows' ML decisions give the BER.  Both
+result types and their standard-error rules live here.  An
 adaptive-quadrature oracle gives the exact capacity of any 1 x n matrix,
 whose outputs are the n + 1 points n - 2j with binomial weights.
 """
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .ber import BerEstimate, _ber_estimate
 from .errors import DimensionError, InvalidSamplesError, QuadratureFailure
 from .model import SignatureMatrix, _check_sigma
 
@@ -36,6 +36,25 @@ class CapacityEstimate:
     sigma: float
 
 
+@dataclass(frozen=True)
+class BerEstimate:
+    """Monte-Carlo bit-error-rate estimate.
+
+    Bit errors are the primary measure; block (vector) errors are kept as
+    a secondary field because the union bound natively bounds them.
+    """
+
+    ber: float
+    bit_errors: int
+    bits_simulated: int
+    std_error: float
+    sigma: float
+    block_error_rate: float
+    block_errors: int
+    blocks: int
+    block_std_error: float
+
+
 def _check_samples(samples: int) -> None:
     if samples < 100:
         raise InvalidSamplesError("need at least 100 samples")
@@ -49,6 +68,36 @@ def _capacity_estimate(terms: np.ndarray, n: int, sigma: float):
         std_error=float(np.std(terms, ddof=1) / math.sqrt(terms.size)),
         samples=terms.size,
         sigma=float(sigma),
+    )
+
+
+def _ber_estimate(errors: np.ndarray, n_users: int, sigma: float) -> BerEstimate:
+    """BER estimate from per-vector bit-error counts.
+
+    ML decoding flips the bits of one vector together, so std_error is
+    the cluster estimate sd(errors) / (n * sqrt(blocks)), not per bit.
+    With no errors both standard errors are 1 / blocks, so a 3-sigma band
+    reaches the rule-of-three 95 % bound 3 / blocks instead of width 0.
+    """
+    blocks = errors.size
+    bit_errors = int(errors.sum())
+    block_errors = int(np.count_nonzero(errors))
+    bits = blocks * n_users
+    bler = block_errors / blocks
+    std_error = float(np.std(errors, ddof=1)) / (n_users * math.sqrt(blocks))
+    block_std_error = math.sqrt(bler * (1.0 - bler) / blocks)
+    if bit_errors == 0:
+        std_error = block_std_error = 1.0 / blocks
+    return BerEstimate(
+        ber=bit_errors / bits,
+        bit_errors=bit_errors,
+        bits_simulated=bits,
+        std_error=std_error,
+        sigma=float(sigma),
+        block_error_rate=bler,
+        block_errors=block_errors,
+        blocks=blocks,
+        block_std_error=block_std_error,
     )
 
 

@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng, baselines
-from .ber import _pair_measures
 from .capacity import _check_samples, estimate
-from .criteria import KINDS, CriterionSpec
+from .criteria import KINDS, CriterionSpec, _pair_measures
 from .errors import MatrixFileError, NanFitnessError, NonConvergenceError
 from .ga import GaConfig, GaRun, evolve
 from .model import SignatureMatrix, _check_sigma, _check_users
@@ -188,13 +187,15 @@ def _parse_sigma_grid(text: str) -> np.ndarray:
 
 def _run_path(args) -> str:
     """optimize's results file: --run-out, else OUT.run.json beside --out."""
-    return args.run_out or str(args.out) + ".run.json"
+    return str(args.out) + ".run.json" if args.run_out is None else args.run_out
 
 
 def _check_output_dirs(args) -> None:
-    """Fail before any work if a path the command writes is a directory or lies in a missing one."""
+    """Fail before any work if a path the command writes is empty, a directory or in a missing one."""
     paths = [getattr(args, "out", None)] + ([_run_path(args)] if args.command == "optimize" else [])
-    for path in filter(None, paths):
+    for path in (p for p in paths if p is not None):
+        if not path:
+            raise ValueError("output path is empty")
         if Path(path).is_dir():
             raise ValueError(f"{path}: is a directory")
         if not Path(path).parent.is_dir():

@@ -1,4 +1,4 @@
-"""Signature-matrix fitness criteria behind one maximize-me interface.
+"""Signature-matrix fitness criteria, the BER union bound, and their one pair-distance kernel.
 
 Five criteria: estimated sum capacity, simulated BER, and three
 constellation measures (minimum distance, Q-distance, exponential
@@ -10,14 +10,15 @@ named single-matrix evaluator.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _rng
-from .ber import _pair_measures
 from .capacity import _check_samples
-from .model import SignatureMatrix, _check_columns, _check_sigma
+from .model import SignatureMatrix, _check_columns, _check_sigma, _check_users
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")
@@ -51,6 +52,69 @@ class CriterionSpec:
             _check_samples(self.eval_budget)
 
 
+def q_function(x) -> float | np.ndarray:
+    """Exact Gaussian tail probability Q(x) via the complementary error function."""
+    from scipy.special import erfc  # only nu2 and the union bound need it: not on import
+
+    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
+# users in the low half u of each class: a slab is 3**8 rows, and when n is
+# smaller a chunk takes 3**(8 - n) matrices, so slabs stay cache-sized at any n
+_LOW_USERS = 8
+
+
+@functools.lru_cache(maxsize=2)
+def _ternary(k: int):
+    """Every d in {-1,0,1}**k as a read-only (3**k, k) table, and |d| per row.
+
+    Rows run in balanced-ternary order, last user most significant: the middle
+    row is d = 0 and the rows after it are the d > 0, one per class {d, -d}.
+    """
+    d = np.zeros((1, 0))
+    for _ in range(k):
+        d = np.hstack([np.tile(d, (3, 1)), np.repeat([-1.0, 0.0, 1.0], len(d))[:, None]])
+    support = np.count_nonzero(d, axis=1)
+    d.flags.writeable = support.flags.writeable = False  # cached: shared by later calls
+    return d, support
+
+
+def _pair_measures(a: np.ndarray, sigma: float | None = None, kinds=("md", "qd", "ed")):
+    """(len(kinds), P) min distance "md", Q-distance "qd", exp distance "ed" of a (P, m, n) stack.
+
+    Outputs of inputs x_i - x_j = 2d lie ||2 A d|| apart; d and -d form one
+    class of 2**(n + 1 - |d|) ordered pairs, which weights the "qd" and "ed"
+    tails.  2 A d = u + w over the low _LOW_USERS users and the rest.  Row
+    norms sum in coordinate order, so stacking changes no value.
+    """
+    n = a.shape[-1]
+    _check_users(n)
+    if sigma is not None:
+        _check_sigma(sigma)
+    low = min(n, _LOW_USERS)
+    (d_lo, s_lo), (d_hi, s_hi) = _ternary(low), _ternary(n - low)
+    mid, top = len(d_lo) // 2, len(d_hi) // 2
+    out = np.repeat([[np.inf if k == "md" else 0.0] for k in kinds], len(a), axis=1)
+    step = 3 ** (_LOW_USERS - low)
+    for lo in range(0, len(a), step):
+        chunk = 2.0 * a[lo : lo + step]
+        u = d_lo @ chunk[..., :low].swapaxes(-1, -2)
+        w = d_hi[top + 1 :] @ chunk[..., low:].swapaxes(-1, -2)
+        for h in range(top, len(d_hi)):  # d_hi = 0 first: only its d_lo > 0 rows, with no add
+            v = u[:, mid + 1 :] if h == top else u + w[:, h - top - 1, None]
+            support = s_lo[mid + 1 :] if h == top else s_lo + s_hi[h]
+            dist = np.sqrt(np.einsum("...ij,...ij->...i", v, v, order="C"))
+            x = None if sigma is None else dist / (2.0 * sigma)
+            for row, kind in zip(out[:, lo : lo + step], kinds):
+                if kind == "md":
+                    np.minimum(row, dist.min(axis=1), out=row)
+                else:  # "ed" caps (x + 1) / 1.6 at 28, past which exp(-t^2) is 0.0
+                    ed = kind == "ed"
+                    tail = np.exp(-np.minimum((x + 1) / 1.6, 28.0) ** 2) if ed else q_function(x)
+                    row += (tail * np.ldexp(1.0, n + 1 - support)).sum(axis=1)
+    return out
+
+
 def min_distance(A: SignatureMatrix) -> float:
     """Smallest distance between two of A's 2**n noiseless outputs (0 if two coincide)."""
     return float(_pair_measures(A.entries[None], kinds=("md",))[0, 0])
@@ -68,6 +132,16 @@ def exp_distance(A: SignatureMatrix, sigma: float) -> float:
     fit's constant prefactor multiplies every term equally and is dropped.
     """
     return float(_pair_measures(A.entries[None], sigma, ("ed",))[0, 0])
+
+
+def union_bound(A: SignatureMatrix, sigma: float) -> float:
+    """Pairwise upper bound on the ML block-error probability of A.
+
+    2**-n * sum over ordered pairs i != j of Q(||Z_i - Z_j|| / (2 sigma)),
+    with Z_i = A x_i and the exact tail function.  Not clamped: the bound
+    may exceed 1.
+    """
+    return 2.0**-A.n * float(_pair_measures(A.entries[None], sigma, ("qd",))[0, 0])
 
 
 def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.ndarray:

@@ -15,8 +15,9 @@ from sigdesign import (
     random_normalized,
     union_bound,
 )
+from sigdesign import _rng
 from sigdesign._rng import _scan
-from sigdesign.ber import _pair_measures
+from sigdesign.criteria import _pair_measures
 
 Q_AT_1 = 0.15865525393145707  # Gaussian tail at 1, from the tail quadrature
 
@@ -76,7 +77,7 @@ class TestMlDecode:
         assert ml_decode(np.eye(2), [0.0, 0.0]) == 0
 
 
-class TestSimulateBer:
+class TestBerEstimate:
     def test_noiseless_separable(self):
         A = random_normalized(2, 3, seed=4)  # distinct points, checked above
         est = estimate(A, 1e-6, samples=10_000, seed=1)[1]
@@ -119,6 +120,21 @@ class TestSimulateBer:
         for lo, hi in zip(ests, ests[1:]):
             slack = 3 * math.hypot(lo.std_error, hi.std_error)
             assert hi.ber >= lo.ber - slack
+
+    @pytest.mark.parametrize(
+        "entries", [random_normalized(3, 6, seed=2).entries, np.ones((1, 4))], ids=["3x6", "ones1x4"]
+    )
+    def test_per_row_errors_are_hamming_distances(self, entries):
+        # the all-ones 1x4 has coinciding points, so its decoding ties; 5000 rows span two blocks
+        (m, n), sigma, rows, seed = entries.shape, 0.5, 5000, 3
+        _, errors = _rng.channel_pass(entries[None], sigma, rows, seed)
+        blocks = [_rng.draw_block(seed, b, n, m) for b in (0, 1)]
+        sent, unit = (np.concatenate(a)[:rows] for a in zip(*blocks))
+        inputs = enumerate_inputs(n)
+        points = inputs @ entries.T
+        decoded = _scan(points, sigma, points[sent] + sigma * unit, sent)[1]
+        npt.assert_array_equal(errors[0], (inputs[sent] != inputs[decoded]).sum(axis=1))
+        assert errors[0].max() >= 2  # multi-bit errors occur, so a count of 0 or 1 would not pass
 
     def test_blocks_validated(self):
         with pytest.raises(ValueError):

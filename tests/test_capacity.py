@@ -150,9 +150,9 @@ class TestScan:
         # the (||u||^2 - m) / (2 ln 2) term has mean 0, so only a per-row check sees its sign
         A = random_normalized(3, 6, seed=1).entries
         terms, _ = _rng.channel_pass(A[None], sigma, 300, seed=2)
-        signs, unit = (a[:300] for a in _rng.draw_block(2, 0, 6, 3))
+        sent, unit = (a[:300] for a in _rng.draw_block(2, 0, 6, 3))
         points = enumerate_inputs(6) @ A.T
-        d2 = np.square((signs @ A.T + sigma * unit)[:, None, :] - points[None]).sum(axis=2)
+        d2 = np.square((points[sent] + sigma * unit)[:, None, :] - points[None]).sum(axis=2)
         norm = math.log(2**6) + 1.5 * math.log(2 * math.pi * sigma**2)
         ln_f = logsumexp(-d2 / (2 * sigma**2), axis=1) - norm
         ref = -ln_f / math.log(2) - noise_entropy(3, sigma)
@@ -172,7 +172,7 @@ class TestScan:
                 npt.assert_array_equal(floored[1], unfloored[1])
 
 
-class TestEstimateCapacity:
+class TestCapacityEstimate:
     def test_matches_quadrature_oracle(self):
         est = estimate(SCALAR_ONE, 1.0, samples=200_000, seed=7)[0]
         assert abs(est.sum_bits - CAPACITY_SCALE1_SIGMA1) < 3 * est.std_error
@@ -193,6 +193,15 @@ class TestEstimateCapacity:
         assert est.std_error >= 0
         assert est.samples == 500
         assert est.sigma == 1.0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_pinned_stream(self, monkeypatch, workers):
+        # recorded figures of seed 7's draws: reordering or repacking the stream changes them all
+        monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
+        cap, err = estimate(random_normalized(4, 8, seed=3), 0.5, samples=5000, seed=7)
+        assert cap.sum_bits == pytest.approx(5.366189108139556, rel=1e-12)
+        assert cap.std_error == pytest.approx(0.021176995896320515, rel=1e-12)
+        assert (err.bit_errors, err.block_errors) == (8386, 2935)
 
     def test_deterministic_per_seed(self):
         A = random_normalized(2, 3, seed=9)

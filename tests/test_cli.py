@@ -322,29 +322,35 @@ OVERLOAD_SWEEP = ["overload-sweep", "--criterion", "md", "-m", "2", "--n-list", 
         (OPTIMIZE + ["--out", "m.json"], "m.json.run.json"),
         (SWEEP + ["--out", "d.csv"], "d.csv"),
         (OVERLOAD_SWEEP + ["--out", "d.csv"], "d.csv"),
+        (OPTIMIZE + ["--out", ""], ""),
+        (OPTIMIZE + ["--out", "m.json", "--run-out", ""], ""),
+        (SWEEP + ["--out", ""], ""),
     ],
     ids=["generate", "optimize-out", "optimize-run-out", "sweep", "overload-sweep",
          "generate-is-dir", "optimize-out-is-dir", "optimize-run-out-is-dir",
-         "optimize-default-run-out-is-dir", "sweep-is-dir", "overload-sweep-is-dir"],
+         "optimize-default-run-out-is-dir", "sweep-is-dir", "overload-sweep-is-dir",
+         "optimize-empty-out", "optimize-empty-run-out", "sweep-empty-out"],
 )
 def test_missing_output_directory_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, argv, directory
 ):
-    # `directory`: an output path that already exists as a directory
+    # `directory`: an output path that already exists as a directory; "" for an empty output path
     def work(*args, **kwargs):
         raise AssertionError("the command ran before its output paths were checked")
 
     monkeypatch.setattr(cli, "evolve", work)
     monkeypatch.setattr(cli, "evaluate_matrix", work)
     save_matrix(tmp_path / "r23.json", random_normalized(2, 3, seed=0))
-    if directory is not None:
+    if directory:
         (tmp_path / directory).mkdir()
     before = sorted(tmp_path.iterdir())
     argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1
-    if directory is None:
+    if directory == "":
+        assert out.err == "error: output path is empty\n"
+    elif directory is None:
         missing = next(a for a in argv if "/NO/" in a)
         assert out.err.startswith(f"error: {missing}: directory ")
     else:

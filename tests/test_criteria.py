@@ -6,7 +6,6 @@ import pytest
 from scipy.spatial.distance import pdist
 from scipy.special import erfc
 
-import sigdesign.ber as ber_module
 import sigdesign.criteria as criteria_module
 from sigdesign import (
     CriterionSpec,
@@ -22,8 +21,8 @@ from sigdesign import (
     random_normalized,
     union_bound,
 )
-from sigdesign.ber import _pair_measures, _ternary
 from sigdesign.capacity import exact_capacity_1d
+from sigdesign.criteria import _pair_measures, _ternary
 
 # max |0.7 * exp(-((x+1)/1.6)**2) - Q(x)| over [0, 5]; sits at x=0, frozen after measurement
 Q_APPROX_MAX_DEV = 0.02635630768678976
@@ -205,7 +204,7 @@ class TestPopulationFitness:
     def test_chunks_do_not_change_values(self, monkeypatch, kind):
         pop, spec = _population(7, 3, 4), _spec(kind)
         whole = population_fitness(spec, pop, seed=3)
-        monkeypatch.setattr(ber_module, "_LOW_USERS", 4)  # same split, one matrix per chunk
+        monkeypatch.setattr(criteria_module, "_LOW_USERS", 4)  # same split, one matrix per chunk
         monkeypatch.setattr(criteria_module, "_ROW_CHUNK", 1)
         npt.assert_array_equal(population_fitness(spec, pop, seed=3), whole)
 
@@ -228,7 +227,7 @@ class TestPopulationFitness:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 5), (4, 8)])
     def test_split_equals_pdist_reference(self, monkeypatch, low, m, n):
         # high halves of up to 7 users, against all point pairs
-        monkeypatch.setattr(ber_module, "_LOW_USERS", low)
+        monkeypatch.setattr(criteria_module, "_LOW_USERS", low)
         pop, sigma = _population(3, m, n), 0.4
         md, qd, ed = _pair_measures(pop, sigma)
         for k, a in enumerate(pop):
