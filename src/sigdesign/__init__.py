@@ -9,13 +9,11 @@ measures under additive white Gaussian noise.
 from .baselines import orthogonal_matrix, random_normalized, wbe_matrix, wbe_verify
 from .capacity import BerEstimate, CapacityEstimate, estimate, exact_capacity_1d
 from .criteria import (
+    ConstellationMeasures,
     CriterionSpec,
-    exp_distance,
-    min_distance,
+    constellation_measures,
     population_fitness,
-    q_distance,
     q_function,
-    union_bound,
 )
 from .errors import (
     DimensionError,
@@ -43,6 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BerEstimate",
     "CapacityEstimate",
+    "ConstellationMeasures",
     "CriterionSpec",
     "DimensionError",
     "GaConfig",
@@ -54,20 +53,17 @@ __all__ = [
     "QuadratureFailure",
     "SignatureMatrix",
     "TooManyUsersError",
+    "constellation_measures",
     "enumerate_inputs",
     "estimate",
     "evolve",
     "exact_capacity_1d",
-    "exp_distance",
     "init_population",
-    "min_distance",
     "orthogonal_matrix",
     "population_fitness",
-    "q_distance",
     "q_function",
     "random_normalized",
     "random_search",
-    "union_bound",
     "wbe_matrix",
     "wbe_verify",
 ]

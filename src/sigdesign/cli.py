@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _rng, baselines
 from .capacity import _check_samples, estimate
-from .criteria import KINDS, CriterionSpec, _pair_measures
+from .criteria import KINDS, CriterionSpec, constellation_measures
 from .errors import MatrixFileError, NanFitnessError, NonConvergenceError
 from .ga import GaConfig, GaRun, evolve
 from .model import SignatureMatrix, _check_sigma, _check_users
@@ -154,7 +154,6 @@ def evaluate_matrix(
 ) -> SweepRow:
     """All sweep-table quantities for one matrix at one noise level."""
     cap, err = estimate(A, sigma, budget, seed)
-    md, qd, ed = _pair_measures(A.entries[None], sigma)[:, 0]
     return SweepRow(
         sigma=float(sigma),
         snr_db=-20.0 * float(np.log10(sigma)) + 0.0,  # avoid -0.0
@@ -162,10 +161,7 @@ def evaluate_matrix(
         capacity_std_error=cap.std_error,
         ber=err.ber,
         ber_std_error=err.std_error,
-        nu1=float(md),
-        nu2=float(qd),
-        nu3=float(ed),
-        union_bound=2.0**-A.n * float(qd),
+        **asdict(constellation_measures(A, sigma)),  # nu1, nu2, nu3, union_bound
     )
 
 
@@ -203,10 +199,12 @@ def _check_output_dirs(args) -> None:
 
 
 def _ga_config(args) -> GaConfig:
-    return GaConfig(**{f.name: getattr(args, f.name) for f in fields(GaConfig)})
+    return GaConfig(args.population_size, args.generations, args.seed)
 
 
 def _criterion_spec(args) -> CriterionSpec:
+    if args.sigma is not None:  # md drops it, but a given --sigma must be valid before any GA
+        _check_sigma(args.sigma)
     sigma = None if args.criterion == "md" else args.sigma
     return CriterionSpec(kind=args.criterion, sigma=sigma, eval_budget=args.budget)
 
@@ -279,14 +277,6 @@ def cmd_overload_sweep(args) -> int:
 # parser
 
 
-def _add_ga_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per GaConfig field but the seed, e.g. --population-size, with its default."""
-    for f in fields(GaConfig):
-        if f.name != "seed":
-            flag = "--" + f.name.replace("_", "-")
-            p.add_argument(flag, type=type(f.default), default=f.default)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigdesign",
@@ -299,6 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)  # --seed, shared by every command
     seeded.add_argument("--seed", type=int, default=0)
     command = functools.partial(sub.add_parser, parents=[seeded])
+    sized = argparse.ArgumentParser(add_help=False)  # the GA size flags of optimize, overload-sweep
+    sized.add_argument("--population-size", type=int, default=GaConfig.population_size)
+    sized.add_argument("--generations", type=int, default=GaConfig.generations)
 
     p = command("generate", help="write a baseline matrix file")
     p.add_argument("--kind", choices=baselines.KINDS, required=True)
@@ -313,14 +306,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=200_000)
     p.set_defaults(func=cmd_eval)
 
-    p = command("optimize", help="GA-optimize a matrix for a criterion")
+    p = command("optimize", parents=[seeded, sized], help="GA-optimize a matrix for a criterion")
     p.add_argument("--criterion", choices=KINDS, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--sigma", type=float, help="design noise level (all but md)")
     p.add_argument("--budget", type=int, default=20_000,
                    help="samples/blocks per stochastic fitness evaluation")
-    _add_ga_flags(p)
     p.add_argument("--out", required=True, help="matrix file path")
     p.add_argument("--run-out", help="results file path (default: OUT.run.json)")
     p.set_defaults(func=cmd_optimize)
@@ -332,13 +324,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = command("overload-sweep", help="optimize per user count; per-user capacity vs n/m")
+    p = command("overload-sweep", parents=[seeded, sized],
+                help="optimize per user count; per-user capacity vs n/m")
     p.add_argument("--criterion", choices=KINDS, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--n-list", required=True, help="comma-separated user counts")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--budget", type=int, default=200_000)
-    _add_ga_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_overload_sweep)
 

@@ -1,11 +1,13 @@
-"""Signature-matrix fitness criteria, the BER union bound, and their one pair-distance kernel.
+"""Signature-matrix fitness criteria, the constellation measures and their one pair kernel.
 
 Five criteria: estimated sum capacity, simulated BER, and three
-constellation measures (minimum distance, Q-distance, exponential
-distance).  Criteria that are natively minimized enter the fitness as
-their negation, so the optimizer always maximizes.  `population_fitness`
-scores a whole (P, m, n) stack in one call, each individual equal to its
-named single-matrix evaluator.
+constellation measures (minimum distance nu1, Q-distance nu2,
+exponential distance nu3).  `constellation_measures` gives all three of
+one matrix, plus the BER union bound, from one kernel pass.  Criteria
+that are natively minimized enter the fitness as their negation, so the
+optimizer always maximizes.  `population_fitness` scores a whole
+(P, m, n) stack in one call, each individual equal bit for bit to
+`estimate` or `constellation_measures` of it alone.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _ternary(k: int):
     return d, support
 
 
-def _pair_measures(a: np.ndarray, sigma: float | None = None, kinds=("md", "qd", "ed")):
+def _pair_measures(a: np.ndarray, sigma: float | None, kinds=("md", "qd", "ed")):
     """(len(kinds), P) min distance "md", Q-distance "qd", exp distance "ed" of a (P, m, n) stack.
 
     Outputs of inputs x_i - x_j = 2d lie ||2 A d|| apart; d and -d form one
@@ -115,33 +117,24 @@ def _pair_measures(a: np.ndarray, sigma: float | None = None, kinds=("md", "qd",
     return out
 
 
-def min_distance(A: SignatureMatrix) -> float:
-    """Smallest distance between two of A's 2**n noiseless outputs (0 if two coincide)."""
-    return float(_pair_measures(A.entries[None], kinds=("md",))[0, 0])
+@dataclass(frozen=True)
+class ConstellationMeasures:
+    """The constellation measures of one matrix at one sigma."""
+
+    nu1: float
+    """Smallest distance between two of the 2**n noiseless outputs (0 if two coincide)."""
+    nu2: float
+    """Q-distance: sum over ordered output pairs of Q(distance / (2 sigma)); minimize."""
+    nu3: float
+    """nu2 with Q(x) fitted by exp(-((x + 1) / 1.6)**2), the fit's constant prefactor dropped."""
+    union_bound: float
+    """2**-n * nu2, a pairwise bound on the ML block-error probability; not clamped: may exceed 1."""
 
 
-def q_distance(A: SignatureMatrix, sigma: float) -> float:
-    """Sum over ordered output pairs of Q(distance / (2 sigma)); minimize."""
-    return float(_pair_measures(A.entries[None], sigma, ("qd",))[0, 0])
-
-
-def exp_distance(A: SignatureMatrix, sigma: float) -> float:
-    """Q-distance with the tail replaced by its exponential fit; minimize.
-
-    Sum over ordered pairs of exp(-((d/(2 sigma) + 1) / 1.6)**2).  The
-    fit's constant prefactor multiplies every term equally and is dropped.
-    """
-    return float(_pair_measures(A.entries[None], sigma, ("ed",))[0, 0])
-
-
-def union_bound(A: SignatureMatrix, sigma: float) -> float:
-    """Pairwise upper bound on the ML block-error probability of A.
-
-    2**-n * sum over ordered pairs i != j of Q(||Z_i - Z_j|| / (2 sigma)),
-    with Z_i = A x_i and the exact tail function.  Not clamped: the bound
-    may exceed 1.
-    """
-    return 2.0**-A.n * float(_pair_measures(A.entries[None], sigma, ("qd",))[0, 0])
+def constellation_measures(A: SignatureMatrix, sigma: float) -> ConstellationMeasures:
+    """nu1, nu2, nu3 and the union bound of A from one pair-kernel pass; nu1 ignores sigma."""
+    nu1, nu2, nu3 = (float(v) for v in _pair_measures(A.entries[None], sigma)[:, 0])
+    return ConstellationMeasures(nu1, nu2, nu3, 2.0**-A.n * nu2)
 
 
 def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.ndarray:

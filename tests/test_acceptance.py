@@ -16,14 +16,11 @@ from sigdesign import (
     CriterionSpec,
     GaConfig,
     SignatureMatrix,
+    constellation_measures,
     estimate,
     evolve,
     exact_capacity_1d,
-    exp_distance,
-    min_distance,
-    q_distance,
     random_normalized,
-    union_bound,
     wbe_matrix,
     wbe_verify,
 )
@@ -88,7 +85,7 @@ def test_criterion_03_union_bound_dominates_block_errors():
         A = random_normalized(2, 3, seed=seed)
         for sigma in (0.25, 0.5, 1.0):
             est = estimate(A, sigma, samples=10_000, seed=seed)[1]
-            bound = union_bound(A, sigma)
+            bound = constellation_measures(A, sigma).union_bound
             worst = min(worst, bound + 3 * est.block_std_error - est.block_error_rate)
     ok = worst >= 0.0
     report(3, ok, f"60 (matrix, sigma) cases: worst bound margin {worst:+.4f} (>=0)")
@@ -96,8 +93,8 @@ def test_criterion_03_union_bound_dominates_block_errors():
 
 def test_criterion_04_q_distance_and_exp_distance_agree():
     conss = [random_normalized(2, 3, seed=s) for s in SET_50_SEEDS]
-    nu2 = np.array([q_distance(c, 0.5) for c in conss])
-    nu3 = np.array([exp_distance(c, 0.5) for c in conss])
+    nu2 = np.array([constellation_measures(c, 0.5).nu2 for c in conss])
+    nu3 = np.array([constellation_measures(c, 0.5).nu3 for c in conss])
     rho = float(spearmanr(nu2, nu3).statistic)
     top3 = set(np.argsort(nu3)[:3].tolist())
     in_top3 = int(np.argmin(nu2)) in top3
@@ -107,11 +104,11 @@ def test_criterion_04_q_distance_and_exp_distance_agree():
 
 def test_criterion_05_min_distance_matches_exp_distance_at_high_snr():
     conss = [random_normalized(2, 3, seed=s) for s in SET_20_SEEDS]
-    nu1 = np.array([min_distance(c) for c in conss])
+    nu1 = np.array([constellation_measures(c, 1.0).nu1 for c in conss])
     best_md = int(np.argmax(nu1))
     grid = np.geomspace(1.0, 0.05, 30)
     agrees = [
-        int(np.argmin([exp_distance(c, s) for c in conss])) == best_md for s in grid
+        int(np.argmin([constellation_measures(c, s).nu3 for c in conss])) == best_md for s in grid
     ]
     sigma_star = None
     for k in range(len(grid)):

@@ -6,8 +6,8 @@ import sigdesign.baselines as baselines
 from sigdesign import (
     DimensionError,
     NonConvergenceError,
+    constellation_measures,
     estimate,
-    min_distance,
     orthogonal_matrix,
     random_normalized,
     wbe_matrix,
@@ -45,7 +45,8 @@ class TestOrthogonalMatrix:
 
     def test_min_distance_is_two(self):
         # orthonormal columns preserve input distances: min over sign flips = 2
-        assert min_distance(orthogonal_matrix(2, 2, seed=2)) == pytest.approx(2.0, abs=1e-9)
+        nu1 = constellation_measures(orthogonal_matrix(2, 2, seed=2), 1.0).nu1
+        assert nu1 == pytest.approx(2.0, abs=1e-9)
 
     def test_clean_channel_per_user_capacity(self):
         A = orthogonal_matrix(2, 2, seed=3)

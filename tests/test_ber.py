@@ -9,11 +9,11 @@ from scipy.linalg import hadamard
 from sigdesign import (
     InvalidSamplesError,
     SignatureMatrix,
+    constellation_measures,
     enumerate_inputs,
     estimate,
     q_function,
     random_normalized,
-    union_bound,
 )
 from sigdesign import _rng
 from sigdesign._rng import _scan
@@ -148,26 +148,27 @@ class TestBerEstimate:
 class TestUnionBound:
     def test_scalar_case_equals_tail(self):
         for sigma in (0.5, 1.0, 2.0):
-            assert union_bound(SCALAR_ONE, sigma) == pytest.approx(
+            assert constellation_measures(SCALAR_ONE, sigma).union_bound == pytest.approx(
                 q_function(1.0 / sigma), rel=1e-12
             )
 
     def test_vanishes_at_small_noise(self):
-        assert union_bound(random_normalized(2, 3, seed=4), 0.01) < 1e-10
+        assert constellation_measures(random_normalized(2, 3, seed=4), 0.01).union_bound < 1e-10
 
     def test_duplicate_points_floor(self):
         # one-chip, two-user matrices always duplicate a point
-        assert union_bound(SignatureMatrix([[1.0, 1.0]]), 0.5) >= 2.0 ** (-2)
+        assert constellation_measures(SignatureMatrix([[1.0, 1.0]]), 0.5).union_bound >= 2.0**-2
 
     def test_may_exceed_one(self):
-        assert union_bound(random_normalized(2, 4, seed=1), 5.0) > 1.0  # bound is not clamped
+        bound = constellation_measures(random_normalized(2, 4, seed=1), 5.0).union_bound
+        assert bound > 1.0  # not clamped
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("sigma", [0.25, 0.5])
     def test_bounds_simulated_block_errors(self, seed, sigma):
         A = random_normalized(2, 3, seed=40 + seed)
         est = estimate(A, sigma, samples=10_000, seed=seed)[1]
-        bound = union_bound(A, sigma)
+        bound = constellation_measures(A, sigma).union_bound
         assert est.block_error_rate <= bound + 3 * est.block_std_error
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -412,10 +413,16 @@ class TestOptimize:
                           "--seed", "1", "--out", str(tmp_path / "x.json"))
         assert code == 2
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf"])
-    def test_unusable_sigma_exits_2(self, tmp_path, capsys, sigma):
-        assert_rejected(capsys, "optimize", "--criterion", "ed", "-m", "2", "-n", "3",
+    @pytest.mark.parametrize(
+        "criterion,sigma",
+        [("ed", "nan"), ("ed", "inf"), ("md", "nan"), ("md", "1e-170")],
+        ids=["nan", "inf", "md-nan", "md-1e-170"],
+    )
+    def test_unusable_sigma_exits_2(self, tmp_path, capsys, criterion, sigma):
+        # md designs without sigma, but a given --sigma is still checked
+        assert_rejected(capsys, "optimize", "--criterion", criterion, "-m", "2", "-n", "3",
                         "--sigma", sigma, "--out", str(tmp_path / "x.json"))
+        assert not (tmp_path / "x.json").exists()
 
     def test_beats_equal_budget_random_search(self, tmp_path):
         from sigdesign import CriterionSpec, random_search
@@ -473,6 +480,23 @@ class TestSweep:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_row_equals_eval_row(self, tmp_path, matrices, capsys, monkeypatch, workers):
+        # common random numbers: each sigma's row is the one eval prints for that sigma
+        monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(matrices[1]), "--sigma-grid", "0.2:0.8:3",
+                     "--budget", "5000", "--seed", "4", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == 3
+        for line in lines:
+            name, row = line.split(",", 1)
+            code, text = run_cli(capsys, "eval", "--matrix", str(matrices[1]),
+                                 "--sigma", row.split(",", 1)[0],
+                                 "--budget", "5000", "--seed", "4")
+            assert code == 0 and name == "random"
+            assert text.splitlines()[1] == row
 
     def test_bad_grid_exits_2(self, tmp_path, matrices, capsys):
         code, _ = run_cli(capsys, "sweep", str(matrices[0]), "--sigma-grid", "0:1:4",
@@ -564,6 +588,18 @@ class TestOverloadSweep:
                         "--out", str(tmp_path / "x.csv"))
 
 
+    @pytest.mark.parametrize("criterion", ["ed", "md"])
+    @pytest.mark.parametrize("sigma", ["nan", "1e-170"])
+    def test_unusable_sigma_exits_2_before_any_ga(self, tmp_path, capsys, monkeypatch,
+                                                   criterion, sigma):
+        def no_ga(*args):
+            raise AssertionError("evolve ran before --sigma was checked")
+
+        monkeypatch.setattr(cli, "evolve", no_ga)
+        assert_rejected(capsys, "overload-sweep", "--criterion", criterion, "-m", "2",
+                        "--n-list", "2,3", "--sigma", sigma, "--budget", "1000",
+                        "--out", str(tmp_path / "x.csv"))
+
     def test_malformed_workers_exits_2_before_any_ga(self, tmp_path, capsys, monkeypatch):
         def no_ga(*args):
             raise AssertionError("evolve ran before SIGDESIGN_WORKERS was checked")
@@ -587,7 +623,7 @@ class TestOverloadSweep:
 
 class TestEvaluateMatrix:
     def test_consistent_with_direct_calls(self, monkeypatch):
-        from sigdesign import estimate, exp_distance, min_distance, q_distance, union_bound
+        from sigdesign import constellation_measures, estimate
 
         # 4x8 at 5000 rows: two blocks, the second cut to 904 rows
         cases = [(SignatureMatrix(np.eye(2)), 2_000), (random_normalized(4, 8, seed=2), 5_000)]
@@ -599,10 +635,11 @@ class TestEvaluateMatrix:
             assert row.capacity_std_error == cap.std_error
             assert row.ber == err.ber
             assert row.ber_std_error == err.std_error
-            assert row.nu1 == min_distance(A)
-            assert row.nu2 == q_distance(A, 0.5)
-            assert row.nu3 == exp_distance(A, 0.5)
-            assert row.union_bound == union_bound(A, 0.5)
+            measures = constellation_measures(A, 0.5)
+            assert row.nu1 == measures.nu1
+            assert row.nu2 == measures.nu2
+            assert row.nu3 == measures.nu3
+            assert row.union_bound == measures.union_bound
             assert row.nu2 == 2**A.n * row.union_bound
             assert row.snr_db == pytest.approx(-20 * math.log10(0.5))
 
@@ -623,6 +660,14 @@ def test_import_leaves_out_scipy_integrate():
     )
     proc = run_subprocess("-c", code)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_readme_library_names_every_public_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    # a name in backticks, alone or as the head of a call: `estimate` or `estimate(A, ...)`
+    missing = [name for name in sigdesign.__all__ if not re.search(f"`{name}[`(]", section)]
+    assert missing == []
 
 
 def test_readme_library_example_runs():

@@ -11,15 +11,12 @@ from sigdesign import (
     CriterionSpec,
     SignatureMatrix,
     TooManyUsersError,
+    constellation_measures,
     enumerate_inputs,
     estimate,
-    exp_distance,
-    min_distance,
     population_fitness,
-    q_distance,
     q_function,
     random_normalized,
-    union_bound,
 )
 from sigdesign.capacity import exact_capacity_1d
 from sigdesign.criteria import _pair_measures, _ternary
@@ -57,24 +54,24 @@ class TestQApprox:
 
 class TestMinDistance:
     def test_orthonormal_two_users(self):
-        assert min_distance(SignatureMatrix(np.eye(2))) == 2.0
+        assert constellation_measures(SignatureMatrix(np.eye(2)), 0.5).nu1 == 2.0
 
     def test_duplicate_points_give_zero(self):
         # any one-chip matrix has +-1 columns, so two outputs coincide
-        assert min_distance(SignatureMatrix([[1.0, -1.0]])) == 0.0
+        assert constellation_measures(SignatureMatrix([[1.0, -1.0]]), 0.5).nu1 == 0.0
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 7.0])
     def test_homogeneous_in_scale(self, t):
         A = random_normalized(2, 3, seed=3)
         scaled = pair_measure("md", t * A.entries[None])[0]
-        assert scaled == pytest.approx(t * min_distance(A), rel=1e-12)
+        assert scaled == pytest.approx(t * constellation_measures(A, 0.5).nu1, rel=1e-12)
 
 
 class TestQDistance:
     @pytest.mark.parametrize("seed", range(20))
     def test_is_two_to_the_n_times_union_bound(self, seed):
-        A = random_normalized(2, 3, seed=seed)
-        assert q_distance(A, 0.5) == 2**3 * union_bound(A, 0.5)
+        measures = constellation_measures(random_normalized(2, 3, seed=seed), 0.5)
+        assert measures.nu2 == 2**3 * measures.union_bound
 
     @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
     def test_two_points(self, d):
@@ -82,7 +79,7 @@ class TestQDistance:
         assert qd == pytest.approx(2.0 * q_function(d / (2 * 0.7)), rel=1e-12)
 
     def test_vanishes_at_small_noise(self):
-        assert q_distance(random_normalized(2, 3, seed=1), 0.01) < 1e-8
+        assert constellation_measures(random_normalized(2, 3, seed=1), 0.01).nu2 < 1e-8
 
 
 class TestExpDistance:
@@ -97,8 +94,8 @@ class TestExpDistance:
 
     def test_tracks_q_distance_ranking(self):
         matrices = [random_normalized(2, 3, seed=s) for s in range(12)]
-        nu2 = [q_distance(A, 0.5) for A in matrices]
-        nu3 = [exp_distance(A, 0.5) for A in matrices]
+        nu2 = [constellation_measures(A, 0.5).nu2 for A in matrices]
+        nu3 = [constellation_measures(A, 0.5).nu3 for A in matrices]
         npt.assert_array_equal(np.argsort(nu2), np.argsort(nu3))
 
 
@@ -107,9 +104,10 @@ class TestInvariance:
     def test_criteria_ignore_column_permutation_and_negation(self, seed):
         A = random_normalized(2, 3, seed=seed)
         B = SignatureMatrix(A.entries[:, [2, 0, 1]] * np.array([-1.0, 1.0, -1.0]))
-        assert min_distance(A) == pytest.approx(min_distance(B), rel=1e-12)
-        assert q_distance(A, 0.5) == pytest.approx(q_distance(B, 0.5), rel=1e-12)
-        assert exp_distance(A, 0.5) == pytest.approx(exp_distance(B, 0.5), rel=1e-12)
+        a, b = constellation_measures(A, 0.5), constellation_measures(B, 0.5)
+        assert a.nu1 == pytest.approx(b.nu1, rel=1e-12)
+        assert a.nu2 == pytest.approx(b.nu2, rel=1e-12)
+        assert a.nu3 == pytest.approx(b.nu3, rel=1e-12)
 
 
 class TestCriterionSpec:
@@ -144,7 +142,7 @@ class TestFitness:
     def test_exp_distance_negated_ordering(self):
         spec = CriterionSpec(kind="ed", sigma=0.5)
         a, b = random_normalized(2, 3, seed=1), random_normalized(2, 3, seed=2)
-        nu3 = [exp_distance(x, 0.5) for x in (a, b)]
+        nu3 = [constellation_measures(x, 0.5).nu3 for x in (a, b)]
         fits = population_fitness(spec, np.stack([a.entries, b.entries]))
         assert (fits[0] > fits[1]) == (nu3[0] < nu3[1])
 
@@ -177,13 +175,14 @@ def _spec(kind):
 
 def _named_evaluator(kind, A, seed):
     """The public single-matrix evaluator of a criterion, as a maximize-me score."""
-    sigma, budget = _spec(kind).sigma, _spec(kind).eval_budget
+    # md's spec has no sigma, and nu1 ignores the one it is given
+    sigma, budget = _spec("qd").sigma, _spec(kind).eval_budget
     return {
         "capacity": lambda: estimate(A, sigma, budget, seed)[0].sum_bits,
         "ber": lambda: -estimate(A, sigma, budget, seed)[1].ber,
-        "md": lambda: min_distance(A),
-        "qd": lambda: -q_distance(A, sigma),
-        "ed": lambda: -exp_distance(A, sigma),
+        "md": lambda: constellation_measures(A, sigma).nu1,
+        "qd": lambda: -constellation_measures(A, sigma).nu2,
+        "ed": lambda: -constellation_measures(A, sigma).nu3,
     }[kind]()
 
 
@@ -274,15 +273,12 @@ class TestPopulationFitness:
 @pytest.mark.parametrize(
     "call",
     [
-        min_distance,
-        lambda A: q_distance(A, 0.5),
-        lambda A: exp_distance(A, 0.5),
-        lambda A: union_bound(A, 0.5),
+        lambda A: constellation_measures(A, 0.5),
         lambda A: population_fitness(_spec("md"), A.entries[None]),
         lambda A: population_fitness(_spec("qd"), A.entries[None]),
         lambda A: population_fitness(_spec("ed"), A.entries[None]),
     ],
-    ids=["min_distance", "q_distance", "exp_distance", "union_bound", "md", "qd", "ed"],
+    ids=["constellation_measures", "md", "qd", "ed"],
 )
 def test_pair_measures_keep_user_guard(call):
     # the pair kernel reads the matrix, not the 2**n inputs, so it checks n itself

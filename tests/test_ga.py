@@ -13,9 +13,9 @@ from sigdesign import (
     GaConfig,
     NanFitnessError,
     SignatureMatrix,
+    constellation_measures,
     evolve,
     init_population,
-    min_distance,
     population_fitness,
     random_normalized,
     random_search,
@@ -193,7 +193,7 @@ class TestEvolve:
     def test_improves_on_initial_population(self):
         run = evolve(2, 3, MD, self.CONFIG)
         init_best = max(
-            min_distance(SignatureMatrix(a))
+            constellation_measures(SignatureMatrix(a), 1.0).nu1
             for a in init_population(2, 3, self.CONFIG)
         )
         assert run.best_fitness >= init_best
