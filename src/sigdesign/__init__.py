@@ -15,15 +15,6 @@ from .criteria import (
     population_fitness,
     q_function,
 )
-from .errors import (
-    DimensionError,
-    InvalidSamplesError,
-    MatrixFileError,
-    NanFitnessError,
-    NonConvergenceError,
-    QuadratureFailure,
-    TooManyUsersError,
-)
 from .ga import (
     GaConfig,
     GaRun,
@@ -32,6 +23,7 @@ from .ga import (
     random_search,
 )
 from .model import (
+    NumericFailure,
     SignatureMatrix,
     enumerate_inputs,
 )
@@ -43,16 +35,10 @@ __all__ = [
     "CapacityEstimate",
     "ConstellationMeasures",
     "CriterionSpec",
-    "DimensionError",
     "GaConfig",
     "GaRun",
-    "InvalidSamplesError",
-    "MatrixFileError",
-    "NanFitnessError",
-    "NonConvergenceError",
-    "QuadratureFailure",
+    "NumericFailure",
     "SignatureMatrix",
-    "TooManyUsersError",
     "constellation_measures",
     "enumerate_inputs",
     "estimate",

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergenceError
-from .model import SignatureMatrix
+from .model import NumericFailure, SignatureMatrix
 
 KINDS = ("wbe", "random", "orthogonal")
 
@@ -18,7 +17,7 @@ _WBE_MAX_ITER = 10_000
 def _random_unit_columns(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """iid Gaussian entries of shape (..., m, n) from rng, columns scaled to unit norm."""
     if min(shape[-2:]) < 1:
-        raise DimensionError(f"need m >= 1 and n >= 1, got (m, n) = {shape[-2:]}")
+        raise ValueError(f"need m >= 1 and n >= 1, got (m, n) = {shape[-2:]}")
     while True:
         raw = rng.standard_normal(shape)
         norms = np.linalg.norm(raw, axis=-2, keepdims=True)
@@ -34,7 +33,7 @@ def random_normalized(m: int, n: int, seed: int = 0) -> SignatureMatrix:
 def orthogonal_matrix(m: int, n: int, seed: int = 0) -> SignatureMatrix:
     """First n columns of a Haar-random orthogonal m x m matrix; needs n <= m."""
     if n > m:
-        raise DimensionError(f"orthogonal columns need n <= m, got n={n} > m={m}")
+        raise ValueError(f"orthogonal columns need n <= m, got n={n} > m={m}")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((m, m)))
     q = q * np.sign(np.diag(r))
@@ -55,11 +54,11 @@ def wbe_matrix(m: int, n: int, seed: int = 0) -> SignatureMatrix:
     Starts from a random normalized matrix and alternates (i) symmetric
     orthogonalization of the rows scaled to the target row Gram with
     (ii) column renormalization, until the row-Gram deviation drops to
-    _WBE_TOL.  Raises NonConvergenceError after _WBE_MAX_ITER iterations;
+    _WBE_TOL.  Raises NumericFailure after _WBE_MAX_ITER iterations;
     retrying with a new seed is the caller's choice.
     """
     if n < m:
-        raise DimensionError(f"tight frame needs n >= m, got n={n} < m={m}")
+        raise ValueError(f"tight frame needs n >= m, got n={n} < m={m}")
     a = _random_unit_columns((m, n), np.random.default_rng(seed))
     target = n / m
     eye = np.eye(m)
@@ -71,7 +70,7 @@ def wbe_matrix(m: int, n: int, seed: int = 0) -> SignatureMatrix:
         w = np.maximum(w, 1e-300)
         a = np.sqrt(target) * (v * (1.0 / np.sqrt(w))) @ v.T @ a
         a /= np.linalg.norm(a, axis=0)
-    raise NonConvergenceError(
+    raise NumericFailure(
         f"row Gram did not reach tolerance {_WBE_TOL:g} in {_WBE_MAX_ITER} iterations"
     )
 

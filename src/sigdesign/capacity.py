@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .errors import DimensionError, InvalidSamplesError, QuadratureFailure
-from .model import SignatureMatrix, _check_sigma
+from .model import NumericFailure, SignatureMatrix, _check_samples, _check_sigma
 
 _QUAD_TOL = 1e-6  # largest accepted quadrature error estimate, in bits
 
@@ -53,11 +52,6 @@ class BerEstimate:
     block_errors: int
     blocks: int
     block_std_error: float
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 100:
-        raise InvalidSamplesError("need at least 100 samples")
 
 
 def _capacity_estimate(terms: np.ndarray, n: int, sigma: float):
@@ -113,7 +107,7 @@ def estimate(
     substreams of `seed`, so the pair is deterministic for a given seed,
     independent of the worker count, and shares its draws across sigma
     values (the noise is drawn at unit variance and scaled).  Fewer than
-    100 samples raise InvalidSamplesError.
+    100 samples raise ValueError.
     """
     _check_samples(samples)
     terms, errors = _rng.channel_pass(A.entries[None], sigma, samples, seed)
@@ -130,12 +124,12 @@ def exact_capacity_1d(A: SignatureMatrix, sigma: float) -> float:
     i_j(z) = -log2 sum_i p_i exp(-d_ji (d_ji / 2 + z)), d_ji = (x_j - x_i) / sigma,
     which stays exact at every sigma that `_check_sigma` accepts, coinciding
     points included.  Serves as the independent oracle for the Monte-Carlo
-    estimator; raises QuadratureFailure if the error estimate exceeds _QUAD_TOL.
+    estimator; raises NumericFailure if the error estimate exceeds _QUAD_TOL.
     """
     from scipy import integrate  # the only user; keeps it out of `import sigdesign`
 
     if A.m != 1:
-        raise DimensionError(f"exact_capacity_1d needs a 1 x n matrix, got {A.m} x {A.n}")
+        raise ValueError(f"exact_capacity_1d needs a 1 x n matrix, got {A.m} x {A.n}")
     _check_sigma(sigma)
     n = A.n
     x = n - 2.0 * np.arange(n + 1)
@@ -159,7 +153,5 @@ def exact_capacity_1d(A: SignatureMatrix, sigma: float) -> float:
             integrand, -40.0, 40.0, limit=400, epsabs=_QUAD_TOL / 10.0, epsrel=1e-10
         )
     if not math.isfinite(bits) or err > _QUAD_TOL:
-        raise QuadratureFailure(
-            f"quadrature error estimate {err:g} exceeds tolerance {_QUAD_TOL:g}"
-        )
+        raise NumericFailure(f"quadrature error estimate {err:g} exceeds tolerance {_QUAD_TOL:g}")
     return bits

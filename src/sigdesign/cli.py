@@ -15,7 +15,7 @@ environment variable to parallelize the Monte-Carlo evaluators).
 eval and sweep read capacity and BER off one `capacity.estimate` pass
 (same draws); ber_std_error is the per-vector (cluster) estimate.
 
-Exit codes: 0 success, 2 invalid input, 3 numeric failure or out of memory.
+Exit codes: 0 success, 2 ValueError (invalid input), 3 NumericFailure or MemoryError.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng, baselines
-from .capacity import _check_samples, estimate
+from .capacity import estimate
 from .criteria import KINDS, CriterionSpec, constellation_measures
-from .errors import MatrixFileError, NanFitnessError, NonConvergenceError
 from .ga import GaConfig, GaRun, evolve
-from .model import SignatureMatrix, _check_sigma, _check_users
+from .model import NumericFailure, SignatureMatrix, _check_samples, _check_sigma, _check_users
 
 SCHEMA_VERSION = 1
 
@@ -104,30 +103,30 @@ def load_matrix(path) -> tuple[SignatureMatrix, dict]:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise MatrixFileError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise MatrixFileError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     if type(doc.get("schema_version")) is not int or doc["schema_version"] != SCHEMA_VERSION:
-        raise MatrixFileError(f"{path}: unsupported schema_version")
+        raise ValueError(f"{path}: unsupported schema_version")
     m, n, label = doc.get("m"), doc.get("n"), doc.get("label")
     if not all(type(v) is int and v >= 1 for v in (m, n)):
-        raise MatrixFileError(f"{path}: m and n must be JSON integers >= 1")
+        raise ValueError(f"{path}: m and n must be JSON integers >= 1")
     if label is not None and not isinstance(label, str):
-        raise MatrixFileError(f"{path}: label must be a string or null")
+        raise ValueError(f"{path}: label must be a string or null")
     entries = doc.get("entries")
     if not isinstance(entries, list) or any(type(v) not in (int, float) for v in entries):
-        raise MatrixFileError(f"{path}: entries must be a list of JSON numbers")
+        raise ValueError(f"{path}: entries must be a list of JSON numbers")
     if len(entries) != m * n:
-        raise MatrixFileError(f"{path}: expected {m * n} entries, got {len(entries)}")
+        raise ValueError(f"{path}: expected {m * n} entries, got {len(entries)}")
     sigma = doc.get("sigma_design")
     if sigma is not None and type(sigma) not in (int, float):
-        raise MatrixFileError(f"{path}: sigma_design must be a JSON number or null")
+        raise ValueError(f"{path}: sigma_design must be a JSON number or null")
     try:
         matrix = SignatureMatrix(np.reshape(entries, (m, n)))
         if sigma is not None:
             _check_sigma(sigma)
     except (ValueError, OverflowError) as exc:
-        raise MatrixFileError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     meta = {"label": label, "sigma_design": sigma}
     return matrix, meta
 
@@ -187,8 +186,9 @@ def _run_path(args) -> str:
 
 
 def _check_output_dirs(args) -> None:
-    """Fail before any work if a path the command writes is empty, a directory or in a missing one."""
+    """Fail before any work if an output path is empty, a directory, in a missing one or used twice."""
     paths = [getattr(args, "out", None)] + ([_run_path(args)] if args.command == "optimize" else [])
+    taken = [Path(p).resolve() for p in getattr(args, "matrices", [])]
     for path in (p for p in paths if p is not None):
         if not path:
             raise ValueError("output path is empty")
@@ -196,6 +196,9 @@ def _check_output_dirs(args) -> None:
             raise ValueError(f"{path}: is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
+        if Path(path).resolve() in taken:
+            raise ValueError(f"{path}: is the same file as another input or output")
+        taken.append(Path(path).resolve())
 
 
 def _ga_config(args) -> GaConfig:
@@ -343,7 +346,7 @@ def main(argv=None) -> int:
         _rng.workers()  # a malformed SIGDESIGN_WORKERS fails every command, before any work
         _check_output_dirs(args)
         return args.func(args)
-    except (NonConvergenceError, NanFitnessError) as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # name the command and the sizes it was given

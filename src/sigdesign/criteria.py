@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .capacity import _check_samples
-from .model import SignatureMatrix, _check_columns, _check_sigma, _check_users
+from .model import SignatureMatrix, _check_columns, _check_samples, _check_sigma, _check_users
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")

@@ -18,8 +18,7 @@ import numpy as np
 
 from .baselines import _random_unit_columns
 from .criteria import CriterionSpec, population_fitness
-from .errors import NanFitnessError
-from .model import SignatureMatrix
+from .model import NumericFailure, SignatureMatrix
 
 _COLUMN_DEGENERATE = 1e-9
 _TOURNAMENT_SIZE = 3
@@ -101,7 +100,7 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
     One population_fitness call per generation; elites are copied
     unchanged, the rest of the next population comes from tournament ->
     crossover (with probability _CROSSOVER_RATE, else clone) -> mutation
-    with a geometrically decayed scale.  Aborts with NanFitnessError if
+    with a geometrically decayed scale.  Aborts with NumericFailure if
     any fitness comes back NaN.
     """
     population = init_population(m, n, config)
@@ -119,7 +118,7 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
     for gen in range(config.generations):
         fits = population_fitness(criterion, population, int(eval_seeds[gen]))
         if np.any(np.isnan(fits)):
-            raise NanFitnessError(f"NaN fitness in generation {gen}")
+            raise NumericFailure(f"NaN fitness in generation {gen}")
         order = np.argsort(-fits, kind="stable")
         if fits[order[0]] > best_fitness:
             best_fitness = float(fits[order[0]])

@@ -10,6 +10,8 @@ Conventions
 * Noise level is parameterized by the per-chip standard deviation sigma.
   Columns have unit energy, so the displayed SNR is -20*log10(sigma);
   sigma is the ground-truth parameter everywhere.
+* Every input check lives here: bad input raises ValueError (CLI exit 2),
+  a numeric failure raises NumericFailure (CLI exit 3).
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooManyUsersError
-
 COLUMN_NORM_TOL = 1e-9
 MAX_USERS = 16
+
+
+class NumericFailure(RuntimeError):
+    """A computation on valid input failed: no convergence, a NaN fitness, a missed tolerance."""
 
 
 def _check_sigma(sigma) -> None:
@@ -45,9 +49,15 @@ def _check_columns(a: np.ndarray) -> None:
 
 
 def _check_users(n: int) -> None:
-    """Raise TooManyUsersError for more than MAX_USERS users."""
+    """Raise ValueError for more than MAX_USERS users."""
     if n > MAX_USERS:
-        raise TooManyUsersError(f"n={n} exceeds the 2**n enumeration guard (MAX_USERS={MAX_USERS})")
+        raise ValueError(f"n={n} exceeds the 2**n enumeration guard (MAX_USERS={MAX_USERS})")
+
+
+def _check_samples(samples: int) -> None:
+    """Raise ValueError for a Monte-Carlo budget below 100 samples."""
+    if samples < 100:
+        raise ValueError("need at least 100 samples")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import hadamard
 
 from sigdesign import (
-    InvalidSamplesError,
     SignatureMatrix,
     constellation_measures,
     enumerate_inputs,
@@ -141,7 +140,7 @@ class TestBerEstimate:
             estimate(SCALAR_ONE, 1.0, samples=0, seed=0)[1]
 
     def test_blocks_below_sample_floor(self):
-        with pytest.raises(InvalidSamplesError):
+        with pytest.raises(ValueError, match="at least 100 samples"):
             estimate(SCALAR_ONE, 1.0, samples=99, seed=0)[1]
 
 

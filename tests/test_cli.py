@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import json
 import math
@@ -12,7 +13,15 @@ import numpy.testing as npt
 import pytest
 
 import sigdesign
-from sigdesign import SignatureMatrix, cli, exact_capacity_1d, random_normalized, wbe_verify
+from sigdesign import (
+    SignatureMatrix,
+    baselines,
+    cli,
+    exact_capacity_1d,
+    ga,
+    random_normalized,
+    wbe_verify,
+)
 from sigdesign.cli import (
     SWEEP_COLUMNS,
     evaluate_matrix,
@@ -266,6 +275,23 @@ class TestEval:
 
 @pytest.mark.parametrize(
     "argv",
+    [["generate", "--kind", "wbe", "-m", "3", "-n", "5"],
+     ["optimize", "--criterion", "md", "-m", "2", "-n", "3", "--population-size", "4",
+      "--generations", "2"]],
+    ids=["generate-wbe-no-convergence", "optimize-nan-fitness"],
+)
+def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(baselines, "_WBE_MAX_ITER", 1)
+    monkeypatch.setattr(ga, "population_fitness", lambda spec, pop, seed: np.full(len(pop), np.nan))
+    assert main(argv + ["--out", str(tmp_path / "x.json")]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("numeric failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["generate", "--kind", "wbe", "-m", "2", "-n", "3", "--out", "x.json"],
         ["eval", "--matrix", "x.json", "--sigma", "0.5"],
@@ -357,6 +383,40 @@ def test_missing_output_directory_exits_2_before_any_work(
     else:
         assert out.err == f"error: {tmp_path / directory}: is a directory\n"
     assert sorted(tmp_path.iterdir()) == before  # no file made early
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [OPTIMIZE + ["--out", "x.json", "--run-out", "./x.json"], SWEEP + ["--out", "r23.json"]],
+    ids=["optimize-run-out-is-out", "sweep-out-is-input"],
+)
+def test_output_path_naming_another_file_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # resolved paths are compared, so two spellings of one file collide
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its output paths were checked")
+
+    monkeypatch.setattr(cli, "evolve", work)
+    monkeypatch.setattr(cli, "evaluate_matrix", work)
+    monkeypatch.chdir(tmp_path)
+    save_matrix("r23.json", random_normalized(2, 3, seed=0))
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {argv[-1]}: is the same file as another input or output\n"
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before  # input kept, nothing made
+
+
+def test_sweep_input_listed_twice_gives_duplicate_rows(tmp_path, monkeypatch):
+    # only outputs must be distinct: an input may be listed more than once
+    monkeypatch.chdir(tmp_path)
+    save_matrix("r23.json", random_normalized(2, 3, seed=0))
+    assert main(["sweep", "r23.json", "./r23.json", "--sigma-grid", "0.5:0.5:1",
+                 "--budget", "100", "--out", "s.csv"]) == 0
+    header, first, second = Path("s.csv").read_text().splitlines()
+    assert first == second and first.startswith("r23,")
 
 
 class TestOptimize:
@@ -668,6 +728,16 @@ def test_readme_library_names_every_public_name():
     # a name in backticks, alone or as the head of a call: `estimate` or `estimate(A, ...)`
     missing = [name for name in sigdesign.__all__ if not re.search(f"`{name}[`(]", section)]
     assert missing == []
+
+
+def test_readme_library_names_no_missing_name():
+    # the reverse: a CamelCase name in backticks, alone or as a call head, is public or a builtin
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    names = set(re.findall(r"(?<!`)`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)[`(]", section))
+    assert names  # the pattern finds the classes README does name
+    unknown = [n for n in sorted(names) if n not in sigdesign.__all__ and not hasattr(builtins, n)]
+    assert unknown == []
 
 
 def test_readme_library_example_runs():

@@ -11,7 +11,7 @@ import sigdesign.ga as ga_module
 from sigdesign import (
     CriterionSpec,
     GaConfig,
-    NanFitnessError,
+    NumericFailure,
     SignatureMatrix,
     constellation_measures,
     evolve,
@@ -251,7 +251,7 @@ class TestEvolve:
         monkeypatch.setattr(
             ga_module, "population_fitness", lambda spec, pop, seed: np.full(len(pop), np.nan)
         )
-        with pytest.raises(NanFitnessError):
+        with pytest.raises(NumericFailure):
             evolve(2, 3, MD, GaConfig(population_size=4, generations=2, seed=0))
 
     def test_matrix_object_only_for_a_new_best(self, monkeypatch):
