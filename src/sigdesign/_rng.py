@@ -31,6 +31,7 @@ BLOCK = 4096
 WORKERS_ENV = "SIGDESIGN_WORKERS"
 
 _SLAB = 512
+_TILE = 1 << 17  # float64s in one tile's (rows, slab) buffer: 1 MiB, which stays in L2
 _EXP_FLOOR = -700.0  # np.exp leaves its vector path below about -708
 _LN2 = math.log(2.0)
 
@@ -72,32 +73,40 @@ def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
     The sum runs relative to the running row maximum and ends on the sent point's own entry
     e_s, so the sent point and any point equal to it count exactly 1 at every sigma.  Clamping
     at _EXP_FLOOR before the 1/(2 sigma^2) scale keeps exp off its slow underflow path and
-    changes no bit: terms below e^-700 cannot move a sum >= 1.
+    changes no bit: terms below e^-700 cannot move a sum >= 1.  The slabs run over tiles of
+    rows whose buffer holds about _TILE float64s, so it stays in cache; rows are independent,
+    so the tiling changes no bit.
     """
     sigma = float(sigma)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)  # as _check_sigma forms it, so it is finite
     floor = _EXP_FLOOR / inv2s2  # -inf at the largest sigma, which clamps nothing
     y1 = np.column_stack([ys, np.ones(len(ys))])
     z1 = np.column_stack([2.0 * points, -np.einsum("ij,ij->i", points, points)])
-    rows, best_i = np.arange(len(ys)), np.zeros(len(ys), dtype=np.int64)
-    top, e_s, total = np.full(len(ys), -np.inf), np.empty(len(ys)), np.zeros(len(ys))
-    e = np.empty((len(ys), min(_SLAB, len(points))))  # last, so the next call reuses its memory
-    slab_of, col = np.divmod(sent, e.shape[1])
-    for slab, start in enumerate(range(0, len(points), e.shape[1])):
-        np.matmul(y1, z1[start : start + e.shape[1]].T, out=e)
-        np.copyto(e_s, e[rows, col], where=slab_of == slab)
-        j = e.argmax(axis=1)
-        e_max = e[rows, j]
-        np.copyto(best_i, start + j, where=e_max > top)
-        raised = np.maximum(top, e_max)
-        total *= np.exp(np.maximum(top - raised, floor) * inv2s2)
-        top = raised
-        e -= top[:, None]
-        np.maximum(e, floor, out=e)
-        e *= inv2s2
-        np.exp(e, out=e)
-        total += e.sum(axis=1)
-    log_sum = np.log(total) + (top - e_s) * inv2s2
+    best_i, log_sum = np.zeros(len(ys), dtype=np.int64), np.empty(len(ys))
+    width = min(_SLAB, len(points))
+    tile_rows = min(len(ys), _TILE // width)
+    buffer = np.empty((tile_rows, width))  # last, so the next call reuses its memory
+    for lo in range(0, len(ys), tile_rows):
+        e = buffer[: len(ys) - lo]  # the last tile may be short
+        tile = slice(lo, lo + len(e))
+        rows, best = np.arange(len(e)), best_i[tile]
+        top, e_s, total = np.full(len(e), -np.inf), np.empty(len(e)), np.zeros(len(e))
+        slab_of, col = np.divmod(sent[tile], width)
+        for slab, start in enumerate(range(0, len(points), width)):
+            np.matmul(y1[tile], z1[start : start + width].T, out=e)
+            np.copyto(e_s, e[rows, col], where=slab_of == slab)
+            j = e.argmax(axis=1)
+            e_max = e[rows, j]
+            np.copyto(best, start + j, where=e_max > top)
+            raised = np.maximum(top, e_max)
+            total *= np.exp(np.maximum(top - raised, floor) * inv2s2)
+            top = raised
+            e -= top[:, None]
+            np.maximum(e, floor, out=e)
+            e *= inv2s2
+            np.exp(e, out=e)
+            total += e.sum(axis=1)
+        log_sum[tile] = np.log(total) + (top - e_s) * inv2s2
     return (len(points).bit_length() - 1) - log_sum / _LN2, best_i
 
 

@@ -213,6 +213,7 @@ def _criterion_spec(args) -> CriterionSpec:
 
 
 def cmd_generate(args) -> int:
+    _check_users(args.n)  # every other command refuses such a file, so do not write one
     matrix = baselines.generate(args.kind, args.m, args.n, seed=args.seed)
     save_matrix(args.out, matrix, label=args.kind)
     return 0

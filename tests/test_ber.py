@@ -37,6 +37,42 @@ class TestQFunction:
         val, _ = quad(lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi), 1.0, 9.0)
         assert q_function(1.0) == pytest.approx(val, rel=1e-10)
 
+    def test_matches_scipy_erfc(self):
+        # relative error on each of Cody's ranges of the erfc argument t = |x| / sqrt 2:
+        # the same arithmetic on [0, 1), numpy's exp against libm's from 1 on
+        from scipy.special import erfc
+
+        x = np.linspace(-40.0, 40.0, 800_001)
+        got, ref = q_function(x), 0.5 * erfc(x / math.sqrt(2.0))
+        t = np.abs(x) / math.sqrt(2.0)
+        for lo, hi, bound in ((0.0, 1.0, 0.0), (1.0, 8.0, 1e-15), (8.0, np.inf, 4e-15)):
+            cell = (t >= lo) & (t < hi) & (ref > 0.0)
+            assert cell.sum() > 10_000
+            assert np.max(np.abs(got[cell] - ref[cell]) / ref[cell]) <= bound
+        npt.assert_array_equal(got == 0.0, ref == 0.0)
+
+    def test_underflows_where_scipy_does(self):
+        from scipy.special import erfc
+
+        edge = math.sqrt(2.0 * 7.09782712893383996843e2)  # erfc(t) = 0 once t^2 > ln(DBL_MAX)
+        x = edge + np.linspace(-1e-12, 1e-12, 20_001)
+        ref = 0.5 * erfc(x / math.sqrt(2.0))
+        assert 0 < np.count_nonzero(ref == 0.0) < len(x)
+        npt.assert_array_equal(q_function(x) == 0.0, ref == 0.0)
+        npt.assert_array_equal(q_function(-x), 0.5 * erfc(-x / math.sqrt(2.0)))  # 1 - tiny is 1
+
+    def test_limits_and_nan(self):
+        npt.assert_array_equal(q_function([np.inf, -np.inf]), [0.0, 1.0])
+        assert np.isnan(q_function(np.nan))
+
+    def test_scalar_in_scalar_out(self):
+        assert np.ndim(q_function(0.3)) == 0 and q_function([0.3]).shape == (1,)
+
+    def test_huge_argument_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q_function(1e154) == 0.0 and q_function(-1e154) == 1.0
+
 
 def ml_decode(A, y):
     """Index of the input whose noiseless point A x is nearest to y, as the channel pass decodes."""

@@ -168,6 +168,23 @@ class TestScan:
                 npt.assert_array_equal(floored[0], unfloored[0])
                 npt.assert_array_equal(floored[1], unfloored[1])
 
+    @pytest.mark.parametrize(
+        "m, n, sigma",
+        [(4, 8, 0.1), (4, 8, 0.5), (6, 12, 0.1), (6, 12, 0.5), (1, 12, 1e-9)],
+    )
+    def test_row_tiles_change_no_bit(self, monkeypatch, m, n, sigma):
+        # one 4096-row block: 8 tiles at 4x8, 16 at 6x12; the all-ones 1x12 has
+        # twins of the sent point and lowest-index ties in every tile
+        A = np.ones((1, n)) if m == 1 else random_normalized(m, n, seed=1).entries
+        points, sent, ys = channel_rows(A, sigma, _rng.BLOCK, seed=3)
+        assert _rng._TILE // min(_rng._SLAB, len(points)) < _rng.BLOCK  # the default tiles
+        tiled = _scan(points, sigma, ys, sent)
+        with monkeypatch.context() as mp:
+            mp.setattr(_rng, "_TILE", _rng.BLOCK * len(points))  # one tile holds the block
+            whole = _scan(points, sigma, ys, sent)
+        npt.assert_array_equal(tiled[0], whole[0])
+        npt.assert_array_equal(tiled[1], whole[1])
+
 
 class TestCapacityEstimate:
     def test_matches_quadrature_oracle(self):

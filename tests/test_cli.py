@@ -119,6 +119,15 @@ class TestMatrixFiles:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert not (tmp_path / "x.json").exists()
 
+    def test_too_many_users_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_generate(*args, **kwargs):
+            raise AssertionError("a matrix was generated before the user count was checked")
+
+        monkeypatch.setattr(baselines, "generate", no_generate)
+        assert_rejected(capsys, "generate", "--kind", "random", "-m", "2", "-n", "17",
+                        "--out", str(tmp_path / "r.json"))
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _ = run_cli(capsys, "eval", "--matrix", str(tmp_path / "nope.json"),
                           "--sigma", "0.5")
@@ -712,14 +721,38 @@ class TestEvaluateMatrix:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # only the 1-D quadrature oracle needs scipy.integrate and only q_function
-    # scipy.special, and each imports it itself; nothing uses scipy.spatial
+    # only the 1-D quadrature oracle needs scipy, scipy.integrate, and it imports
+    # it itself; nothing uses scipy.spatial or scipy.special
     code = (
         "import sys, sigdesign.cli; print([m for m in "
         "('scipy.integrate', 'scipy.spatial', 'scipy.special') if m in sys.modules])"
     )
     proc = run_subprocess("-c", code)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # q_function is numpy alone, so only exact_capacity_1d needs scipy; run every
+    # command in one child at small sizes and list the scipy modules it loaded
+    code = f"""
+import os, sys
+from sigdesign.cli import main
+os.chdir({str(tmp_path)!r})
+ga = ["--generations", "2", "--population-size", "4", "--seed", "1"]
+for argv in (
+    ["generate", "--kind", "wbe", "-m", "3", "-n", "4", "--out", "w.json"],
+    ["eval", "--matrix", "w.json", "--sigma", "0.5", "--budget", "100"],
+    ["optimize", "--criterion", "qd", "-m", "3", "-n", "4", "--sigma", "0.3", *ga, "--out", "q.json"],
+    ["sweep", "w.json", "q.json", "--sigma-grid", "0.1:1:3", "--budget", "100", "--out", "s.csv"],
+    ["overload-sweep", "--criterion", "qd", "-m", "2", "--n-list", "2,3", "--sigma", "0.3",
+     "--budget", "100", *ga, "--out", "o.csv"],
+):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = run_subprocess("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_readme_library_names_every_public_name():
