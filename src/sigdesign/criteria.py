@@ -53,11 +53,10 @@ class CriterionSpec:
             _check_samples(self.eval_budget)
 
 
-# Cephes ndtr.c, highest power first; the monic denominators' leading 1 and the shorter
-# numerators' leading 0 are written out, so each (num, den) pair has one length:
-# erf(a) = a T(a^2) / U(a^2) for |a| < 1; erfc(t) = exp(-t^2) P(t) / Q(t) for 1 <= t < 8
-# and exp(-t^2) R(t) / S(t) from 8 on, until t^2 > _MAXLOG = ln(DBL_MAX) makes it 0.0
-_T = (0.0, 9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+# Cephes ndtr.c, highest power first, the monic denominators' leading 1 written out:
+# erf(a) = a T(a^2) / U(a^2) for |a| < 1, erfc(t) = exp(-t^2) P(t) / Q(t) on [1, 8) and
+# exp(-t^2) R(t) / S(t) beyond, until t^2 > _MAXLOG = ln(DBL_MAX) makes it 0.0
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
       7.00332514112805075473e3, 5.55923013010394962768e4)
 _U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
       2.26290000613890934246e4, 4.92673942608635921086e4)
@@ -67,30 +66,20 @@ _P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912
 _Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
       9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
       1.65666309194161350182e3, 5.57535340817727675546e2)
-_R = (0.0, 5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
       6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
 _S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
       1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _MAXLOG = 7.09782712893383996843e2
-# each pair as num + 1j * den; numpy adds a 0-d array faster than a Python complex
-_ERF_TU, _ERFC_PQ, _ERFC_RS = (
-    [np.array(complex(*c)) for c in zip(n, d)] for n, d in ((_T, _U), (_P, _Q), (_R, _S))
-)
 
 
-def _rational(w, v, coefficients):
-    """w * num(v) / den(v), rounded as Cephes rounds it, from one complex Horner pass.
-
-    A real v keeps the real (num) and imaginary (den) parts apart, each its own real chain.
-    """
-    vc = v.astype(complex)
-    acc = coefficients[0] * vc
+def _polevl(v, coefficients):
+    """Cephes' polevl: Horner's rule from the highest power, rounded step by step as Cephes does."""
+    y = coefficients[0] * v
     for c in coefficients[1:-1]:
-        acc += c
-        acc *= vc
-    acc += coefficients[-1]
-    y = w * acc.real
-    y /= acc.imag
+        y += c
+        y *= v
+    y += coefficients[-1]
     return y
 
 
@@ -105,26 +94,26 @@ def q_function(x) -> float | np.ndarray:
     a = np.asarray(x, dtype=float) / math.sqrt(2.0)
     flat = a.reshape(-1)
     t = np.minimum(np.abs(flat), 8.0)  # the [1, 8) form runs on every entry; the others are redone
-    erfc = _rational(np.exp(-(t * t)), t, _ERFC_PQ)
+    erfc = np.exp(-(t * t)) * _polevl(t, _P) / _polevl(t, _Q)
     small = np.flatnonzero(t < 1.0)
     if small.size:
         s = flat[small]
-        erfc[small] = 1.0 - _rational(s, s * s, _ERF_TU)
+        erfc[small] = 1.0 - s * _polevl(s * s, _T) / _polevl(s * s, _U)
     big = np.flatnonzero(t >= 8.0)
     if big.size:
         tb = np.minimum(np.abs(flat[big]), 40.0)  # erfc(40) is 0.0; the cap keeps tb * tb finite
-        t2 = tb * tb
-        under = t2 > _MAXLOG  # 0.0 there, and exp kept off its slow subnormal path
-        e = np.exp(-np.where(under, 0.0, t2))
-        erfc[big] = np.where(under, 0.0, _rational(e, tb, _ERFC_RS))
+        under = tb * tb > _MAXLOG  # 0.0 there, and exp kept off its slow subnormal path
+        e = np.exp(-np.where(under, 0.0, tb * tb))
+        erfc[big] = np.where(under, 0.0, e * _polevl(tb, _R) / _polevl(tb, _S))
     neg = np.flatnonzero(flat <= -1.0)
     erfc[neg] = 2.0 - erfc[neg]
     return 0.5 * erfc.reshape(a.shape)
 
 
-# users in the low half u of each class: a slab is 3**8 rows, and when n is
-# smaller a chunk takes 3**(8 - n) matrices, so slabs stay cache-sized at any n
+# users in the low half u of each class: a slab is 3**8 rows; when n < 9 a chunk takes
+# 3**(9 - n) matrices, whose d > 0 rows, about 10 000 distances, stay in cache
 _LOW_USERS = 8
+_CHUNK_ROWS = 3**9
 
 
 @functools.lru_cache(maxsize=2)
@@ -147,8 +136,9 @@ def _pair_measures(a: np.ndarray, sigma: float | None, kinds=("md", "qd", "ed"))
 
     Outputs of inputs x_i - x_j = 2d lie ||2 A d|| apart; d and -d form one
     class of 2**(n + 1 - |d|) ordered pairs, which weights the "qd" and "ed"
-    tails.  2 A d = u + w over the low _LOW_USERS users and the rest.  Row
-    norms sum in coordinate order, so stacking changes no value.
+    tails.  2 A d = u + w over the low _LOW_USERS users and the rest; with no
+    rest (n < 9) u holds only the d > 0 rows.  Row norms sum in coordinate
+    order, so stacking changes no value.
     """
     n = a.shape[-1]
     _check_users(n)
@@ -158,14 +148,15 @@ def _pair_measures(a: np.ndarray, sigma: float | None, kinds=("md", "qd", "ed"))
     (d_lo, s_lo), (d_hi, s_hi) = _ternary(low), _ternary(n - low)
     mid, top = len(d_lo) // 2, len(d_hi) // 2
     out = np.repeat([[np.inf if k == "md" else 0.0] for k in kinds], len(a), axis=1)
-    step = 3 ** (_LOW_USERS - low)
+    step = max(1, _CHUNK_ROWS // 3**n)
+    top_weight = np.ldexp(1.0, n + 1 - s_lo[mid + 1 :])
     for lo in range(0, len(a), step):
         chunk = 2.0 * a[lo : lo + step]
-        u = d_lo @ chunk[..., :low].swapaxes(-1, -2)
+        u = (d_lo if top else d_lo[mid + 1 :]) @ chunk[..., :low].swapaxes(-1, -2)
         w = d_hi[top + 1 :] @ chunk[..., low:].swapaxes(-1, -2)
         for h in range(top, len(d_hi)):  # d_hi = 0 first: only its d_lo > 0 rows, with no add
-            v = u[:, mid + 1 :] if h == top else u + w[:, h - top - 1, None]
-            support = s_lo[mid + 1 :] if h == top else s_lo + s_hi[h]
+            v = u[:, -mid:] if h == top else u + w[:, h - top - 1, None]
+            weight = top_weight if h == top else np.ldexp(1.0, n + 1 - s_lo - s_hi[h])
             dist = np.sqrt(np.einsum("...ij,...ij->...i", v, v, order="C"))
             x = None if sigma is None else dist / (2.0 * sigma)
             for row, kind in zip(out[:, lo : lo + step], kinds):
@@ -174,7 +165,7 @@ def _pair_measures(a: np.ndarray, sigma: float | None, kinds=("md", "qd", "ed"))
                 else:  # "ed" caps (x + 1) / 1.6 at 28, past which exp(-t^2) is 0.0
                     ed = kind == "ed"
                     tail = np.exp(-np.minimum((x + 1) / 1.6, 28.0) ** 2) if ed else q_function(x)
-                    row += (tail * np.ldexp(1.0, n + 1 - support)).sum(axis=1)
+                    row += (tail * weight).sum(axis=1)
     return out
 
 

@@ -202,7 +202,7 @@ class TestPopulationFitness:
     def test_chunks_do_not_change_values(self, monkeypatch, kind):
         pop, spec = _population(7, 3, 4), _spec(kind)
         whole = population_fitness(spec, pop, seed=3)
-        monkeypatch.setattr(criteria_module, "_LOW_USERS", 4)  # same split, one matrix per chunk
+        monkeypatch.setattr(criteria_module, "_CHUNK_ROWS", 3**4)  # one matrix per chunk
         monkeypatch.setattr(criteria_module, "_ROW_CHUNK", 1)
         npt.assert_array_equal(population_fitness(spec, pop, seed=3), whole)
 
