@@ -1,8 +1,8 @@
 """Deterministic block substreams and the one Monte-Carlo channel pass.
 
 Randomness is derived from (seed, block index) for fixed-size blocks of
-samples, never from the worker layout, so results are bit-identical for
-any worker count and extending a sample budget leaves earlier draws
+samples, never from the thread layout, so results are bit-identical for
+any thread count and extending a sample budget leaves earlier draws
 unchanged.  Each block yields sent input indices, in the model's canonical
 order, plus unit-variance noise; callers scale the noise by sigma, which
 makes runs with matched seeds share their draws across different noise
@@ -28,7 +28,9 @@ from .model import _check_sigma, _points
 
 BLOCK = 4096
 
-WORKERS_ENV = "SIGDESIGN_WORKERS"
+# Matrix-points per row (P * 2**n) from which a pass takes threads: on 2 vCPUs a second thread
+# saved no time at 256 (1x4x8) but cost 5-7 MiB, and cut 6x12 to 8x16 passes by 40-45 %.
+_MIN_THREADED_POINTS = 1 << 10
 
 _SLAB = 512
 _TILE = 1 << 17  # float64s in one tile's (rows, slab) buffer: 1 MiB, which stays in L2
@@ -43,24 +45,20 @@ def draw_block(seed: int, block: int, n_users: int, m_chips: int):
     return sent, rng.standard_normal((BLOCK, m_chips))
 
 
-def workers() -> int:
-    """SIGDESIGN_WORKERS as a positive integer (1 if unset or empty); ValueError otherwise."""
-    text = os.environ.get(WORKERS_ENV) or "1"
-    if not (text.isdecimal() and int(text) >= 1):
-        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
-    return int(text)
+def _threads(points: int, n_blocks: int) -> int:
+    """1 below _MIN_THREADED_POINTS, else one per CPU in the affinity mask, up to one per block."""
+    if points < _MIN_THREADED_POINTS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, n_blocks)
 
 
-def map_blocks(fn, n_blocks: int) -> list:
-    """fn(block_index) for all blocks on `workers()` threads, in index order.
-
-    The list is ordered by block index, so reductions over it are identical for any worker count.
-    """
-    count = workers()
-    if count == 1 or n_blocks <= 1:
-        return [fn(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, range(n_blocks)))
+def map_blocks(fn, threads: int) -> list:
+    """[fn(t) for t in range(threads)], one thread each if several; perfbench/tracer.py wraps it."""
+    if threads == 1:
+        return [fn(0)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(threads)))
 
 
 def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
@@ -129,5 +127,8 @@ def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
         scans = [_scan(z, sigma, z[sent] + noise, sent) for z in points]
         return [i + chi for i, _ in scans], [np.bitwise_count(sent ^ i) for _, i in scans]
 
-    terms, errors = zip(*map_blocks(one_block, -(-rows // BLOCK)))
+    n_blocks = -(-rows // BLOCK)
+    threads = _threads(len(pop) << n, n_blocks)
+    runs = map_blocks(lambda t: [one_block(b) for b in range(t, n_blocks, threads)], threads)
+    terms, errors = zip(*(runs[b % threads][b // threads] for b in range(n_blocks)))
     return np.concatenate(terms, axis=1), np.concatenate(errors, axis=1)

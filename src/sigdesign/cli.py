@@ -9,8 +9,7 @@ sweep           evaluate matrices across a log sigma grid into a CSV table
 overload-sweep  optimize per user count and tabulate per-user capacity vs n/m
 
 All commands are deterministic given --seed, and their outputs are
-byte-identical for any worker count (set the SIGDESIGN_WORKERS
-environment variable to parallelize the Monte-Carlo evaluators).
+byte-identical for any thread count of the Monte-Carlo pass.
 
 eval and sweep read capacity and BER off one `capacity.estimate` pass
 (same draws); ber_std_error is the per-vector (cluster) estimate.
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _rng, baselines
+from . import baselines
 from .capacity import estimate
 from .criteria import KINDS, CriterionSpec, constellation_measures
 from .ga import GaConfig, GaRun, evolve
@@ -165,10 +164,11 @@ def evaluate_matrix(
 
 
 def _parse_sigma_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("--sigma-grid must look like lo:hi:steps")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise ValueError(f"--sigma-grid must look like lo:hi:steps, got {text!r}") from None
     _check_sigma(lo)
     _check_sigma(hi)
     if steps < 1:
@@ -255,9 +255,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_overload_sweep(args) -> int:
-    n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
-    if not n_list:
-        raise ValueError("--n-list must name at least one user count")
+    counts = [v.strip() for v in args.n_list.split(",") if v.strip()]
+    if not counts or not all(v.isdecimal() for v in counts):
+        raise ValueError(f"--n-list must be comma-separated user counts, got {args.n_list!r}")
+    n_list = [int(v) for v in counts]
     if any(n < args.m for n in n_list):
         raise ValueError("every n in --n-list must be >= m")
     _check_users(max(n_list))
@@ -286,8 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sigdesign",
         description="Design and evaluate signature matrices for binary-input "
         "synchronous CDMA.",
-        epilog="Set SIGDESIGN_WORKERS to parallelize Monte-Carlo evaluation; "
-        "outputs are byte-identical for any worker count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     seeded = argparse.ArgumentParser(add_help=False)  # --seed, shared by every command
@@ -344,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _rng.workers()  # a malformed SIGDESIGN_WORKERS fails every command, before any work
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         _check_output_dirs(args)
         return args.func(args)
     except NumericFailure as exc:

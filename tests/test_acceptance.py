@@ -25,6 +25,7 @@ from sigdesign import (
     wbe_verify,
 )
 from sigdesign.cli import main
+from test_capacity import force_threads
 
 # criterion 5's recorded threshold: largest grid sigma at and below which
 # the minimum-distance argmax equals the exponential-distance argmin
@@ -177,8 +178,6 @@ def test_criterion_09_ga_reaches_square_optimum():
 
 
 def test_criterion_10_cli_byte_determinism(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("SIGDESIGN_WORKERS", raising=False)
-
     wbe_path = tmp_path / "wbe24.json"
     eye_path = tmp_path / "eye2.json"
 
@@ -224,7 +223,7 @@ def test_criterion_10_cli_byte_determinism(tmp_path, monkeypatch, capsys):
 
     first = snapshot("a")
     second = snapshot("b")
-    monkeypatch.setenv("SIGDESIGN_WORKERS", "4")
+    force_threads(monkeypatch, 4)
     parallel = snapshot("c")
 
     mismatched = sorted(

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -38,6 +39,11 @@ def smallest_accepted_sigma() -> float:
 
 
 SMALLEST_SIGMA = smallest_accepted_sigma()
+
+
+def force_threads(monkeypatch, count: int) -> None:
+    """Run every Monte-Carlo pass on `count` threads, whatever its size and the CPU count."""
+    monkeypatch.setattr(_rng, "_threads", lambda points, n_blocks: count)
 
 
 def binomial_entropy(n):
@@ -211,7 +217,7 @@ class TestCapacityEstimate:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_pinned_stream(self, monkeypatch, workers):
         # recorded figures of seed 7's draws: reordering or repacking the stream changes them all
-        monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
+        force_threads(monkeypatch, int(workers))
         cap, err = estimate(random_normalized(4, 8, seed=3), 0.5, samples=5000, seed=7)
         assert cap.sum_bits == pytest.approx(5.366189108139556, rel=1e-12)
         assert cap.std_error == pytest.approx(0.021176995896320515, rel=1e-12)
@@ -265,6 +271,49 @@ class TestCapacityEstimate:
         assert abs(ea.sum_bits - eb.sum_bits) <= 3 * math.hypot(
             ea.std_error, eb.std_error
         )
+
+
+class _Chosen(Exception):
+    pass
+
+
+class TestThreads:
+    def chosen(self, monkeypatch, cpus, shape, rows):
+        """The thread count channel_pass picks for a (P, m, n) stack with `cpus` usable CPUs."""
+        choose = _rng._threads
+
+        def stop(points, n_blocks):  # record the choice, then skip the pass itself
+            raise _Chosen(choose(points, n_blocks))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(_rng, "_threads", stop)
+        with pytest.raises(_Chosen) as exc:
+            _rng.channel_pass(np.ones(shape), 0.5, rows, seed=0)
+        return exc.value.args[0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "shape,rows",
+        [((1, 4, 8), 20_000), ((32, 3, 6), 1_000), ((1, 8, 16), 4_096), ((64, 4, 8), 100)],
+        ids=["sweep-n8", "overload-capacity", "one-block-8x16", "one-block-64x4x8"],
+    )
+    def test_small_blocks_or_one_block_run_serially(self, monkeypatch, cpus, shape, rows):
+        assert self.chosen(monkeypatch, cpus, shape, rows) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_eval_n12_takes_a_thread_per_cpu_up_to_its_blocks(self, monkeypatch, cpus):
+        assert self.chosen(monkeypatch, cpus, (1, 6, 12), 20_000) == min(cpus, 5)
+
+    def test_estimate_identical_at_forced_counts(self, monkeypatch):
+        # 20 000 rows: five blocks, the last cut to 3 616 rows.  The rows themselves are
+        # compared too: a sum of error counts cannot see them out of block order
+        A = random_normalized(6, 12, seed=1)
+        results = []
+        for count in (1, 2, 3):
+            force_threads(monkeypatch, count)
+            rows = _rng.channel_pass(A.entries[None], 0.5, 20_000, seed=5)
+            results.append((estimate(A, 0.5, samples=20_000, seed=5), [r.tobytes() for r in rows]))
+        assert results[0] == results[1] == results[2]
 
 
 class TestSmallSigma:

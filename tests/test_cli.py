@@ -30,7 +30,7 @@ from sigdesign.cli import (
     matrix_document,
     save_matrix,
 )
-from test_capacity import SMALLEST_SIGMA
+from test_capacity import SMALLEST_SIGMA, force_threads
 
 
 def run_cli(capsys, *argv):
@@ -40,11 +40,12 @@ def run_cli(capsys, *argv):
 
 
 def assert_rejected(capsys, *argv):
-    """Exit 2 with one stderr line, nothing on stdout, no traceback."""
+    """Exit 2 with one stderr line, nothing on stdout, no traceback; returns that line."""
     assert main(list(argv)) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+    return out.err
 
 
 def run_subprocess(*argv):
@@ -185,16 +186,6 @@ class TestEval:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
-    @pytest.mark.parametrize("workers", ["two", "0", "-1", "1.5"])
-    def test_malformed_workers_exits_2(self, tmp_path, capsys, monkeypatch, workers):
-        path = tmp_path / "eye2.json"
-        save_matrix(path, SignatureMatrix(np.eye(2)))
-        monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
-        assert main(["eval", "--matrix", str(path), "--sigma", "0.5", "--budget", "100"]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == f"error: SIGDESIGN_WORKERS must be a positive integer, got {workers!r}\n"
-
     @pytest.mark.parametrize("sigma", ["6e-155", "5.28e-155"])
     def test_sigma_near_floor_warns_nothing(self, tmp_path, sigma):
         path = tmp_path / "r23.json"
@@ -203,16 +194,6 @@ class TestEval:
                               "--sigma", sigma, "--budget", "100")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert math.isfinite(float(read_csv(proc.stdout)[0]["per_user_capacity"]))
-
-    def test_empty_workers_means_one(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "eye2.json"
-        save_matrix(path, SignatureMatrix(np.eye(2)))
-        argv = ["eval", "--matrix", str(path), "--sigma", "0.5", "--budget", "5000"]
-        monkeypatch.setenv("SIGDESIGN_WORKERS", "1")
-        one = run_cli(capsys, *argv)
-        assert one[0] == 0
-        monkeypatch.setenv("SIGDESIGN_WORKERS", "")
-        assert run_cli(capsys, *argv) == one
 
     def test_scalar_matches_quadrature_oracle(self, tmp_path, capsys):
         path = tmp_path / "one.json"
@@ -396,6 +377,25 @@ def test_missing_output_directory_exits_2_before_any_work(
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        GENERATE + ["--out", "g.json"],
+        ["eval", "--matrix", "r23.json", "--sigma", "0.5"],
+        OPTIMIZE + ["--out", "m.json"],
+        SWEEP + ["--out", "s.csv"],
+        OVERLOAD_SWEEP + ["--out", "o.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    save_matrix("r23.json", random_normalized(2, 3, seed=0))
+    err = assert_rejected(capsys, *argv, "--seed", "-1")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r23.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
     [OPTIMIZE + ["--out", "x.json", "--run-out", "./x.json"], SWEEP + ["--out", "r23.json"]],
     ids=["optimize-run-out-is-out", "sweep-out-is-input"],
 )
@@ -442,12 +442,6 @@ class TestOptimize:
         bests = [rec["best"] for rec in run_doc["history"]]
         assert bests[-1] >= bests[0]
         assert run_doc["best_fitness"] == max(bests)
-
-    def test_malformed_workers_exits_2_without_monte_carlo(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SIGDESIGN_WORKERS", "two")
-        assert_rejected(capsys, "optimize", "--criterion", "md", "-m", "2", "-n", "3",
-                        "--generations", "5", "--out", str(tmp_path / "x.json"))
-        assert not (tmp_path / "x.json").exists()
 
     def test_repeat_runs_identical_bytes(self, tmp_path):
         args = ["optimize", "--criterion", "ed", "-m", "2", "-n", "3", "--sigma", "0.5",
@@ -553,7 +547,7 @@ class TestSweep:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_row_equals_eval_row(self, tmp_path, matrices, capsys, monkeypatch, workers):
         # common random numbers: each sigma's row is the one eval prints for that sigma
-        monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
+        force_threads(monkeypatch, int(workers))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", str(matrices[1]), "--sigma-grid", "0.2:0.8:3",
                      "--budget", "5000", "--seed", "4", "--out", str(out)]) == 0
@@ -605,6 +599,26 @@ class TestSweep:
                         "--sigma-grid", "0.1:1:3", "--out", str(tmp_path / "x.csv"))
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["0.1:1:2.5", "a:1:3", "0.1:1", "0.1:1:3:4"])
+    def test_malformed_grid_names_the_flag(self, tmp_path, matrices, capsys, grid):
+        err = assert_rejected(capsys, "sweep", str(matrices[0]), "--sigma-grid", grid,
+                              "--out", str(tmp_path / "x.csv"))
+        assert err.startswith("error: --sigma-grid ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_identical_at_forced_thread_counts(self, tmp_path, monkeypatch):
+        # 1 024 points per row: the rule itself threads this sweep
+        path = tmp_path / "r510.json"
+        save_matrix(path, random_normalized(5, 10, seed=3))
+        outputs = []
+        for count in (1, 2, 3):
+            force_threads(monkeypatch, count)
+            out = tmp_path / f"sweep{count}.csv"
+            assert main(["sweep", str(path), "--sigma-grid", "0.3:0.6:2", "--budget", "10000",
+                         "--seed", "2", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("grid", ["nan:1:2", "0.1:inf:2", "1e-170:1:2"])
     def test_unusable_grid_exits_2(self, tmp_path, matrices, capsys, grid):
         assert_rejected(capsys, "sweep", str(matrices[0]), "--sigma-grid", grid,
@@ -641,6 +655,13 @@ class TestOverloadSweep:
         assert main(self.ARGS + ["--n-list", "2,3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n_list", ["3,x", "3,4.5"])
+    def test_malformed_n_list_names_the_flag(self, tmp_path, capsys, n_list):
+        err = assert_rejected(capsys, *self.ARGS, "--n-list", n_list,
+                              "--out", str(tmp_path / "x.csv"))
+        assert err.startswith("error: --n-list ")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_underloaded_entry_exits_2(self, tmp_path, capsys):
         code, _ = run_cli(capsys, *self.ARGS, "--n-list", "1,3",
                           "--out", str(tmp_path / "x.csv"))
@@ -669,16 +690,6 @@ class TestOverloadSweep:
                         "--n-list", "2,3", "--sigma", sigma, "--budget", "1000",
                         "--out", str(tmp_path / "x.csv"))
 
-    def test_malformed_workers_exits_2_before_any_ga(self, tmp_path, capsys, monkeypatch):
-        def no_ga(*args):
-            raise AssertionError("evolve ran before SIGDESIGN_WORKERS was checked")
-
-        monkeypatch.setattr(cli, "evolve", no_ga)
-        monkeypatch.setenv("SIGDESIGN_WORKERS", "two")
-        assert_rejected(capsys, "overload-sweep", "--criterion", "md", "-m", "2",
-                        "--n-list", "2,3", "--sigma", "0.3", "--budget", "1000",
-                        "--out", str(tmp_path / "x.csv"))
-
     def test_too_many_users_exits_2_before_any_ga(self, tmp_path, capsys, monkeypatch):
         def no_ga(*args):
             raise AssertionError("evolve ran before the user counts were checked")
@@ -697,7 +708,7 @@ class TestEvaluateMatrix:
         # 4x8 at 5000 rows: two blocks, the second cut to 904 rows
         cases = [(SignatureMatrix(np.eye(2)), 2_000), (random_normalized(4, 8, seed=2), 5_000)]
         for (A, budget), workers in itertools.product(cases, ["1", "2"]):
-            monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
+            force_threads(monkeypatch, int(workers))
             row = evaluate_matrix(A, 0.5, budget=budget, seed=3)
             cap, err = estimate(A, 0.5, samples=budget, seed=3)
             assert row.per_user_capacity == cap.per_user_bits

@@ -19,6 +19,7 @@ from sigdesign import (
 )
 from sigdesign.capacity import exact_capacity_1d
 from sigdesign.criteria import _pair_measures, _ternary
+from test_capacity import force_threads
 
 # max |0.7 * exp(-((x+1)/1.6)**2) - Q(x)| over [0, 5]; sits at x=0, frozen after measurement
 Q_APPROX_MAX_DEV = 0.02635630768678976
@@ -191,12 +192,22 @@ class TestPopulationFitness:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (4, 8)])
     @pytest.mark.parametrize("kind", ["capacity", "ber", "md", "qd", "ed"])
     def test_equals_per_matrix_fitness(self, monkeypatch, kind, m, n, p, workers):
-        monkeypatch.setenv("SIGDESIGN_WORKERS", workers)
+        force_threads(monkeypatch, int(workers))
         pop, spec = _population(p, m, n), _spec(kind)
         got = population_fitness(spec, pop, seed=7)
         assert got.shape == (p,)
         for a, value in zip(pop, got):
             assert value == _named_evaluator(kind, SignatureMatrix(a), seed=7)
+
+    @pytest.mark.parametrize("kind", ["capacity", "ber"])
+    def test_identical_at_forced_thread_counts(self, monkeypatch, kind):
+        # 8 500 rows: three blocks, the last cut to 308 rows
+        pop, spec = _population(64, 4, 8), CriterionSpec(kind=kind, sigma=0.5, eval_budget=8_500)
+        scores = []
+        for count in (1, 2, 3):
+            force_threads(monkeypatch, count)
+            scores.append(population_fitness(spec, pop, seed=2).tobytes())
+        assert scores[0] == scores[1] == scores[2]
 
     @pytest.mark.parametrize("kind", ["capacity", "ber", "md", "qd", "ed"])
     def test_chunks_do_not_change_values(self, monkeypatch, kind):

@@ -21,6 +21,7 @@ from sigdesign import (
     random_search,
 )
 from sigdesign.baselines import _random_unit_columns
+from test_capacity import force_threads
 
 MD = CriterionSpec(kind="md")
 ED_HALF = CriterionSpec(kind="ed", sigma=0.5)
@@ -233,7 +234,7 @@ class TestEvolve:
 
     def test_worker_count_does_not_change_result(self, monkeypatch):
         a = evolve(2, 3, ED_HALF, self.CONFIG)
-        monkeypatch.setenv("SIGDESIGN_WORKERS", "4")
+        force_threads(monkeypatch, 4)
         b = evolve(2, 3, ED_HALF, self.CONFIG)
         npt.assert_array_equal(a.best_matrix.entries, b.best_matrix.entries)
         assert a.history == b.history
