@@ -15,13 +15,7 @@ from .criteria import (
     population_fitness,
     q_function,
 )
-from .ga import (
-    GaConfig,
-    GaRun,
-    evolve,
-    init_population,
-    random_search,
-)
+from .ga import GaConfig, GaRun, evolve
 from .model import (
     NumericFailure,
     SignatureMatrix,
@@ -44,12 +38,10 @@ __all__ = [
     "estimate",
     "evolve",
     "exact_capacity_1d",
-    "init_population",
     "orthogonal_matrix",
     "population_fitness",
     "q_function",
     "random_normalized",
-    "random_search",
     "wbe_matrix",
     "wbe_verify",
 ]

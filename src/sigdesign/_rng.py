@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,6 +56,8 @@ def map_blocks(fn, threads: int) -> list:
     """[fn(t) for t in range(threads)], one thread each if several; perfbench/tracer.py wraps it."""
     if threads == 1:
         return [fn(0)]
+    from concurrent.futures import ThreadPoolExecutor  # here: a serial pass never loads it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(threads)))
 

@@ -163,14 +163,22 @@ def evaluate_matrix(
     )
 
 
+def _flagged(flag: str, fn, *args):
+    """fn(*args), a ValueError it raises led by the flag whose value it rejects."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _parse_sigma_grid(text: str) -> np.ndarray:
     try:
         lo, hi, steps = text.split(":")
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
         raise ValueError(f"--sigma-grid must look like lo:hi:steps, got {text!r}") from None
-    _check_sigma(lo)
-    _check_sigma(hi)
+    _flagged("--sigma-grid: lo end", _check_sigma, lo)
+    _flagged("--sigma-grid: hi end", _check_sigma, hi)
     if steps < 1:
         raise ValueError("--sigma-grid needs steps >= 1")
     return np.geomspace(lo, hi, steps)
@@ -202,18 +210,20 @@ def _check_output_dirs(args) -> None:
 
 
 def _ga_config(args) -> GaConfig:
-    return GaConfig(args.population_size, args.generations, args.seed)
+    _flagged("--population-size", GaConfig, args.population_size)  # default generations pass
+    return _flagged("--generations", GaConfig, args.population_size, args.generations, args.seed)
 
 
 def _criterion_spec(args) -> CriterionSpec:
     if args.sigma is not None:  # md drops it, but a given --sigma must be valid before any GA
-        _check_sigma(args.sigma)
+        _flagged("--sigma", _check_sigma, args.sigma)
     sigma = None if args.criterion == "md" else args.sigma
-    return CriterionSpec(kind=args.criterion, sigma=sigma, eval_budget=args.budget)
+    _flagged("--sigma", CriterionSpec, args.criterion, sigma)  # default budget passes
+    return _flagged("--budget", CriterionSpec, args.criterion, sigma, args.budget)
 
 
 def cmd_generate(args) -> int:
-    _check_users(args.n)  # every other command refuses such a file, so do not write one
+    _flagged("-n", _check_users, args.n)  # every other command refuses such a file
     matrix = baselines.generate(args.kind, args.m, args.n, seed=args.seed)
     save_matrix(args.out, matrix, label=args.kind)
     return 0
@@ -221,6 +231,9 @@ def cmd_generate(args) -> int:
 
 def cmd_eval(args) -> int:
     matrix, _ = load_matrix(args.matrix)
+    _flagged("--budget", _check_samples, args.budget)  # in estimate's order; it checks again
+    _flagged("--sigma", _check_sigma, args.sigma)
+    _flagged(args.matrix, _check_users, matrix.n)
     row = evaluate_matrix(matrix, args.sigma, args.budget, args.seed)
     sys.stdout.write(",".join(SWEEP_COLUMNS) + "\n" + row.csv() + "\n")
     return 0
@@ -243,8 +256,9 @@ def cmd_sweep(args) -> int:
         name = meta["label"] or Path(path).stem
         if any(c in name for c in ',"\r\n'):
             raise ValueError(f"{path}: matrix name {name!r} has a comma, quote or line break")
-        _check_users(matrix.n)
+        _flagged(path, _check_users, matrix.n)
         loaded.append((name, matrix))
+    _flagged("--budget", _check_samples, args.budget)  # where the first estimate would
     lines = ["matrix," + ",".join(SWEEP_COLUMNS)]
     for name, matrix in loaded:
         for sigma in grid:
@@ -260,9 +274,9 @@ def cmd_overload_sweep(args) -> int:
         raise ValueError(f"--n-list must be comma-separated user counts, got {args.n_list!r}")
     n_list = [int(v) for v in counts]
     if any(n < args.m for n in n_list):
-        raise ValueError("every n in --n-list must be >= m")
-    _check_users(max(n_list))
-    _check_samples(args.budget)  # the final capacity estimates need it; fail before any GA
+        raise ValueError(f"--n-list: every n must be >= m, got m = {args.m}")
+    _flagged("--n-list", _check_users, max(n_list))
+    _flagged("--budget", _check_samples, args.budget)  # the final estimates need it; before any GA
     lines = ["m,n,beta,sigma,criterion,best_fitness,per_user_capacity,capacity_std_error"]
     spec = _criterion_spec(args)
     config = _ga_config(args)

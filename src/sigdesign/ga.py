@@ -63,12 +63,6 @@ class GaRun:
     criterion: CriterionSpec
 
 
-def init_population(m: int, n: int, config: GaConfig) -> np.ndarray:
-    """(population_size, m, n) random unit-column matrices, deterministic per seed."""
-    rng = np.random.default_rng([config.seed, 0])
-    return _random_unit_columns((config.population_size, m, n), rng)
-
-
 def _tournament(fits: np.ndarray, k: int, rng: np.random.Generator, shape) -> np.ndarray:
     """Per entry of shape, the fittest of k distinct random individuals; ties go to the lowest.
 
@@ -101,9 +95,13 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
     unchanged, the rest of the next population comes from tournament ->
     crossover (with probability _CROSSOVER_RATE, else clone) -> mutation
     with a geometrically decayed scale.  Aborts with NumericFailure if
-    any fitness comes back NaN.
+    any fitness comes back NaN.  With generations=1 it is the
+    equal-budget random search: population_size draws, scored once,
+    the first best kept.
     """
-    population = init_population(m, n, config)
+    population = _random_unit_columns(
+        (config.population_size, m, n), np.random.default_rng([config.seed, 0])
+    )
     var_rng = np.random.default_rng([config.seed, 1])
     eval_seeds = np.random.SeedSequence([config.seed, 2]).generate_state(
         config.generations
@@ -152,25 +150,3 @@ def evolve(m: int, n: int, criterion: CriterionSpec, config: GaConfig) -> GaRun:
         config=config,
         criterion=criterion,
     )
-
-
-def random_search(
-    m: int,
-    n: int,
-    criterion: CriterionSpec,
-    evaluations: int,
-    seed: int = 0,
-) -> tuple[SignatureMatrix, float]:
-    """Best of `evaluations` random unit-column matrices under the criterion.
-
-    The equal-budget baseline the optimizer is expected to beat; all
-    candidates are scored with one fixed evaluation seed.
-    """
-    if evaluations < 1:
-        raise ValueError("need at least one evaluation")
-    rng = np.random.default_rng(seed)
-    eval_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
-    cands = _random_unit_columns((evaluations, m, n), rng)
-    fits = population_fitness(criterion, cands, eval_seed)
-    best = int(np.argmax(fits))
-    return SignatureMatrix(cands[best]), float(fits[best])

@@ -221,6 +221,12 @@ class TestEval:
         assert_rejected(capsys, "eval", "--matrix", str(path), "--sigma", sigma,
                         "--budget", "1000")
 
+    def test_too_many_users_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        save_matrix(path, SignatureMatrix(np.ones((1, 17))))
+        err = assert_rejected(capsys, "eval", "--matrix", str(path), "--sigma", "0.5")
+        assert err.startswith(f"error: {path}: n=17 exceeds")
+
     def test_sixteen_users_finish(self, tmp_path):
         # MAX_USERS: 3**16 / 2 difference classes in 3**8-row slabs, not 2**31 point pairs
         path = tmp_path / "r816.json"
@@ -395,6 +401,38 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, ar
 
 
 @pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["sweep", "r23.json", "--sigma-grid", "nan:1:2", "--out", "s.csv"], "--sigma-grid"),
+        (SWEEP + ["--budget", "99", "--out", "s.csv"], "--budget"),
+        (["eval", "--matrix", "r23.json", "--sigma", "nan"], "--sigma"),
+        (["eval", "--matrix", "r23.json", "--sigma", "0.5", "--budget", "99"], "--budget"),
+        (OPTIMIZE + ["--sigma", "0", "--out", "m.json"], "--sigma"),
+        (OPTIMIZE + ["--population-size", "2", "--out", "m.json"], "--population-size"),
+        (OPTIMIZE + ["--generations", "0", "--out", "m.json"], "--generations"),
+        (["optimize", "--criterion", "capacity", "-m", "2", "-n", "3", "--sigma", "0.5",
+          "--budget", "50", "--out", "m.json"], "--budget"),
+        (["overload-sweep", "--criterion", "md", "-m", "2", "--n-list", "2,3", "--sigma", "-1",
+          "--out", "o.csv"], "--sigma"),
+        (OVERLOAD_SWEEP + ["--budget", "99", "--out", "o.csv"], "--budget"),
+        (["overload-sweep", "--criterion", "md", "-m", "3", "--n-list", "3,17", "--sigma", "0.5",
+          "--out", "o.csv"], "--n-list"),
+        (OVERLOAD_SWEEP + ["--population-size", "2", "--out", "o.csv"], "--population-size"),
+        (["overload-sweep", "--criterion", "md", "-m", "3", "--n-list", "2,3", "--sigma", "0.5",
+          "--out", "o.csv"], "--n-list"),
+        (GENERATE[:-1] + ["17", "--out", "g.json"], "-n"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_input_error_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    save_matrix("r23.json", random_normalized(2, 3, seed=0))
+    err = assert_rejected(capsys, *argv)
+    assert err.startswith(f"error: {flag}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["r23.json"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [OPTIMIZE + ["--out", "x.json", "--run-out", "./x.json"], SWEEP + ["--out", "r23.json"]],
     ids=["optimize-run-out-is-out", "sweep-out-is-input"],
@@ -488,7 +526,7 @@ class TestOptimize:
         assert not (tmp_path / "x.json").exists()
 
     def test_beats_equal_budget_random_search(self, tmp_path):
-        from sigdesign import CriterionSpec, random_search
+        from sigdesign import CriterionSpec, GaConfig, evolve
 
         out = tmp_path / "ed34.json"
         assert main(["optimize", "--criterion", "ed", "-m", "3", "-n", "4",
@@ -496,8 +534,8 @@ class TestOptimize:
                      "--population-size", "20", "--out", str(out)]) == 0
         run_doc = json.loads((tmp_path / "ed34.json.run.json").read_text())
         spec = CriterionSpec(kind="ed", sigma=0.5)
-        _, rs_fit = random_search(3, 4, spec, evaluations=40 * 20, seed=6)
-        assert run_doc["best_fitness"] >= rs_fit
+        search = evolve(3, 4, spec, GaConfig(population_size=40 * 20, generations=1, seed=6))
+        assert run_doc["best_fitness"] >= search.best_fitness
 
 
 class TestSweep:
@@ -595,8 +633,9 @@ class TestSweep:
         monkeypatch.setattr(cli, "evaluate_matrix", no_eval)
         wide = tmp_path / "wide.json"
         save_matrix(wide, SignatureMatrix(np.ones((1, 17))))
-        assert_rejected(capsys, "sweep", str(matrices[0]), str(matrices[1]), str(wide),
-                        "--sigma-grid", "0.1:1:3", "--out", str(tmp_path / "x.csv"))
+        err = assert_rejected(capsys, "sweep", str(matrices[0]), str(matrices[1]), str(wide),
+                              "--sigma-grid", "0.1:1:3", "--out", str(tmp_path / "x.csv"))
+        assert err.startswith(f"error: {wide}: n=17 exceeds")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("grid", ["0.1:1:2.5", "a:1:3", "0.1:1", "0.1:1:3:4"])
@@ -764,6 +803,16 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     proc = run_subprocess("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_thread_pool():
+    # map_blocks imports the pool only when a pass threads, so a serial command never loads it
+    code = (
+        "import sys, sigdesign.cli; print([m for m in "
+        "('concurrent.futures', 'logging') if m in sys.modules])"
+    )
+    proc = run_subprocess("-c", code)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_readme_library_names_every_public_name():

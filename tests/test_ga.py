@@ -15,16 +15,21 @@ from sigdesign import (
     SignatureMatrix,
     constellation_measures,
     evolve,
-    init_population,
     population_fitness,
     random_normalized,
-    random_search,
 )
 from sigdesign.baselines import _random_unit_columns
 from test_capacity import force_threads
 
 MD = CriterionSpec(kind="md")
 ED_HALF = CriterionSpec(kind="ed", sigma=0.5)
+
+
+def _first_population(m, n, config):
+    # evolve's generation 0, drawn as evolve draws it; test_equals_scoring_per_candidate_draws
+    # ties the two together bit for bit
+    rng = np.random.default_rng([config.seed, 0])
+    return _random_unit_columns((config.population_size, m, n), rng)
 
 
 def _stack(*matrices):
@@ -58,26 +63,26 @@ class TestGaConfig:
 
 class TestInitPopulation:
     def test_size_and_invariants(self):
-        pop = init_population(2, 3, GaConfig(population_size=10, seed=1))
+        pop = _first_population(2, 3, GaConfig(population_size=10, seed=1))
         assert pop.shape == (10, 2, 3)
         npt.assert_allclose(np.linalg.norm(pop, axis=1), 1.0, atol=1e-9)
 
     def test_same_seed_same_population(self):
-        a = init_population(2, 3, GaConfig(seed=5))
-        b = init_population(2, 3, GaConfig(seed=5))
+        a = _first_population(2, 3, GaConfig(seed=5))
+        b = _first_population(2, 3, GaConfig(seed=5))
         npt.assert_array_equal(a, b)
 
     def test_matches_per_matrix_draws(self):
         # one (P, m, n) draw is P successive (m, n) draws, projected per matrix
-        pop = init_population(3, 5, GaConfig(population_size=6, seed=4))
+        pop = _first_population(3, 5, GaConfig(population_size=6, seed=4))
         rng = np.random.default_rng([4, 0])
         for a in pop:
             raw = rng.standard_normal((3, 5))
             npt.assert_array_equal(a, raw / np.linalg.norm(raw, axis=0))
 
     def test_different_seeds_differ(self):
-        a = init_population(2, 3, GaConfig(seed=5))
-        b = init_population(2, 3, GaConfig(seed=6))
+        a = _first_population(2, 3, GaConfig(seed=5))
+        b = _first_population(2, 3, GaConfig(seed=6))
         assert not np.array_equal(a, b)
 
 
@@ -195,7 +200,7 @@ class TestEvolve:
         run = evolve(2, 3, MD, self.CONFIG)
         init_best = max(
             constellation_measures(SignatureMatrix(a), 1.0).nu1
-            for a in init_population(2, 3, self.CONFIG)
+            for a in _first_population(2, 3, self.CONFIG)
         )
         assert run.best_fitness >= init_best
 
@@ -304,28 +309,24 @@ class TestAgainstBruteForce:
     def test_ga_beats_equal_budget_random_search(self):
         config = GaConfig(population_size=20, generations=50, seed=5)
         run = evolve(2, 3, ED_HALF, config)
-        _, rs_fit = random_search(2, 3, ED_HALF, evaluations=20 * 50, seed=5)
-        assert run.best_fitness >= rs_fit
+        search = evolve(2, 3, ED_HALF, GaConfig(population_size=20 * 50, generations=1, seed=5))
+        assert run.best_fitness >= search.best_fitness
 
 
 class TestRandomSearch:
-    def test_deterministic(self):
-        a_mat, a_fit = random_search(2, 3, MD, evaluations=50, seed=2)
-        b_mat, b_fit = random_search(2, 3, MD, evaluations=50, seed=2)
-        npt.assert_array_equal(a_mat.entries, b_mat.entries)
-        assert a_fit == b_fit
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            random_search(2, 3, MD, evaluations=0, seed=0)
-
-    @pytest.mark.parametrize("spec", [MD, ED_HALF], ids=["md", "ed"])
+    # the equal-budget random search is evolve with one generation: N draws, scored once
+    @pytest.mark.parametrize(
+        "spec",
+        [MD, ED_HALF, CriterionSpec(kind="capacity", sigma=0.5, eval_budget=1000)],
+        ids=["md", "ed", "capacity"],
+    )
     def test_equals_scoring_per_candidate_draws(self, spec):
-        # one (evaluations, m, n) draw is the stack of per-candidate (m, n) draws, bit for bit
-        rng = np.random.default_rng(3)
+        # one (N, m, n) draw is the stack of per-candidate (m, n) draws, bit for bit
+        rng = np.random.default_rng([3, 0])
         cands = np.stack([_random_unit_columns((2, 3), rng) for _ in range(40)])
-        eval_seed = int(np.random.SeedSequence(3).generate_state(1)[0])
+        eval_seed = int(np.random.SeedSequence([3, 2]).generate_state(1)[0])
         fits = population_fitness(spec, cands, eval_seed)
-        best, best_fit = random_search(2, 3, spec, evaluations=40, seed=3)
-        npt.assert_array_equal(best.entries, cands[np.argmax(fits)])
-        assert best_fit == fits.max()
+        run = evolve(2, 3, spec, GaConfig(population_size=40, generations=1, seed=3))
+        npt.assert_array_equal(run.best_matrix.entries, cands[np.argmax(fits)])
+        assert run.best_fitness == fits.max()
+        assert len(run.history) == 1
