@@ -13,7 +13,9 @@ once, for both the capacity and the BER estimators and for a whole stack
 of matrices.  Each row is scored against the point that was sent, so the
 mean of its per-row capacity terms is the sum capacity at every sigma that
 `_check_sigma` accepts.  Sent and decoded inputs stay indices throughout:
-a row's bit errors are the popcount of their XOR.
+a row's bit errors are the popcount of their XOR.  `_scan`, row-major with
+the ML decode, gives the densities, except for the `capacity` criterion at
+2**n <= _DENSITY_POINTS: there `_density`, points-major with no decode.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ _SLAB = 512
 _TILE = 1 << 17  # float64s in one tile's (rows, slab) buffer: 1 MiB, which stays in L2
 _EXP_FLOOR = -700.0  # np.exp leaves its vector path below about -708
 _LN2 = math.log(2.0)
+# largest 2**n for `_density`: at P 32, 1 000 rows it beat `_scan` to n = 6, tied at 7, lost from 8
+_DENSITY_POINTS = 64
 
 
 def draw_block(seed: int, block: int, n_users: int, m_chips: int):
@@ -109,13 +113,68 @@ def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
     return (len(points).bit_length() - 1) - log_sum / _LN2, best_i
 
 
-def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
+def _pairwise(e: np.ndarray) -> np.ndarray:
+    """e[:, 0] after summing e over axis 1 into it, in np.add.reduce's order for a contiguous axis.
+
+    Under 8 terms in turn, up to 128 in 8 strided sums joined pairwise and then the rest in
+    turn, beyond that in two halves cut at a multiple of 8.  Every add is a whole-row op.
+    """
+    width = e.shape[1]
+    if width > 128:
+        half = width // 2 - width // 2 % 8
+        return np.add(_pairwise(e[:, :half]), _pairwise(e[:, half:]), out=e[:, 0])
+    tail = width - width % 8 if width >= 8 else 1
+    for lo in range(8, tail, 8):
+        e[:, :8] += e[:, lo : lo + 8]
+    for gap in (1, 2, 4) if width >= 8 else ():  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + ...
+        e[:, 0:8 : 2 * gap] += e[:, gap:8 : 2 * gap]
+    for k in range(tail, width):
+        e[:, 0] += e[:, k]
+    return e[:, 0]
+
+
+def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarray):
+    """(P, rows) information densities of rows points[p, sent] + noise, bit for bit as `_scan`'s.
+
+    No decode.  One batched GEMM of C-contiguous operands fills a (matrices, points, rows) chunk,
+    so the max and sum over the points are whole-row ops; `_scan`'s row tiles, shift, clamp,
+    scale, exp and (by `_pairwise`) summation order keep every bit.  Buffers are reused.
+    """
+    sigma = float(sigma)
+    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    count, width, m = points.shape
+    z1 = np.concatenate([2.0 * points, -np.einsum("pij,pij->pi", points, points)[..., None]], 2)
+    tile_rows = min(len(sent), _TILE // width)
+    step = max(1, _TILE // ((width + m + 1) * tile_rows))  # e and y1t together fill a tile
+    e_buf, y_buf = np.empty(step * width * tile_rows), np.empty(step * (m + 1) * tile_rows)
+    log_sum = np.empty((count, len(sent)))
+    for lo in range(0, len(sent), tile_rows):
+        s, tile = sent[lo : lo + tile_rows], slice(lo, lo + tile_rows)
+        for p in range(0, count, step):
+            k, chunk = min(step, count - p), slice(p, p + step)
+            y1t = y_buf[: k * (m + 1) * len(s)].reshape(k, m + 1, len(s))
+            np.add(np.take(points[chunk].swapaxes(1, 2), s, axis=2), noise[tile].T, out=y1t[:, :m])
+            y1t[:, m] = 1.0
+            e = np.matmul(z1[chunk], y1t, out=e_buf[: k * width * len(s)].reshape(k, width, len(s)))
+            e_s = np.take(e, (np.arange(k)[:, None] * width + s) * len(s) + np.arange(len(s)))
+            top = e.max(axis=1)
+            e -= top[:, None]
+            np.maximum(e, _EXP_FLOOR / inv2s2, out=e)
+            e *= inv2s2
+            np.exp(e, out=e)
+            log_sum[chunk, tile] = np.log(_pairwise(e)) + (top - e_s) * inv2s2
+    log_sum /= _LN2
+    return np.subtract(width.bit_length() - 1, log_sum, out=log_sum)
+
+
+def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int, decode: bool = True):
     """Per-row capacity terms and ML bit-error counts, each (P, rows), for a (P, m, n) stack.
 
     A row's term is its information density plus (||u||^2 - m) / (2 ln 2) for its unit noise
     u: that equals -log2 f_Y(y) - h(N), so the terms average to the sum capacity.  Rows come
     in order from the per-block substreams of `seed`; each block is drawn once, cut to
-    `rows`, and shared by all P matrices.
+    `rows`, and shared by all P matrices.  With decode=False, errors is None and the terms
+    of 2**n <= _DENSITY_POINTS points come from `_density`.
     """
     _check_sigma(sigma)
     _, m, n = pop.shape
@@ -125,6 +184,9 @@ def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
         sent, unit = (a[: rows - b * BLOCK] for a in draw_block(seed, b, n, m))
         noise = sigma * unit
         chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2.0 * _LN2)
+        if not decode and len(points[0]) <= _DENSITY_POINTS:
+            terms = _density(points, sigma, noise, sent)
+            return np.add(terms, chi, out=terms), None
         scans = [_scan(z, sigma, z[sent] + noise, sent) for z in points]
         return [i + chi for i, _ in scans], [np.bitwise_count(sent ^ i) for _, i in scans]
 
@@ -132,4 +194,4 @@ def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int):
     threads = _threads(len(pop) << n, n_blocks)
     runs = map_blocks(lambda t: [one_block(b) for b in range(t, n_blocks, threads)], threads)
     terms, errors = zip(*(runs[b % threads][b // threads] for b in range(n_blocks)))
-    return np.concatenate(terms, axis=1), np.concatenate(errors, axis=1)
+    return np.concatenate(terms, axis=1), np.concatenate(errors, axis=1) if decode else None

@@ -224,7 +224,7 @@ def _criterion_spec(args) -> CriterionSpec:
 
 def cmd_generate(args) -> int:
     _flagged("-n", _check_users, args.n)  # every other command refuses such a file
-    matrix = baselines.generate(args.kind, args.m, args.n, seed=args.seed)
+    matrix = _flagged("-n", baselines.generate, args.kind, args.m, args.n, args.seed)  # n vs m
     save_matrix(args.out, matrix, label=args.kind)
     return 0
 
@@ -359,6 +359,9 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        for flag in ("-m", "-n"):  # the matrix size flags of generate, optimize, overload-sweep
+            if vars(args).get(flag[1], 1) < 1:
+                raise ValueError(f"{flag}: must be >= 1, got {vars(args)[flag[1]]}")
         _check_output_dirs(args)
         return args.func(args)
     except NumericFailure as exc:

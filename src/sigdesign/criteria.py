@@ -93,15 +93,17 @@ def q_function(x) -> float | np.ndarray:
     """
     a = np.asarray(x, dtype=float) / math.sqrt(2.0)
     flat = a.reshape(-1)
-    t = np.minimum(np.abs(flat), 8.0)  # the [1, 8) form runs on every entry; the others are redone
-    erfc = np.exp(-(t * t)) * _polevl(t, _P) / _polevl(t, _Q)
+    t = np.abs(flat)
+    big = np.flatnonzero(t >= 8.0)
+    below = np.flatnonzero(~(t >= 8.0)) if big.size else slice(None)  # NaN too; t < 1 is redone
+    erfc, tm = np.empty_like(t), t[below]
+    erfc[below] = np.exp(-(tm * tm)) * _polevl(tm, _P) / _polevl(tm, _Q)
     small = np.flatnonzero(t < 1.0)
     if small.size:
         s = flat[small]
         erfc[small] = 1.0 - s * _polevl(s * s, _T) / _polevl(s * s, _U)
-    big = np.flatnonzero(t >= 8.0)
     if big.size:
-        tb = np.minimum(np.abs(flat[big]), 40.0)  # erfc(40) is 0.0; the cap keeps tb * tb finite
+        tb = np.minimum(t[big], 40.0)  # erfc(40) is 0.0; the cap keeps tb * tb finite
         under = tb * tb > _MAXLOG  # 0.0 there, and exp kept off its slow subnormal path
         e = np.exp(-np.where(under, 0.0, tb * tb))
         erfc[big] = np.where(under, 0.0, e * _polevl(tb, _R) / _polevl(tb, _S))
@@ -204,10 +206,10 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
     if spec.kind not in STOCHASTIC_KINDS:
         value = _pair_measures(pop, spec.sigma, (spec.kind,))[0]
         return value if spec.kind == "md" else -value
-    scores = []
+    scores, decode = [], spec.kind == "ber"  # capacity needs no decode: the pass may skip it
     step = max(1, _ROW_CHUNK // spec.eval_budget)
     for chunk in (pop[lo : lo + step] for lo in range(0, len(pop), step)):
-        terms, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed)
+        terms, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed, decode)
         if spec.kind == "capacity":
             scores.append(terms.mean(axis=1))
         else:  # negate the quotient: a BER of 0 scores -0.0, the same as -BerEstimate.ber

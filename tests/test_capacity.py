@@ -17,7 +17,7 @@ from sigdesign import (
 )
 from sigdesign import _rng, capacity
 from sigdesign._rng import _scan
-from sigdesign.model import _check_sigma
+from sigdesign.model import _check_sigma, _points
 
 # Golden value for the scalar binary-input channel at scale=1, sigma=1:
 # adaptive quadrature and a 150-node Gauss-Hermite rule agree to < 1e-9.
@@ -39,6 +39,21 @@ def smallest_accepted_sigma() -> float:
 
 
 SMALLEST_SIGMA = smallest_accepted_sigma()
+
+
+def largest_accepted_sigma() -> float:
+    """The greatest sigma that _check_sigma accepts, found by bisection."""
+    lo, hi = 1e150, 1e160  # accepted, rejected
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        try:
+            _check_sigma(mid)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+LARGEST_SIGMA = largest_accepted_sigma()
 
 
 def force_threads(monkeypatch, count: int) -> None:
@@ -190,6 +205,51 @@ class TestScan:
             whole = _scan(points, sigma, ys, sent)
         npt.assert_array_equal(tiled[0], whole[0])
         npt.assert_array_equal(tiled[1], whole[1])
+
+
+def density_stack(m, n):
+    """A random m x n matrix, it with its last column equal to the first, and with it negated."""
+    a = random_normalized(m, n, seed=n).entries
+    twin, anti = a.copy(), a.copy()
+    twin[:, -1], anti[:, -1] = a[:, 0], -a[:, 0]
+    return np.stack([a, twin, anti])
+
+
+class TestDensity:
+    """`_density`, the decode-free kernel of the capacity criterion, against `_scan`."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
+    def test_equals_scan_bit_for_bit(self, m, n):
+        # blocks cut mid-way; 1 row, and 2 049 rows at 2**6 points (tiles of 2 048 and 1 row),
+        # leave one-row matrix products
+        points = _points(density_stack(m, n))
+        for sigma in (SMALLEST_SIGMA, 1e-3, 0.3, 2.0, LARGEST_SIGMA):
+            for rows in (1, 777, 2_049, _rng.BLOCK):
+                sent, unit = (a[:rows] for a in _rng.draw_block(10 * m + n, 0, n, m))
+                noise = sigma * unit
+                want = [_scan(z, sigma, z[sent] + noise, sent)[0] for z in points]
+                npt.assert_array_equal(_rng._density(points, sigma, noise, sent), want)
+
+    def test_pairwise_is_numpys_summation_order(self):
+        # a numpy that sums in another order fails here by name, where it would otherwise
+        # only part population_fitness from estimate
+        rng = np.random.default_rng(0)
+        for width in range(1, 1_101):
+            x = np.exp(8.0 * rng.standard_normal((3, width)))
+            npt.assert_array_equal(_rng._pairwise(np.ascontiguousarray(x.T)[None])[0],
+                                   np.add.reduce(x, axis=1), err_msg=f"width {width}")
+
+    @pytest.mark.parametrize("tile", [12 * _rng.BLOCK, 8 * 100], ids=["one-matrix", "100-rows"])
+    def test_chunks_change_no_bit(self, monkeypatch, tile):
+        # 3x3 matrices, 8 points and 3 + 1 rows of y1t, on a whole block: by default two
+        # matrices share a chunk of one tile, and the fifth has a chunk of its own
+        more = [random_normalized(3, 3, seed=seed).entries for seed in (7, 8)]
+        points = _points(np.concatenate([density_stack(3, 3), more]))
+        sent, unit = _rng.draw_block(1, 0, 3, 3)
+        default = _rng._density(points, 0.3, 0.3 * unit, sent)
+        monkeypatch.setattr(_rng, "_TILE", tile)
+        npt.assert_array_equal(_rng._density(points, 0.3, 0.3 * unit, sent), default)
 
 
 class TestCapacityEstimate:

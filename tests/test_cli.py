@@ -433,6 +433,34 @@ def test_input_error_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["generate", "--kind", "random", "-m", "0", "-n", "3"], "-m"),
+        (["generate", "--kind", "wbe", "-m", "2", "-n", "0"], "-n"),
+        (["generate", "--kind", "orthogonal", "-m", "2", "-n", "3"], "-n"),
+        (["optimize", "--criterion", "md", "-m", "0", "-n", "3"], "-m"),
+        (["optimize", "--criterion", "capacity", "-m", "2", "-n", "0", "--sigma", "0.5"], "-n"),
+        (["overload-sweep", "--criterion", "md", "-m", "0", "--n-list", "0,3", "--sigma", "0.5"],
+         "-m"),
+        (["overload-sweep", "--criterion", "md", "-m", "2", "--n-list", "0,3", "--sigma", "0.5"],
+         "--n-list"),
+    ],
+    ids=["generate-m", "generate-n", "generate-orthogonal-n", "optimize-m", "optimize-n",
+         "overload-sweep-m", "overload-sweep-n-list"],
+)
+def test_size_below_one_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    # each matrix size flag is checked before any GA; the library's own message names neither
+    def no_ga(*args):
+        raise AssertionError("evolve ran before the matrix size was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "evolve", no_ga)
+    err = assert_rejected(capsys, *argv, "--out", "x.out")
+    assert err.startswith(f"error: {flag}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [OPTIMIZE + ["--out", "x.json", "--run-out", "./x.json"], SWEEP + ["--out", "r23.json"]],
     ids=["optimize-run-out-is-out", "sweep-out-is-input"],

@@ -209,6 +209,18 @@ class TestPopulationFitness:
             scores.append(population_fitness(spec, pop, seed=2).tobytes())
         assert scores[0] == scores[1] == scores[2]
 
+    def test_density_kernel_identical_at_forced_thread_counts(self, monkeypatch):
+        # 16x3x6 takes the decode-free kernel, and its 1 024 matrix-points a row thread by
+        # the rule itself; 8 500 rows: three blocks, the last cut to 308 rows
+        pop, spec = _population(16, 3, 6), CriterionSpec("capacity", sigma=0.3, eval_budget=8_500)
+        scores = []
+        for count in (1, 2, 3):
+            force_threads(monkeypatch, count)
+            scores.append(population_fitness(spec, pop, seed=1))
+        assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
+        for a, value in zip(pop, scores[0]):
+            assert value == estimate(SignatureMatrix(a), 0.3, 8_500, seed=1)[0].sum_bits
+
     @pytest.mark.parametrize("kind", ["capacity", "ber", "md", "qd", "ed"])
     def test_chunks_do_not_change_values(self, monkeypatch, kind):
         pop, spec = _population(7, 3, 4), _spec(kind)
