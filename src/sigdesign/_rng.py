@@ -13,9 +13,12 @@ once, for both the capacity and the BER estimators and for a whole stack
 of matrices.  Each row is scored against the point that was sent, so the
 mean of its per-row capacity terms is the sum capacity at every sigma that
 `_check_sigma` accepts.  Sent and decoded inputs stay indices throughout:
-a row's bit errors are the popcount of their XOR.  `_scan`, row-major with
-the ML decode, gives the densities, except for the `capacity` criterion at
-2**n <= _DENSITY_POINTS: there `_density`, points-major with no decode.
+a row's bit errors are the popcount of their XOR.  Three kernels give the
+densities: `_density`, points-major with no decode, for the `capacity`
+criterion at 2**n <= _DENSITY_POINTS; `_factored`, over two half
+constellations, for every caller (`estimate`, so `eval` and `sweep`, and both
+stochastic criteria) at 2**n >= _FACTORED_POINTS; `_scan`, row-major with the
+ML decode, for the rest, the decode alone, and the rows `_factored` declines.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ _EXP_FLOOR = -700.0  # np.exp leaves its vector path below about -708
 _LN2 = math.log(2.0)
 # largest 2**n for `_density`: at P 32, 1 000 rows it beat `_scan` to n = 6, tied at 7, lost from 8
 _DENSITY_POINTS = 64
+# `_factored` from 2**n = 512, while n / (2 sigma^2) <= 1200 and H* <= 350: past these it lost
+# to `_scan` (BENCH_factored_density.json), as ever more sent-point terms fall below its range
+_FACTORED_POINTS, _FACTORED_SCALE, _FACTORED_SPREAD, _FACTORED_RANGE = 512, 1200.0, 350.0, -600.0
 
 
 def draw_block(seed: int, block: int, n_users: int, m_chips: int):
@@ -66,7 +72,7 @@ def map_blocks(fn, threads: int) -> list:
         return list(pool.map(fn, range(threads)))
 
 
-def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
+def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray, density=True):
     """Information density i and nearest index into the (2**n, m) points for each row of ys.
 
     Row k is scored against its sent point s = sent[k]:
@@ -77,8 +83,9 @@ def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
     e_s, so the sent point and any point equal to it count exactly 1 at every sigma.  Clamping
     at _EXP_FLOOR before the 1/(2 sigma^2) scale keeps exp off its slow underflow path and
     changes no bit: terms below e^-700 cannot move a sum >= 1.  The slabs run over tiles of
-    rows whose buffer holds about _TILE float64s, so it stays in cache; rows are independent,
-    so the tiling changes no bit.
+    rows whose buffer holds about _TILE float64s, so it stays in cache; a row's bits do not
+    depend on its tile, unless the tile is one row: numpy runs that product as GEMV, not GEMM.
+    With density=False only the decode runs and i is None.
     """
     sigma = float(sigma)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)  # as _check_sigma forms it, so it is finite
@@ -97,20 +104,22 @@ def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
         slab_of, col = np.divmod(sent[tile], width)
         for slab, start in enumerate(range(0, len(points), width)):
             np.matmul(y1[tile], z1[start : start + width].T, out=e)
-            np.copyto(e_s, e[rows, col], where=slab_of == slab)
             j = e.argmax(axis=1)
             e_max = e[rows, j]
             np.copyto(best, start + j, where=e_max > top)
             raised = np.maximum(top, e_max)
-            total *= np.exp(np.maximum(top - raised, floor) * inv2s2)
+            if density:
+                np.copyto(e_s, e[rows, col], where=slab_of == slab)
+                total *= np.exp(np.maximum(top - raised, floor) * inv2s2)
+                e -= raised[:, None]
+                np.maximum(e, floor, out=e)
+                e *= inv2s2
+                np.exp(e, out=e)
+                total += e.sum(axis=1)
             top = raised
-            e -= top[:, None]
-            np.maximum(e, floor, out=e)
-            e *= inv2s2
-            np.exp(e, out=e)
-            total += e.sum(axis=1)
-        log_sum[tile] = np.log(total) + (top - e_s) * inv2s2
-    return (len(points).bit_length() - 1) - log_sum / _LN2, best_i
+        if density:
+            log_sum[tile] = np.log(total) + (top - e_s) * inv2s2
+    return (len(points).bit_length() - 1) - log_sum / _LN2 if density else None, best_i
 
 
 def _pairwise(e: np.ndarray) -> np.ndarray:
@@ -167,6 +176,50 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
     return np.subtract(width.bit_length() - 1, log_sum, out=log_sum)
 
 
+def _factored(a: np.ndarray, points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
+    """`_scan`'s densities of the rows ys of an (m, n) matrix a, or None past the guards above.
+
+    With z_ab = u_a + w_b over the low ceil(n/2) users and the rest, scores T_ab = f_a + g_b +
+    H_ab, H_ab = -u_a.w_b / sigma^2 for all rows, sum to e^(F + G + H*) alpha^T K beta with
+    alpha = e^(f - F), beta = e^(g - G), K = e^(H - H*): 2**ceil(n/2) + 2**floor(n/2) exps and
+    one matrix product a row.  The factors, clamped at e^_EXP_FLOOR, move no bit of log S while
+    the sent point's term e^(T_s - F - G - H*) is >= e^_FACTORED_RANGE; other rows are `_scan`'s.
+    """
+    inv2s2 = 1.0 / (2.0 * float(sigma) ** 2)
+    n = a.shape[1]
+    u, w = _points(a[:, : n - n // 2]), _points(a[:, n - n // 2 :])
+    if n * inv2s2 > _FACTORED_SCALE or (h := (u @ w.T) * (-2.0 * inv2s2)).max() > _FACTORED_SPREAD:
+        return None
+    h -= h.max()
+    k_t = np.exp(np.maximum(h, _EXP_FLOOR)).T
+    a_s, b_s = np.divmod(sent, len(u))[::-1]
+    halves = [(2.0 * z.T, np.einsum("ij,ij->i", z, z)) for z in (u, w)]
+    sizes = (len(u), len(w), len(u))  # f, g and beta K^T, one _TILE of rows, reused
+    bufs = [np.empty((min(len(sent), _TILE // sum(sizes)), size)) for size in sizes]
+    info = np.empty(len(sent))
+    for lo in range(0, len(sent), len(bufs[0])):
+        tile = slice(lo, lo + len(bufs[0]))
+        f, g, s = (buf[: len(info[tile])] for buf in bufs)  # the last tile may be short
+        d = h[a_s[tile], b_s[tile]]
+        for e, (z2, zz), sent_half in ((f, halves[0], a_s[tile]), (g, halves[1], b_s[tile])):
+            np.matmul(ys[tile], z2, out=e)  # ||y||^2 - ||y - z||^2, as in `_scan`
+            e -= zz
+            e -= e.max(axis=1, keepdims=True)
+            e *= inv2s2
+            d += e[np.arange(len(e)), sent_half]
+            np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
+        log_sum = np.log(np.einsum("ij,ij->i", f, np.matmul(g, k_t, out=s))) - d
+        info[tile] = np.where(d >= _FACTORED_RANGE, n - log_sum / _LN2, np.nan)
+    # a one-row tile gets a matrix-vector product, not a GEMM: double a row, redo a lone last one
+    redo = np.flatnonzero(np.isnan(info))
+    if len(redo):
+        rows = np.append(redo, redo[-1])
+        info[redo] = _scan(points, sigma, ys[rows], sent[rows])[0][:-1]
+        if redo[-1] == len(ys) - 1 and redo[-1] % min(len(ys), _TILE // min(_SLAB, len(points))) == 0:
+            info[-1:] = _scan(points, sigma, ys[-1:], sent[-1:])[0]
+    return info
+
+
 def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int, decode: bool = True):
     """Per-row capacity terms and ML bit-error counts, each (P, rows), for a (P, m, n) stack.
 
@@ -187,8 +240,14 @@ def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int, decode: bo
         if not decode and len(points[0]) <= _DENSITY_POINTS:
             terms = _density(points, sigma, noise, sent)
             return np.add(terms, chi, out=terms), None
-        scans = [_scan(z, sigma, z[sent] + noise, sent) for z in points]
-        return [i + chi for i, _ in scans], [np.bitwise_count(sent ^ i) for _, i in scans]
+        terms, errors = [], []
+        for a, z in zip(pop, points):
+            ys = z[sent] + noise
+            info = _factored(a, z, sigma, ys, sent) if len(z) >= _FACTORED_POINTS else None
+            scan = _scan(z, sigma, ys, sent, density=info is None) if info is None or decode else None
+            terms.append((scan[0] if info is None else info) + chi)
+            errors.append(np.bitwise_count(sent ^ scan[1]) if decode else None)
+        return terms, errors
 
     n_blocks = -(-rows // BLOCK)
     threads = _threads(len(pop) << n, n_blocks)

@@ -240,6 +240,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _flagged("-n", _check_users, args.n)  # as generate does, before the first population
     spec = _criterion_spec(args)
     run = evolve(args.m, args.n, spec, _ga_config(args))
     label = f"ga-{args.criterion}"

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -8,11 +9,13 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from sigdesign import (
+    CriterionSpec,
     NumericFailure,
     SignatureMatrix,
     enumerate_inputs,
     estimate,
     exact_capacity_1d,
+    population_fitness,
     random_normalized,
 )
 from sigdesign import _rng, capacity
@@ -250,6 +253,134 @@ class TestDensity:
         default = _rng._density(points, 0.3, 0.3 * unit, sent)
         monkeypatch.setattr(_rng, "_TILE", tile)
         npt.assert_array_equal(_rng._density(points, 0.3, 0.3 * unit, sent), default)
+
+
+def direct_info(points, sigma, ys, sent):
+    """n - log2 sum_i exp((||y - z_s||^2 - ||y - z_i||^2) / 2 sigma^2) per row, by logsumexp."""
+    n = len(points).bit_length() - 1
+    d2 = [np.square(y - points).sum(axis=1) for y in ys]  # a row at a time: 2**16 points fit
+    lse = [logsumexp((d[s] - d) / (2 * sigma**2)) for d, s in zip(d2, sent)]
+    return n - np.array(lse) / math.log(2)
+
+
+def factored_rows(a, sigma, rows, seed):
+    """The points of a, and `rows` rows of one block as channel_pass draws them."""
+    z = _points(a)
+    sent, unit = (x[:rows] for x in _rng.draw_block(seed, 0, a.shape[1], a.shape[0]))
+    return z, z[sent] + sigma * unit, sent
+
+
+def scan_rows_alone(monkeypatch):
+    """Make `_scan` give NaN densities, so that `_factored` leaves its failed rows NaN."""
+    scan = _rng._scan
+    monkeypatch.setattr(_rng, "_scan", lambda z, sigma, ys, sent, density=True: (
+        np.full(len(ys), np.nan), scan(z, sigma, ys, sent, density)[1]))
+
+
+FACTORED_CASES = [
+    *[(f"random{m}x{n}", random_normalized(m, n, seed=n).entries)
+      for m, n in [(4, 9), (4, 10), (6, 12), (8, 16)]],
+    ("twin4x10", density_stack(4, 10)[1]),
+    ("anti4x10", density_stack(4, 10)[2]),
+    ("ones1x12", np.ones((1, 12))),
+]
+
+
+class TestFactored:
+    """`_factored`, the density at 2**n >= _FACTORED_POINTS, against a reference and `_scan`."""
+
+    @pytest.mark.parametrize("name, a", FACTORED_CASES, ids=[c[0] for c in FACTORED_CASES])
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.5, 2.0])
+    def test_matches_direct_reference(self, name, a, sigma):
+        n = a.shape[1]
+        z, ys, sent = factored_rows(a, sigma, 64 if n == 16 else 300, seed=n)
+        info = _rng._factored(a, z, sigma, ys, sent)
+        if info is None:  # the guard: nearly every row would fail, and _scan scores them all
+            assert sigma < 0.3 or name == "ones1x12"
+            return
+        npt.assert_allclose(info, direct_info(z, sigma, ys, sent), rtol=1e-12, atol=1e-12 * n)
+
+    @pytest.mark.parametrize("rows", [1, 2, 257, 300, _rng.BLOCK])
+    def test_failed_rows_equal_scan_bit_for_bit(self, monkeypatch, rows):
+        # every row fails: 1 row and the 257th (alone in its 256-row tile) take _scan's
+        # matrix-vector product, the others its GEMM, however few are redone together
+        a = random_normalized(4, 10, seed=2).entries
+        z, ys, sent = factored_rows(a, 0.3, rows, seed=2)
+        want = _scan(z, 0.3, ys, sent)[0]
+        monkeypatch.setattr(_rng, "_FACTORED_RANGE", np.inf)
+        npt.assert_array_equal(_rng._factored(a, z, 0.3, ys, sent), want)
+
+    def test_one_failed_row_equals_scan_bit_for_bit(self, monkeypatch):
+        # a lone row redone alone would take a matrix-vector product; the range is bisected
+        # until exactly one of the 300 rows falls below it
+        a = random_normalized(4, 10, seed=2).entries
+        z, ys, sent = factored_rows(a, 0.3, 300, seed=2)
+        want = _scan(z, 0.3, ys, sent)[0]
+        lo, hi = -1e3, 0.0
+        for _ in range(200):
+            with monkeypatch.context() as mp:
+                scan_rows_alone(mp)
+                mp.setattr(_rng, "_FACTORED_RANGE", (lo + hi) / 2)
+                failed = np.flatnonzero(np.isnan(_rng._factored(a, z, 0.3, ys, sent)))
+            if len(failed) == 1:
+                break
+            lo, hi = (lo, (lo + hi) / 2) if len(failed) else ((lo + hi) / 2, hi)
+        assert len(failed) == 1 and failed[0] < 299
+        monkeypatch.setattr(_rng, "_FACTORED_RANGE", (lo + hi) / 2)
+        got = _rng._factored(a, z, 0.3, ys, sent)
+        assert got[failed[0]] == want[failed[0]]
+
+    @pytest.mark.parametrize("rows", [257, _rng.BLOCK])
+    def test_rows_failing_the_range_test_equal_scan(self, monkeypatch, rows):
+        # at sigma 0.16 this 4x10 passes the guard and about 2 % of its rows fail the test
+        a = random_normalized(4, 10, seed=3).entries
+        z, ys, sent = factored_rows(a, 0.16, rows, seed=2)
+        got, want = _rng._factored(a, z, 0.16, ys, sent), _scan(z, 0.16, ys, sent)[0]
+        with monkeypatch.context() as mp:
+            scan_rows_alone(mp)
+            failed = np.isnan(_rng._factored(a, z, 0.16, ys, sent))
+        assert 0 < failed.sum() < 0.2 * rows
+        npt.assert_array_equal(got[failed], want[failed])
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * 10)
+
+    @pytest.mark.parametrize("name, a", FACTORED_CASES, ids=[c[0] for c in FACTORED_CASES])
+    @pytest.mark.parametrize("sigma", [0.05, 0.15, 0.3, 2.0])
+    def test_channel_pass_decodes_as_scan(self, monkeypatch, name, a, sigma):
+        rows = 300 if a.shape[1] == 16 else 4_400  # a second block of 304 rows
+        got = _rng.channel_pass(a[None], sigma, rows, seed=4)
+        monkeypatch.setattr(_rng, "_FACTORED_POINTS", np.inf)  # every density from _scan
+        want = _rng.channel_pass(a[None], sigma, rows, seed=4)
+        npt.assert_array_equal(got[1], want[1])
+        npt.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12 * a.shape[1])
+
+    @pytest.mark.parametrize("sigma", [0.15, 0.3])
+    def test_stack_equals_each_matrix_alone(self, sigma):
+        # at sigma 0.15 the guard keeps three of the five on _scan alone
+        pop = np.stack([random_normalized(4, 10, seed=s).entries for s in range(5)])
+        capacity = population_fitness(CriterionSpec("capacity", sigma, 5_000), pop, seed=3)
+        ber = population_fitness(CriterionSpec("ber", sigma, 5_000), pop, seed=3)
+        for a, c, b in zip(pop, capacity, ber):
+            cap, err = estimate(SignatureMatrix(a), sigma, 5_000, seed=3)
+            assert (c, b) == (cap.sum_bits, -err.ber)
+
+    def test_identical_at_forced_thread_counts(self, monkeypatch):
+        # decode-free, 4 x 2**10 matrix-points a row, 8 500 rows: three blocks, the last of 308
+        pop = np.stack([random_normalized(4, 10, seed=s).entries for s in range(4)])
+        runs = []
+        for count in (1, 2, 3):
+            force_threads(monkeypatch, count)
+            runs.append(_rng.channel_pass(pop, 0.3, 8_500, seed=1, decode=False)[0].tobytes())
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("a", [random_normalized(4, 10, seed=0).entries, np.ones((1, 12))],
+                             ids=["random4x10", "ones1x12"])
+    @pytest.mark.parametrize("sigma", [SMALLEST_SIGMA, LARGEST_SIGMA])
+    def test_no_warning_at_the_sigma_limits(self, a, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for decode in (True, False):
+                terms, _ = _rng.channel_pass(a[None], sigma, 300, seed=0, decode=decode)
+                assert np.isfinite(terms).all()
 
 
 class TestCapacityEstimate:

@@ -440,13 +440,14 @@ def test_input_error_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
         (["generate", "--kind", "orthogonal", "-m", "2", "-n", "3"], "-n"),
         (["optimize", "--criterion", "md", "-m", "0", "-n", "3"], "-m"),
         (["optimize", "--criterion", "capacity", "-m", "2", "-n", "0", "--sigma", "0.5"], "-n"),
+        (["optimize", "--criterion", "md", "-m", "2", "-n", "17"], "-n"),
         (["overload-sweep", "--criterion", "md", "-m", "0", "--n-list", "0,3", "--sigma", "0.5"],
          "-m"),
         (["overload-sweep", "--criterion", "md", "-m", "2", "--n-list", "0,3", "--sigma", "0.5"],
          "--n-list"),
     ],
     ids=["generate-m", "generate-n", "generate-orthogonal-n", "optimize-m", "optimize-n",
-         "overload-sweep-m", "overload-sweep-n-list"],
+         "optimize-n-above-16", "overload-sweep-m", "overload-sweep-n-list"],
 )
 def test_size_below_one_names_its_flag(tmp_path, capsys, monkeypatch, argv, flag):
     # each matrix size flag is checked before any GA; the library's own message names neither
