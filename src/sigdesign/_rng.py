@@ -6,19 +6,20 @@ any thread count and extending a sample budget leaves earlier draws
 unchanged.  Each block yields sent input indices, in the model's canonical
 order, plus unit-variance noise; callers scale the noise by sigma, which
 makes runs with matched seeds share their draws across different noise
-levels (common random numbers).
+levels (common random numbers), and a sweep's grid can share one cache of them.
 
 `channel_pass` scores every drawn channel use against the constellation
-once, for both the capacity and the BER estimators and for a whole stack
-of matrices.  Each row is scored against the point that was sent, so the
-mean of its per-row capacity terms is the sum capacity at every sigma that
-`_check_sigma` accepts.  Sent and decoded inputs stay indices throughout:
-a row's bit errors are the popcount of their XOR.  Three kernels give the
-densities: `_density`, points-major with no decode, for the `capacity`
-criterion at 2**n <= _DENSITY_POINTS; `_factored`, over two half
-constellations, for every caller (`estimate`, so `eval` and `sweep`, and both
-stochastic criteria) at 2**n >= _FACTORED_POINTS; `_scan`, row-major with the
-ML decode, for the rest, the decode alone, and the rows `_factored` declines.
+once, for the capacity and the BER estimators or for either alone, and for
+a whole stack of matrices.  Each row is scored against the point that was
+sent, so the mean of its per-row capacity terms is the sum capacity at every
+sigma that `_check_sigma` accepts.  Sent and decoded inputs stay indices
+throughout: a row's bit errors are the popcount of their XOR.  Three kernels
+give the densities: `_density`, points-major with no decode, for the
+`capacity` criterion at 2**n <= _DENSITY_POINTS; `_factored`, over two half
+constellations, for `estimate` (so `eval` and `sweep`) and the `capacity`
+criterion at 2**n >= _FACTORED_POINTS; `_scan`, row-major with the ML decode,
+for the rest, the decode alone (the `ber` criterion), and the rows `_factored`
+declines.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ _EXP_FLOOR = -700.0  # np.exp leaves its vector path below about -708
 _LN2 = math.log(2.0)
 # largest 2**n for `_density`: at P 32, 1 000 rows it beat `_scan` to n = 6, tied at 7, lost from 8
 _DENSITY_POINTS = 64
-# `_factored` from 2**n = 512, while n / (2 sigma^2) <= 1200 and H* <= 350: past these it lost
-# to `_scan` (BENCH_factored_density.json), as ever more sent-point terms fall below its range
-_FACTORED_POINTS, _FACTORED_SCALE, _FACTORED_SPREAD, _FACTORED_RANGE = 512, 1200.0, 350.0, -600.0
+# `_factored` from 2**n = 256, while n / (2 sigma^2) <= 1200 and H* <= 300 at n = 8, 350 above:
+# past these, with the decode, it lost to `_scan` (BENCH_factored_density.json,
+# BENCH_sweep_grid.json), as products of tiny factors go subnormal and rows fail the range test
+_FACTORED_POINTS, _FACTORED_SCALE, _FACTORED_SPREAD, _FACTORED_RANGE = 256, 1200.0, (300, 350), -600.0
 
 
 def draw_block(seed: int, block: int, n_users: int, m_chips: int):
@@ -184,31 +186,34 @@ def _factored(a: np.ndarray, points: np.ndarray, sigma: float, ys: np.ndarray, s
     alpha = e^(f - F), beta = e^(g - G), K = e^(H - H*): 2**ceil(n/2) + 2**floor(n/2) exps and
     one matrix product a row.  The factors, clamped at e^_EXP_FLOOR, move no bit of log S while
     the sent point's term e^(T_s - F - G - H*) is >= e^_FACTORED_RANGE; other rows are `_scan`'s.
+    Points-major, so a half's max and the final sum over points are whole-row ops.
     """
     inv2s2 = 1.0 / (2.0 * float(sigma) ** 2)
-    n = a.shape[1]
+    m, n = a.shape
     u, w = _points(a[:, : n - n // 2]), _points(a[:, n - n // 2 :])
-    if n * inv2s2 > _FACTORED_SCALE or (h := (u @ w.T) * (-2.0 * inv2s2)).max() > _FACTORED_SPREAD:
+    spread = _FACTORED_SPREAD[n > 8]  # the scale test first: past it h may not be finite
+    if n * inv2s2 > _FACTORED_SCALE or (h := (u @ w.T) * (-2.0 * inv2s2)).max() > spread:
         return None
     h -= h.max()
-    k_t = np.exp(np.maximum(h, _EXP_FLOOR)).T
+    k = np.exp(np.maximum(h, _EXP_FLOOR))
     a_s, b_s = np.divmod(sent, len(u))[::-1]
-    halves = [(2.0 * z.T, np.einsum("ij,ij->i", z, z)) for z in (u, w)]
-    sizes = (len(u), len(w), len(u))  # f, g and beta K^T, one _TILE of rows, reused
-    bufs = [np.empty((min(len(sent), _TILE // sum(sizes)), size)) for size in sizes]
-    info = np.empty(len(sent))
-    for lo in range(0, len(sent), len(bufs[0])):
-        tile = slice(lo, lo + len(bufs[0]))
-        f, g, s = (buf[: len(info[tile])] for buf in bufs)  # the last tile may be short
-        d = h[a_s[tile], b_s[tile]]
-        for e, (z2, zz), sent_half in ((f, halves[0], a_s[tile]), (g, halves[1], b_s[tile])):
-            np.matmul(ys[tile], z2, out=e)  # ||y||^2 - ||y - z||^2, as in `_scan`
-            e -= zz
-            e -= e.max(axis=1, keepdims=True)
-            e *= inv2s2
-            d += e[np.arange(len(e)), sent_half]
+    halves = [np.column_stack([2.0 * z, -np.einsum("ij,ij->i", z, z)]) * inv2s2 for z in (u, w)]
+    sizes = (m + 1, len(u), len(w), len(u))  # [y, 1], f, g and K beta: one tile's rows each
+    step = min(len(sent), _TILE // sum(sizes))
+    buffer, info = np.empty(_TILE), np.empty(len(sent))  # `_scan`'s size: its decode reuses it
+    for lo in range(0, len(sent), step):
+        tile = slice(lo, lo + step)  # the last may be short
+        cut = np.cumsum((0,) + sizes) * len(info[tile])
+        y1, f, g, s = (buffer[i:j].reshape(-1, len(info[tile])) for i, j in zip(cut, cut[1:]))
+        y1[:m], y1[m] = ys[tile].T, 1.0
+        d, cols = h[a_s[tile], b_s[tile]], np.arange(len(info[tile]))
+        for e, z1, sent_half in ((f, halves[0], a_s[tile]), (g, halves[1], b_s[tile])):
+            np.matmul(z1, y1, out=e)  # (||y||^2 - ||y - z||^2) / 2 sigma^2, as in `_scan`
+            e -= e.max(axis=0)
+            d += e[sent_half, cols]
             np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
-        log_sum = np.log(np.einsum("ij,ij->i", f, np.matmul(g, k_t, out=s))) - d
+        np.multiply(np.matmul(k, g, out=s), f, out=s)
+        log_sum = np.log(s.sum(axis=0)) - d
         info[tile] = np.where(d >= _FACTORED_RANGE, n - log_sum / _LN2, np.nan)
     # a one-row tile gets a matrix-vector product, not a GEMM: double a row, redo a lone last one
     redo = np.flatnonzero(np.isnan(info))
@@ -220,37 +225,41 @@ def _factored(a: np.ndarray, points: np.ndarray, sigma: float, ys: np.ndarray, s
     return info
 
 
-def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int, decode: bool = True):
+def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int, decode=True, density=True,
+                 draw=draw_block):
     """Per-row capacity terms and ML bit-error counts, each (P, rows), for a (P, m, n) stack.
 
     A row's term is its information density plus (||u||^2 - m) / (2 ln 2) for its unit noise
     u: that equals -log2 f_Y(y) - h(N), so the terms average to the sum capacity.  Rows come
-    in order from the per-block substreams of `seed`; each block is drawn once, cut to
-    `rows`, and shared by all P matrices.  With decode=False, errors is None and the terms
-    of 2**n <= _DENSITY_POINTS points come from `_density`.
+    in order from the blocks draw(seed, b, n, m), `draw_block`'s substreams or a cache of
+    them; each block is cut to `rows` and shared by all P matrices.  With decode=False errors
+    is None, and the terms of 2**n <= _DENSITY_POINTS points come from `_density`; with
+    density=False terms is None, and only `_scan`'s decode runs.
     """
     _check_sigma(sigma)
     _, m, n = pop.shape
     points = _points(pop)
 
     def one_block(b):
-        sent, unit = (a[: rows - b * BLOCK] for a in draw_block(seed, b, n, m))
-        noise = sigma * unit
+        sent, unit = (a[: rows - b * BLOCK] for a in draw(seed, b, n, m))
         chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2.0 * _LN2)
         if not decode and len(points[0]) <= _DENSITY_POINTS:
-            terms = _density(points, sigma, noise, sent)
+            terms = _density(points, sigma, sigma * unit, sent)
             return np.add(terms, chi, out=terms), None
         terms, errors = [], []
         for a, z in zip(pop, points):
-            ys = z[sent] + noise
-            info = _factored(a, z, sigma, ys, sent) if len(z) >= _FACTORED_POINTS else None
-            scan = _scan(z, sigma, ys, sent, density=info is None) if info is None or decode else None
-            terms.append((scan[0] if info is None else info) + chi)
-            errors.append(np.bitwise_count(sent ^ scan[1]) if decode else None)
+            ys = z[sent] + sigma * unit  # noise made per matrix, so it is not held through the scans
+            info = _factored(a, z, sigma, ys, sent) if density and len(z) >= _FACTORED_POINTS else None
+            if decode or (density and info is None):
+                scan, best = _scan(z, sigma, ys, sent, density=density and info is None)
+                info = scan if info is None else info
+            terms.append(info + chi if density else None)
+            errors.append(np.bitwise_count(sent ^ best) if decode else None)
         return terms, errors
 
     n_blocks = -(-rows // BLOCK)
     threads = _threads(len(pop) << n, n_blocks)
     runs = map_blocks(lambda t: [one_block(b) for b in range(t, n_blocks, threads)], threads)
     terms, errors = zip(*(runs[b % threads][b // threads] for b in range(n_blocks)))
-    return np.concatenate(terms, axis=1), np.concatenate(errors, axis=1) if decode else None
+    return (np.concatenate(terms, axis=1) if density else None,
+            np.concatenate(errors, axis=1) if decode else None)

@@ -12,6 +12,7 @@ whose outputs are the n + 1 points n - 2j with binomial weights.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ from . import _rng
 from .model import NumericFailure, SignatureMatrix, _check_samples, _check_sigma
 
 _QUAD_TOL = 1e-6  # largest accepted quadrature error estimate, in bits
+# a sigma grid shares its drawn blocks up to 2 MiB (sweep-n8's take 0.8); past that each sigma redraws
+_SHARED_DRAWS_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,18 @@ def estimate(
     values (the noise is drawn at unit variance and scaled).  Fewer than
     100 samples raise ValueError.
     """
+    return _estimates(A, [sigma], samples, seed)[0]
+
+
+def _estimates(A: SignatureMatrix, sigmas, samples: int, seed: int) -> list:
+    """[estimate(A, sigma, samples, seed) for sigma in sigmas], sharing its blocks where they fit."""
     _check_samples(samples)
-    terms, errors = _rng.channel_pass(A.entries[None], sigma, samples, seed)
-    return _capacity_estimate(terms[0], A.n, sigma), _ber_estimate(errors[0], A.n, sigma)
+    shared = -(-samples // _rng.BLOCK) * _rng.BLOCK * 8 * (A.m + 1) <= _SHARED_DRAWS_BYTES
+    draw = functools.lru_cache(None)(_rng.draw_block) if len(sigmas) > 1 and shared else _rng.draw_block
+    def one(sigma):  # its rows are freed on return, before the next sigma's pass
+        terms, errors = _rng.channel_pass(A.entries[None], sigma, samples, seed, draw=draw)
+        return _capacity_estimate(terms[0], A.n, sigma), _ber_estimate(errors[0], A.n, sigma)
+    return [one(sigma) for sigma in sigmas]
 
 
 def exact_capacity_1d(A: SignatureMatrix, sigma: float) -> float:

@@ -11,8 +11,8 @@ overload-sweep  optimize per user count and tabulate per-user capacity vs n/m
 All commands are deterministic given --seed, and their outputs are
 byte-identical for any thread count of the Monte-Carlo pass.
 
-eval and sweep read capacity and BER off one `capacity.estimate` pass
-(same draws); ber_std_error is the per-vector (cluster) estimate.
+eval and sweep read capacity and BER off the same draws (a sweep draws each block
+once for its whole grid); ber_std_error is the per-vector (cluster) estimate.
 
 Exit codes: 0 success, 2 ValueError (invalid input), 3 NumericFailure or MemoryError.
 """
@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .capacity import estimate
-from .criteria import KINDS, CriterionSpec, constellation_measures
+from .capacity import _estimates, estimate
+from .criteria import KINDS, CriterionSpec, _pair_measures
 from .ga import GaConfig, GaRun, evolve
 from .model import NumericFailure, SignatureMatrix, _check_samples, _check_sigma, _check_users
 
@@ -147,20 +147,22 @@ def save_run(path, run: GaRun, label: str | None = None) -> None:
 # evaluation
 
 
-def evaluate_matrix(
-    A: SignatureMatrix, sigma: float, budget: int, seed: int
-) -> SweepRow:
-    """All sweep-table quantities for one matrix at one noise level."""
-    cap, err = estimate(A, sigma, budget, seed)
-    return SweepRow(
-        sigma=float(sigma),
-        snr_db=-20.0 * float(np.log10(sigma)) + 0.0,  # avoid -0.0
-        per_user_capacity=cap.per_user_bits,
-        capacity_std_error=cap.std_error,
-        ber=err.ber,
-        ber_std_error=err.std_error,
-        **asdict(constellation_measures(A, sigma)),  # nu1, nu2, nu3, union_bound
-    )
+def evaluate_matrix(A: SignatureMatrix, sigma, budget: int, seed: int):
+    """All sweep-table quantities for one matrix at one noise level, or a list of them over a
+    1-D grid of sigmas, for which each Monte-Carlo block and each pair distance is made once."""
+    grid = np.atleast_1d(np.asarray(sigma, dtype=float))
+    estimates = _estimates(A, grid, budget, seed)
+    nu = _pair_measures(A.entries[None], grid)[:, :, 0].T.tolist()  # nu1, nu2, nu3 per sigma
+    rows = [
+        SweepRow(
+            sigma=float(s), snr_db=-20.0 * float(np.log10(s)) + 0.0,  # + 0.0: never -0.0
+            per_user_capacity=cap.per_user_bits, capacity_std_error=cap.std_error,
+            ber=err.ber, ber_std_error=err.std_error,
+            nu1=nu1, nu2=nu2, nu3=nu3, union_bound=2.0**-A.n * nu2,  # as constellation_measures
+        )
+        for s, (cap, err), (nu1, nu2, nu3) in zip(grid, estimates, nu)
+    ]
+    return rows if np.ndim(sigma) else rows[0]
 
 
 def _flagged(flag: str, fn, *args):
@@ -261,10 +263,9 @@ def cmd_sweep(args) -> int:
         loaded.append((name, matrix))
     _flagged("--budget", _check_samples, args.budget)  # where the first estimate would
     lines = ["matrix," + ",".join(SWEEP_COLUMNS)]
-    for name, matrix in loaded:
-        for sigma in grid:
-            row = evaluate_matrix(matrix, float(sigma), args.budget, args.seed)
-            lines.append(f"{name}," + row.csv())
+    for name, matrix in loaded:  # the whole grid in one call: one draw per block, one pair pass
+        rows = evaluate_matrix(matrix, grid, args.budget, args.seed)
+        lines += [f"{name}," + row.csv() for row in rows]
     Path(args.out).write_text("\n".join(lines) + "\n")
     return 0
 

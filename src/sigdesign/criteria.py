@@ -133,23 +133,26 @@ def _ternary(k: int):
     return d, support
 
 
-def _pair_measures(a: np.ndarray, sigma: float | None, kinds=("md", "qd", "ed")):
+def _pair_measures(a: np.ndarray, sigma, kinds=("md", "qd", "ed")):
     """(len(kinds), P) min distance "md", Q-distance "qd", exp distance "ed" of a (P, m, n) stack.
 
     Outputs of inputs x_i - x_j = 2d lie ||2 A d|| apart; d and -d form one
     class of 2**(n + 1 - |d|) ordered pairs, which weights the "qd" and "ed"
     tails.  2 A d = u + w over the low _LOW_USERS users and the rest; with no
     rest (n < 9) u holds only the d > 0 rows.  Row norms sum in coordinate
-    order, so stacking changes no value.
+    order, so stacking changes no value.  A 1-D grid of sigmas gives (len(kinds),
+    len(grid), P), each sigma's values those of it alone, from one pass over the distances.
     """
     n = a.shape[-1]
     _check_users(n)
-    if sigma is not None:
-        _check_sigma(sigma)
+    grid = [sigma] if (scalar := np.ndim(sigma) == 0) else list(sigma)  # None is a scalar
+    for s in grid if sigma is not None else ():
+        _check_sigma(s)
     low = min(n, _LOW_USERS)
     (d_lo, s_lo), (d_hi, s_hi) = _ternary(low), _ternary(n - low)
     mid, top = len(d_lo) // 2, len(d_hi) // 2
-    out = np.repeat([[np.inf if k == "md" else 0.0] for k in kinds], len(a), axis=1)
+    out = np.zeros((len(kinds), len(grid), len(a)))
+    out[[k == "md" for k in kinds]] = np.inf
     step = max(1, _CHUNK_ROWS // 3**n)
     top_weight = np.ldexp(1.0, n + 1 - s_lo[mid + 1 :])
     for lo in range(0, len(a), step):
@@ -160,15 +163,15 @@ def _pair_measures(a: np.ndarray, sigma: float | None, kinds=("md", "qd", "ed"))
             v = u[:, -mid:] if h == top else u + w[:, h - top - 1, None]
             weight = top_weight if h == top else np.ldexp(1.0, n + 1 - s_lo - s_hi[h])
             dist = np.sqrt(np.einsum("...ij,...ij->...i", v, v, order="C"))
-            x = None if sigma is None else dist / (2.0 * sigma)
-            for row, kind in zip(out[:, lo : lo + step], kinds):
+            for rows, kind in zip(out[:, :, lo : lo + step], kinds):
                 if kind == "md":
-                    np.minimum(row, dist.min(axis=1), out=row)
-                else:  # "ed" caps (x + 1) / 1.6 at 28, past which exp(-t^2) is 0.0
+                    np.minimum(rows, dist.min(axis=1), out=rows)
+                for row, s in zip(rows, grid) if kind != "md" else ():  # a sigma at a time
+                    x = dist / (2.0 * s)  # "ed" caps (x + 1) / 1.6 at 28: exp(-t^2) is 0.0 past it
                     ed = kind == "ed"
                     tail = np.exp(-np.minimum((x + 1) / 1.6, 28.0) ** 2) if ed else q_function(x)
                     row += (tail * weight).sum(axis=1)
-    return out
+    return out[:, 0] if scalar else out
 
 
 @dataclass(frozen=True)
@@ -206,10 +209,10 @@ def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.nda
     if spec.kind not in STOCHASTIC_KINDS:
         value = _pair_measures(pop, spec.sigma, (spec.kind,))[0]
         return value if spec.kind == "md" else -value
-    scores, decode = [], spec.kind == "ber"  # capacity needs no decode: the pass may skip it
+    scores, ber = [], spec.kind == "ber"  # the pass computes only what the kind reads
     step = max(1, _ROW_CHUNK // spec.eval_budget)
     for chunk in (pop[lo : lo + step] for lo in range(0, len(pop), step)):
-        terms, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed, decode)
+        terms, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed, ber, not ber)
         if spec.kind == "capacity":
             scores.append(terms.mean(axis=1))
         else:  # negate the quotient: a BER of 0 scores -0.0, the same as -BerEstimate.ber

@@ -18,7 +18,7 @@ from sigdesign import (
     population_fitness,
     random_normalized,
 )
-from sigdesign import _rng, capacity
+from sigdesign import _rng, baselines, capacity
 from sigdesign._rng import _scan
 from sigdesign.model import _check_sigma, _points
 
@@ -381,6 +381,53 @@ class TestFactored:
             for decode in (True, False):
                 terms, _ = _rng.channel_pass(a[None], sigma, 300, seed=0, decode=decode)
                 assert np.isfinite(terms).all()
+
+
+SMALL_FACTORED_CASES = [
+    *[(f"{kind}4x{n}", baselines.generate(kind, 4, n, 0).entries)
+      for kind in ("wbe", "random") for n in (7, 8)],
+    *[(f"{name}4x{n}", density_stack(4, n)[k]) for name, k in (("twin", 1), ("anti", 2)) for n in (7, 8)],
+]
+
+
+def guard_edges(a):
+    """The sigmas below which `_factored`'s spread and scale guards fire for a (0 if never)."""
+    n = a.shape[1]
+    u, w = _points(a[:, : n - n // 2]), _points(a[:, n - n // 2 :])
+    spread = max(0.0, -(u @ w.T).min()) / _rng._FACTORED_SPREAD[n > 8]  # H* = max -u.w / sigma^2
+    return math.sqrt(spread), math.sqrt(n / (2 * _rng._FACTORED_SCALE))
+
+
+class TestFactoredSmall:
+    """`_factored` at 2**7 and 2**8 points: 256 is where `channel_pass` starts to take it."""
+
+    @pytest.mark.parametrize("name, a", SMALL_FACTORED_CASES, ids=[c[0] for c in SMALL_FACTORED_CASES])
+    def test_matches_scan_up_to_where_the_guards_fire(self, name, a):
+        # sigma from 0.05 to 2, and a hair either side of each guard's edge: just above it the
+        # kernel runs with its largest spread or scale, just below it declines
+        n = a.shape[1]
+        edges = [e for e in guard_edges(a) if e > 0]
+        grid = [0.05, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0]
+        for sigma in grid + [e * f for e in edges for f in (1 - 1e-9, 1 + 1e-9)]:
+            z, ys, sent = factored_rows(a, sigma, 300, seed=n)
+            info = _rng._factored(a, z, sigma, ys, sent)
+            assert (info is None) == (sigma < max(edges)), sigma
+            if info is not None:  # TestScan.test_matches_direct_reference's tolerance
+                npt.assert_allclose(info, _scan(z, sigma, ys, sent)[0], rtol=1e-12, atol=1e-12 * n)
+
+    def test_channel_pass_takes_it_from_256_points(self, monkeypatch):
+        calls = []
+        factored = _rng._factored
+        monkeypatch.setattr(_rng, "_factored", lambda a, *args: calls.append(a.shape) or factored(a, *args))
+        for n in (7, 8):
+            _rng.channel_pass(random_normalized(4, n, seed=1).entries[None], 0.3, 300, seed=0)
+        assert calls == [(4, 8)]
+        # wbe 4x8 at sigma 0.1 has H* = 333: inside the cap from n = 9 (350), past n = 8's (300),
+        # below which no measured 8-user matrix lost to `_scan`; at 349 three lost, by up to 16 %
+        a = baselines.generate("wbe", 4, 8, 0).entries
+        for sigma, declined in [(0.1, True), (0.11, False)]:
+            z, ys, sent = factored_rows(a, sigma, 300, seed=0)
+            assert (_rng._factored(a, z, sigma, ys, sent) is None) == declined
 
 
 class TestCapacityEstimate:

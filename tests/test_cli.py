@@ -30,6 +30,7 @@ from sigdesign.cli import (
     matrix_document,
     save_matrix,
 )
+from sigdesign import _rng, capacity
 from test_capacity import SMALLEST_SIGMA, force_threads
 
 
@@ -767,6 +768,44 @@ class TestOverloadSweep:
                         "--n-list", "3,4,17", "--sigma", "0.3", "--budget", "1000",
                         "--out", str(tmp_path / "x.csv"))
         assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("kind, m, n", [("wbe", 2, 3), ("random", 3, 6), ("wbe", 4, 8),
+                                        ("random", 4, 8), ("wbe", 6, 12)])
+def test_sweep_rows_equal_eval_rows(tmp_path, capsys, kind, m, n):
+    # the grid shares its draws and its pair distances; each row is still eval's, byte for byte
+    # (at 4x8 the wbe matrix takes `_scan` at sigma 0.1 and the factored density above)
+    path = tmp_path / "a.json"
+    save_matrix(path, baselines.generate(kind, m, n, 1))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", str(path), "--sigma-grid", "0.1:0.5:3", "--budget", "5000",
+                 "--seed", "4", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    for sigma, row in zip(np.geomspace(0.1, 0.5, 3), rows, strict=True):
+        assert main(["eval", "--matrix", str(path), "--sigma", repr(float(sigma)),
+                     "--budget", "5000", "--seed", "4"]) == 0
+        assert row == "a," + capsys.readouterr().out.splitlines()[1]
+
+
+def test_sweep_draws_each_block_once_per_matrix(tmp_path, monkeypatch):
+    # two 4x8 matrices, four sigmas, two blocks: 4 draws, not 16, on one thread or two; past
+    # the memory cap on shared draws each sigma draws its own, and no output byte moves
+    calls, draw = [], _rng.draw_block
+    monkeypatch.setattr(_rng, "draw_block", lambda *args: calls.append(args) or draw(*args))
+    paths = [tmp_path / f"{kind}.json" for kind in ("wbe", "random")]
+    for path in paths:
+        save_matrix(path, baselines.generate(path.stem, 4, 8, 0))
+    tables = []
+    for threads, cap, draws in [(1, 1 << 21, 2), (2, 1 << 21, 2), (1, 2 * 4096 * 8 * 5 - 1, 8)]:
+        force_threads(monkeypatch, threads)
+        monkeypatch.setattr(capacity, "_SHARED_DRAWS_BYTES", cap)
+        calls.clear()
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *map(str, paths), "--sigma-grid", "0.1:1:4", "--budget", "5000",
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert sorted(calls) == [(3, 0, 8, 4)] * draws + [(3, 1, 8, 4)] * draws
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1] == tables[2]
 
 
 class TestEvaluateMatrix:

@@ -7,6 +7,7 @@ from scipy.spatial.distance import pdist
 from scipy.special import erfc
 
 import sigdesign.criteria as criteria_module
+from sigdesign import _rng
 from sigdesign import (
     CriterionSpec,
     SignatureMatrix,
@@ -306,3 +307,50 @@ def test_pair_measures_keep_user_guard(call):
     # the pair kernel reads the matrix, not the 2**n inputs, so it checks n itself
     with pytest.raises(ValueError, match="MAX_USERS=16"):
         call(SignatureMatrix(np.ones((1, 17))))
+
+
+# bit errors of four 3 x n matrices (seeds 10 n .. 10 n + 3) at sigma 0.3, 5 000 rows, seed 2,
+# as the full capacity-and-decode pass counted them before the ber criterion decoded alone
+BER_ERRORS = {3: [6, 270, 331, 6], 4: [2181, 628, 1570, 213], 5: [1503, 2610, 3253, 1273],
+              6: [3434, 2106, 5825, 2142], 7: [5694, 4247, 4110, 5458], 8: [5800, 6162, 6125, 6475],
+              9: [8539, 9044, 8308, 8744]}
+
+
+@pytest.mark.parametrize("n", sorted(BER_ERRORS))
+def test_ber_fitness_unchanged_by_the_decode_only_pass(n):
+    pop = np.stack([random_normalized(3, n, seed=10 * n + s).entries for s in range(4)])
+    got = population_fitness(CriterionSpec("ber", 0.3, 5_000), pop, seed=2)
+    want = -(np.array(BER_ERRORS[n]) / (5_000 * n))
+    assert got.tobytes() == want.tobytes()
+    _, errors = _rng.channel_pass(pop, 0.3, 5_000, 2)  # the decode of the full pass
+    assert errors.sum(axis=1).tolist() == BER_ERRORS[n]
+
+
+def test_ber_fitness_runs_no_density_kernel(monkeypatch):
+    def no_density(*args, **kwargs):
+        raise AssertionError("the ber criterion ran a density kernel")
+
+    scan = _rng._scan
+
+    def decode_only(z, sigma, ys, sent, density=True):
+        if density:
+            no_density()
+        return scan(z, sigma, ys, sent, density)
+
+    monkeypatch.setattr(_rng, "_density", no_density)
+    monkeypatch.setattr(_rng, "_factored", no_density)
+    monkeypatch.setattr(_rng, "_scan", decode_only)
+    for m, n in [(2, 3), (3, 6), (4, 8), (4, 10)]:  # below, at and past each kernel's threshold
+        pop = np.stack([random_normalized(m, n, seed=s).entries for s in range(3)])
+        assert np.all(population_fitness(CriterionSpec("ber", 0.3, 5_000), pop, seed=1) <= 0)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 6), (4, 8), (4, 9), (6, 12)])
+def test_pair_measures_over_a_grid_equal_each_sigma_alone(m, n):
+    # one pass over the distances for every sigma, each sigma's values bit for bit its own
+    pop = np.stack([random_normalized(m, n, seed=s).entries for s in range(2)])
+    grid = np.geomspace(0.05, 2.0, 5)
+    got = _pair_measures(pop, grid)
+    assert got.shape == (3, 5, 2)
+    for g, sigma in enumerate(grid):
+        assert got[:, g].tobytes() == _pair_measures(pop, float(sigma)).tobytes()
