@@ -5,16 +5,15 @@ Gaussian-mixture density over the 2**n constellation points.  `estimate`
 scores each drawn row against the point that was sent: the mean of the
 per-row terms -log2 f_Y(Y_k) - h(N) is the sum capacity at every sigma that
 `_check_sigma` accepts, and the same rows' ML decisions give the BER.  Both
-result types and their standard-error rules live here.  An
-adaptive-quadrature oracle gives the exact capacity of any 1 x n matrix,
-whose outputs are the n + 1 points n - 2j with binomial weights.
+result types and their standard-error rules live here.  A pair of
+Gauss-Hermite rules (numpy alone) gives the exact capacity of any 1 x n
+matrix, whose outputs are the n + 1 points n - 2j with binomial weights.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import _rng
 from .model import NumericFailure, SignatureMatrix, _check_samples, _check_sigma
 
-_QUAD_TOL = 1e-6  # largest accepted quadrature error estimate, in bits
+_QUAD_TOL = 1e-6  # largest accepted difference of the oracle's two quadrature rules, in bits
 # a sigma grid shares its drawn blocks up to 2 MiB (sweep-n8's take 0.8); past that each sigma redraws
 _SHARED_DRAWS_BYTES = 1 << 21
 
@@ -126,44 +125,45 @@ def _estimates(A: SignatureMatrix, sigmas, samples: int, seed: int) -> list:
     return [one(sigma) for sigma in sigmas]
 
 
+def _capacity(A: SignatureMatrix, sigma: float, samples: int, seed: int) -> CapacityEstimate:
+    """estimate(A, sigma, samples, seed)[0] of checked samples, bit for bit, from a pass with no decode."""
+    terms, _ = _rng.channel_pass(A.entries[None], sigma, samples, seed, decode=False)
+    return _capacity_estimate(terms[0], A.n, sigma)
+
+
+@functools.cache
+def _hermite_rules() -> tuple:
+    """Nodes (384,) and (2, 384) weights of the probabilists' 128- and 256-node Gauss-Hermite rules."""
+    from numpy.polynomial.hermite_e import hermegauss  # `import numpy` does not load numpy.polynomial
+    (z1, w1), (z2, w2) = hermegauss(128), hermegauss(256)  # hermegauss(512) overflows
+    weights = np.zeros((2, 384))
+    weights[0, :128], weights[1, 128:] = w1 / w1.sum(), w2 / w2.sum()
+    return np.concatenate([z1, z2]), weights
+
+
 def exact_capacity_1d(A: SignatureMatrix, sigma: float) -> float:
-    """Sum capacity in bits of a 1 x n matrix A, by adaptive quadrature.
+    """Sum capacity in bits of a 1 x n matrix A, by Gauss-Hermite quadrature.
 
-    Its unit columns are +-1, so whatever their signs the outputs are the
-    n + 1 points x_j = n - 2j with weights p_j = C(n, j) / 2**n.  Writing
-    y = x_j + sigma z turns h(Y) - h(N) into one integral over the noise
-    z ~ N(0, 1) of sum_j p_j i_j(z), with the information density
-    i_j(z) = -log2 sum_i p_i exp(-d_ji (d_ji / 2 + z)), d_ji = (x_j - x_i) / sigma,
-    which stays exact at every sigma that `_check_sigma` accepts, coinciding
-    points included.  Serves as the independent oracle for the Monte-Carlo
-    estimator; raises NumericFailure if the error estimate exceeds _QUAD_TOL.
+    Its unit columns are +-1, so whatever their signs the outputs are the n + 1 points
+    x_j = n - 2j with weights p_j = C(n, j) / 2**n.  Writing y = x_j + sigma z turns h(Y) - h(N)
+    into one expectation over the noise z ~ N(0, 1) of sum_j p_j i_j(z), with the information
+    density i_j(z) = -log2 sum_i p_i exp(-d_ji (d_ji / 2 + z)), d_ji = (x_j - x_i) / sigma, which
+    stays exact at every sigma that `_check_sigma` accepts, coinciding points included.  The
+    independent oracle for the Monte-Carlo estimator: returns the 256-node rule's value, and
+    raises NumericFailure if the 128-node rule's differs from it by more than _QUAD_TOL.
     """
-    from scipy import integrate  # the only user; keeps it out of `import sigdesign`
-
     if A.m != 1:
         raise ValueError(f"exact_capacity_1d needs a 1 x n matrix, got {A.m} x {A.n}")
     _check_sigma(sigma)
-    n = A.n
-    x = n - 2.0 * np.arange(n + 1)
-    p = np.array([math.comb(n, j) for j in range(n + 1)]) / 2.0**n
-    log_p = np.log(p)
-    # past 1e3 a term is exp(-5e5) = 0 for every |z| <= 40 anyway; the cap keeps d * d finite
+    x = A.n - 2.0 * np.arange(A.n + 1)
+    p = np.array([math.comb(A.n, j) for j in range(A.n + 1)]) / 2.0**A.n
+    # past 1e3 a term is exp(-4e5) = 0 at every node (|z| < 32); the cap keeps d * d finite
     d = np.clip((x[:, None] - x) / float(sigma), -1e3, 1e3)
-    phi_bits = 1.0 / (math.sqrt(2.0 * math.pi) * _rng._LN2)
-
-    def integrand(z):
-        e = log_p - d * (0.5 * d + z)
-        top = e.max(axis=1)
-        info = -top - np.log(np.exp(e - top[:, None]).sum(axis=1))  # max-shifted log-sum-exp
-        return math.exp(-0.5 * z * z) * phi_bits * (p @ info)
-
-    with warnings.catch_warnings():
-        # accuracy is judged by the error estimate below, not the warning
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        # the Gaussian weight of |z| > 40 is below the smallest double
-        bits, err = integrate.quad(
-            integrand, -40.0, 40.0, limit=400, epsabs=_QUAD_TOL / 10.0, epsrel=1e-10
-        )
-    if not math.isfinite(bits) or err > _QUAD_TOL:
-        raise NumericFailure(f"quadrature error estimate {err:g} exceeds tolerance {_QUAD_TOL:g}")
-    return bits
+    z, weights = _hermite_rules()
+    e = np.log(p) - d * (0.5 * d + z[:, None, None])  # (node, j, i)
+    top = e.max(axis=2)
+    info = -top - np.log(np.exp(e - top[..., None]).sum(axis=2))  # max-shifted log-sum-exp
+    coarse, bits = weights @ info @ p / _rng._LN2
+    if not abs(bits - coarse) <= _QUAD_TOL:  # a NaN fails too
+        raise NumericFailure(f"quadrature rules differ by {abs(bits - coarse):g}, above {_QUAD_TOL:g}")
+    return float(bits)

@@ -87,7 +87,7 @@ def q_function(x) -> float | np.ndarray:
     """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2, in numpy alone.
 
     erfc is W. J. Cody's rational Chebyshev approximation (Math. Comp. 23, 1969) with the
-    Cephes ndtr.c coefficients, as scipy.special.erfc evaluates it.  Against scipy the relative
+    Cephes ndtr.c coefficients, as Cephes' own erfc evaluates it.  Against Cephes the relative
     error is 0 for |x| < sqrt 2 and, from numpy's exp, at most 1e-15 below 8 sqrt 2 and 4e-15
     beyond; both underflow to 0.0 at the same x.  Negative x use erfc(-t) = 2 - erfc(t).
     """

@@ -95,6 +95,29 @@ def hermite_capacity(n, sigma, nodes=150):
     return h_y - noise_entropy(1, sigma)
 
 
+def quad_capacity(n, sigma):
+    """Independent reference for exact_capacity_1d's Gauss-Hermite rules: the same integrand,
+    sum_j p_j i_j(z) against the N(0, 1) density, by adaptive quadrature over z in [-40, 40],
+    beyond which that density is below the smallest double."""
+    x = n - 2.0 * np.arange(n + 1)
+    p = np.array([math.comb(n, j) for j in range(n + 1)]) / 2.0**n
+    log_p = np.log(p)
+    d = np.clip((x[:, None] - x) / float(sigma), -1e3, 1e3)  # keeps d * d finite
+    phi_bits = 1.0 / (math.sqrt(2.0 * math.pi) * math.log(2.0))
+
+    def integrand(z):
+        e = log_p - d * (0.5 * d + z)
+        top = e.max(axis=1)
+        info = -top - np.log(np.exp(e - top[:, None]).sum(axis=1))
+        return math.exp(-0.5 * z * z) * phi_bits * (p @ info)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)  # judged by err below
+        bits, err = integrate.quad(integrand, -40.0, 40.0, limit=400, epsabs=1e-7, epsrel=1e-10)
+    assert err <= 1e-6
+    return bits
+
+
 def log_output_density(A, sigma, ys):
     """log2 f_Y at each row of ys, rebuilt from the channel pass's information density i.
 
@@ -616,10 +639,20 @@ class TestExactCapacity1d:
             binomial_entropy(n), abs=1e-6
         )
 
+    # the 128- and 256-node rules differ by 2.5e-8 bits here, near their widest gap
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(capacity, "_QUAD_TOL", 1e-16)
+        monkeypatch.setattr(capacity, "_QUAD_TOL", 1e-12)
         with pytest.raises(NumericFailure):
-            exact_capacity_1d(SCALAR_ONE, 1.0)
+            exact_capacity_1d(SCALAR_ONE, 0.29)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_matches_adaptive_quadrature(self, n):
+        sigmas = [*np.logspace(math.log10(0.02), math.log10(2.0), 41), SMALLEST_SIGMA]
+        gaps = [abs(exact_capacity_1d(all_ones(n), s) - quad_capacity(n, s)) for s in sigmas]
+        assert max(gaps) <= 1e-8, sigmas[int(np.argmax(gaps))]
+
+    def test_builds_its_rules_once(self):
+        assert capacity._hermite_rules() is capacity._hermite_rules()
 
     def test_sigma_validated(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from sigdesign import (
     SignatureMatrix,
     baselines,
     cli,
+    estimate,
     exact_capacity_1d,
     ga,
     random_normalized,
@@ -724,6 +725,37 @@ class TestOverloadSweep:
         assert main(self.ARGS + ["--n-list", "2,3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    # 2**n of 4 to 64 points take the density kernel, 128 the row scan, and 256 and 1 024 the
+    # factored one where its guards allow
+    @pytest.mark.parametrize("m, n_list", [(2, "2,3,6"), (4, "7,8,10")])
+    def test_capacity_columns_equal_estimate(self, tmp_path, monkeypatch, m, n_list):
+        runs = []
+
+        def recorded(*args):
+            runs.append(ga.evolve(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "evolve", recorded)
+        out = tmp_path / "over.csv"
+        args = ["overload-sweep", "--criterion", "ed", "-m", str(m), "--n-list", n_list,
+                "--sigma", "0.3", "--budget", "9000", "--seed", "5", "--generations", "2",
+                "--population-size", "4", "--out", str(out)]
+        assert main(args) == 0
+        rows = read_csv(out.read_text())
+        assert len(rows) == len(runs) == len(n_list.split(","))
+        for row, run in zip(rows, runs):
+            cap = estimate(run.best_matrix, 0.3, samples=9000, seed=5)[0]
+            assert row["per_user_capacity"] == repr(cap.per_user_bits)
+            assert row["capacity_std_error"] == repr(cap.std_error)
+
+    def test_capacity_column_runs_no_decode(self, tmp_path, monkeypatch):
+        # the CSV has no BER: up to 2**6 points the pass takes the density kernel, never `_scan`
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the closing estimate decoded")
+
+        monkeypatch.setattr(_rng, "_scan", no_scan)
+        assert main(self.ARGS + ["--n-list", "2,6", "--out", str(tmp_path / "over.csv")]) == 0
+
     @pytest.mark.parametrize("n_list", ["3,x", "3,4.5"])
     def test_malformed_n_list_names_the_flag(self, tmp_path, capsys, n_list):
         err = assert_rejected(capsys, *self.ARGS, "--n-list", n_list,
@@ -839,19 +871,45 @@ class TestEvaluateMatrix:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # only the 1-D quadrature oracle needs scipy, scipy.integrate, and it imports
-    # it itself; nothing uses scipy.spatial or scipy.special
-    code = (
-        "import sys, sigdesign.cli; print([m for m in "
-        "('scipy.integrate', 'scipy.spatial', 'scipy.special') if m in sys.modules])"
-    )
+    # numpy is the only runtime dependency: importing the package and the CLI loads no scipy module
+    code = "import sys, sigdesign.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = run_subprocess("-c", code)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
+@pytest.fixture
+def hidden_scipy(tmp_path, monkeypatch):
+    """Puts first on the PYTHONPATH of child processes a `scipy` whose import raises ImportError."""
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('raise ImportError("scipy is hidden")\n')
+    path = os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
+
+
+def test_oracle_runs_without_scipy(hidden_scipy):
+    code = f"""
+import numpy as np
+from sigdesign import SignatureMatrix, exact_capacity_1d
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not hidden")
+for n in range(1, 17):
+    for sigma in (0.3, {SMALLEST_SIGMA!r}):
+        print(exact_capacity_1d(SignatureMatrix(np.ones((1, n))), sigma))
+"""
+    proc = run_subprocess("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    values = [float(v) for v in proc.stdout.split()]
+    assert len(values) == 32
+    assert values == [exact_capacity_1d(SignatureMatrix(np.ones((1, n))), sigma)
+                      for n in range(1, 17) for sigma in (0.3, SMALLEST_SIGMA)]
+
+
 def test_commands_load_no_scipy(tmp_path):
-    # q_function is numpy alone, so only exact_capacity_1d needs scipy; run every
-    # command in one child at small sizes and list the scipy modules it loaded
+    # run every command in one child at small sizes and list the scipy modules it loaded
     code = f"""
 import os, sys
 from sigdesign.cli import main
@@ -901,10 +959,11 @@ def test_readme_library_names_no_missing_name():
     assert unknown == []
 
 
-def test_readme_library_example_runs():
+def test_readme_library_example_runs(hidden_scipy):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     example = section.split("```python\n", 1)[1].split("```", 1)[0]
     proc = run_subprocess("-c", example)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.split()) == 3  # per-user capacity, its standard error, BER
+    # per-user capacity, its standard error, BER, then the 1x3 oracle's capacity
+    assert len(proc.stdout.split()) == 4
