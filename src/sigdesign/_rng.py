@@ -14,12 +14,12 @@ a whole stack of matrices.  Each row is scored against the point that was
 sent, so the mean of its per-row capacity terms is the sum capacity at every
 sigma that `_check_sigma` accepts.  Sent and decoded inputs stay indices
 throughout: a row's bit errors are the popcount of their XOR.  Three kernels
-give the densities: `_density`, points-major with no decode, for the
-`capacity` criterion at 2**n <= _DENSITY_POINTS; `_factored`, over two half
-constellations, for `estimate` (so `eval` and `sweep`) and the `capacity`
-criterion at 2**n >= _FACTORED_POINTS; `_scan`, row-major with the ML decode,
-for the rest, the decode alone (the `ber` criterion), and the rows `_factored`
-declines.
+give the densities, the same one for every caller at a given size, so the
+`capacity` criterion equals `estimate` bit for bit: `_density`, points-major
+with no decode, at 2**n <= _DENSITY_POINTS; `_factored`, over two half
+constellations, at 2**n >= _FACTORED_POINTS; `_scan`, row-major with the ML
+decode, for the rest and the rows `_factored` declines.  Where no kernel gives
+the decode with the density, `_scan` decodes alone.
 """
 
 from __future__ import annotations
@@ -40,8 +40,11 @@ _MIN_THREADED_POINTS = 1 << 10
 _SLAB = 512
 _TILE = 1 << 17  # float64s in one tile's (rows, slab) buffer: 1 MiB, which stays in L2
 _EXP_FLOOR = -700.0  # np.exp leaves its vector path below about -708
+_EXP_CEIL = 700.0  # `_density`'s ceiling: 2**6 terms of e^700 still sum below the largest double
+_FOLD_SCALE = 1e150  # up to this 1/(2 sigma^2), `_density` folds it into [2z, -||z||^2] (|.| <= 36)
 _LN2 = math.log(2.0)
-# largest 2**n for `_density`: at P 32, 1 000 rows it beat `_scan` to n = 6, tied at 7, lost from 8
+# largest 2**n for `_density`: beside the decode-only `_scan`, an `estimate` block cost 0.88-1.12x
+# the joint scan's at n <= 6 and 0.95-1.21x at n = 7 (BENCH_lean_density.json)
 _DENSITY_POINTS = 64
 # `_factored` from 2**n = 256, while n / (2 sigma^2) <= 1200 and H* <= 300 at n = 8, 350 above:
 # past these, with the decode, it lost to `_scan` (BENCH_factored_density.json,
@@ -49,11 +52,16 @@ _DENSITY_POINTS = 64
 _FACTORED_POINTS, _FACTORED_SCALE, _FACTORED_SPREAD, _FACTORED_RANGE = 256, 1200.0, (300, 350), -600.0
 
 
-def draw_block(seed: int, block: int, n_users: int, m_chips: int):
-    """One block of uniform input indices (BLOCK,), bit k for user k, and unit noise (BLOCK, m)."""
+def draw_block(seed: int, block: int, n_users: int, m_chips: int, rows: int = BLOCK):
+    """First `rows` of one block: uniform input indices (rows,), bit k for user k, unit noise (rows, m).
+
+    A cut block skips the bits it does not read: numpy draws each from one 32-bit half of a
+    PCG64 output, so the noise starts ceil(BLOCK n / 2) outputs in, whatever `rows` is.
+    """
     rng = np.random.default_rng([int(seed), int(block)])
-    sent = rng.integers(0, 2, size=(BLOCK, n_users)) @ (1 << np.arange(n_users))
-    return sent, rng.standard_normal((BLOCK, m_chips))
+    sent = rng.integers(0, 2, size=(rows, n_users)) @ (1 << np.arange(n_users))
+    rng.bit_generator.advance((BLOCK * n_users + 1) // 2 - (rows * n_users + 1) // 2)
+    return sent, rng.standard_normal((rows, m_chips))
 
 
 def _threads(points: int, n_blocks: int) -> int:
@@ -124,56 +132,44 @@ def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray, de
     return (len(points).bit_length() - 1) - log_sum / _LN2 if density else None, best_i
 
 
-def _pairwise(e: np.ndarray) -> np.ndarray:
-    """e[:, 0] after summing e over axis 1 into it, in np.add.reduce's order for a contiguous axis.
-
-    Under 8 terms in turn, up to 128 in 8 strided sums joined pairwise and then the rest in
-    turn, beyond that in two halves cut at a multiple of 8.  Every add is a whole-row op.
-    """
-    width = e.shape[1]
-    if width > 128:
-        half = width // 2 - width // 2 % 8
-        return np.add(_pairwise(e[:, :half]), _pairwise(e[:, half:]), out=e[:, 0])
-    tail = width - width % 8 if width >= 8 else 1
-    for lo in range(8, tail, 8):
-        e[:, :8] += e[:, lo : lo + 8]
-    for gap in (1, 2, 4) if width >= 8 else ():  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + ...
-        e[:, 0:8 : 2 * gap] += e[:, gap:8 : 2 * gap]
-    for k in range(tail, width):
-        e[:, 0] += e[:, k]
-    return e[:, 0]
-
-
 def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarray):
-    """(P, rows) information densities of rows points[p, sent] + noise, bit for bit as `_scan`'s.
+    """(P, rows) information densities of rows points[p, sent] + noise, with no decode.
 
-    No decode.  One batched GEMM of C-contiguous operands fills a (matrices, points, rows) chunk,
-    so the max and sum over the points are whole-row ops; `_scan`'s row tiles, shift, clamp,
-    scale, exp and (by `_pairwise`) summation order keep every bit.  Buffers are reused.
+    One batched GEMM of C-contiguous operands fills a (matrices, points, rows) chunk with
+    e = [2 z, -||z||^2] @ [y, 1]^T = ||y||^2 - ||y - z||^2, so the shift and the sum over the
+    points are whole-row ops.  Each row is shifted by its sent point's own entry e_s: the sent
+    point and any point equal to it count exactly 1 at every sigma.  Every other exponent is at
+    most |Pu|^2 / 2, Pu the unit noise's part in the span of z - z_s (n <= 6 dimensions), so
+    only rounding reaches the ceiling of the clip to [_EXP_FLOOR, _EXP_CEIL]; the clip keeps exp
+    off its slow underflow path and that rounding off overflow.  1/(2 sigma^2) is folded into
+    the GEMM operand up to _FOLD_SCALE, else applied after the clip.
     """
     sigma = float(sigma)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    fold = inv2s2 <= _FOLD_SCALE
+    bounds = (_EXP_FLOOR, _EXP_CEIL) if fold else (_EXP_FLOOR / inv2s2, _EXP_CEIL / inv2s2)
     count, width, m = points.shape
     z1 = np.concatenate([2.0 * points, -np.einsum("pij,pij->pi", points, points)[..., None]], 2)
+    z1 *= inv2s2 if fold else 1.0
+    zt = np.ascontiguousarray(points.swapaxes(1, 2))  # (P, m, 2**n): sent rows gather contiguously
     tile_rows = min(len(sent), _TILE // width)
     step = max(1, _TILE // ((width + m + 1) * tile_rows))  # e and y1t together fill a tile
     e_buf, y_buf = np.empty(step * width * tile_rows), np.empty(step * (m + 1) * tile_rows)
     log_sum = np.empty((count, len(sent)))
     for lo in range(0, len(sent), tile_rows):
         s, tile = sent[lo : lo + tile_rows], slice(lo, lo + tile_rows)
+        at = (np.arange(step)[:, None] * width + s) * len(s) + np.arange(len(s))  # e_s in e
         for p in range(0, count, step):
             k, chunk = min(step, count - p), slice(p, p + step)
             y1t = y_buf[: k * (m + 1) * len(s)].reshape(k, m + 1, len(s))
-            np.add(np.take(points[chunk].swapaxes(1, 2), s, axis=2), noise[tile].T, out=y1t[:, :m])
+            np.add(np.take(zt[chunk], s, axis=2), noise[tile].T, out=y1t[:, :m])
             y1t[:, m] = 1.0
             e = np.matmul(z1[chunk], y1t, out=e_buf[: k * width * len(s)].reshape(k, width, len(s)))
-            e_s = np.take(e, (np.arange(k)[:, None] * width + s) * len(s) + np.arange(len(s)))
-            top = e.max(axis=1)
-            e -= top[:, None]
-            np.maximum(e, _EXP_FLOOR / inv2s2, out=e)
-            e *= inv2s2
-            np.exp(e, out=e)
-            log_sum[chunk, tile] = np.log(_pairwise(e)) + (top - e_s) * inv2s2
+            e -= np.take(e, at[:k])[:, None]
+            np.clip(e, *bounds, out=e)
+            if not fold:
+                e *= inv2s2
+            log_sum[chunk, tile] = np.log(np.exp(e, out=e).sum(axis=1))
     log_sum /= _LN2
     return np.subtract(width.bit_length() - 1, log_sum, out=log_sum)
 
@@ -231,31 +227,34 @@ def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int, decode=Tru
 
     A row's term is its information density plus (||u||^2 - m) / (2 ln 2) for its unit noise
     u: that equals -log2 f_Y(y) - h(N), so the terms average to the sum capacity.  Rows come
-    in order from the blocks draw(seed, b, n, m), `draw_block`'s substreams or a cache of
-    them; each block is cut to `rows` and shared by all P matrices.  With decode=False errors
-    is None, and the terms of 2**n <= _DENSITY_POINTS points come from `_density`; with
-    density=False terms is None, and only `_scan`'s decode runs.
+    in order from the blocks draw(seed, b, n, m, rows_b), `draw_block`'s substreams or a cache
+    of them, each cut to the rows_b = min(BLOCK, rows - b BLOCK) it gives and shared by all P
+    matrices.  The terms of 2**n <= _DENSITY_POINTS points come from `_density` and the errors
+    from `_scan`'s decode alone; above, one `_scan` per matrix gives both, or the decode beside
+    `_factored`.  With decode=False errors is None, with density=False terms is None.
     """
     _check_sigma(sigma)
     _, m, n = pop.shape
     points = _points(pop)
 
     def one_block(b):
-        sent, unit = (a[: rows - b * BLOCK] for a in draw(seed, b, n, m))
-        chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2.0 * _LN2)
-        if not decode and len(points[0]) <= _DENSITY_POINTS:
-            terms = _density(points, sigma, sigma * unit, sent)
-            return np.add(terms, chi, out=terms), None
-        terms, errors = [], []
-        for a, z in zip(pop, points):
+        sent, unit = draw(seed, b, n, m, min(BLOCK, rows - b * BLOCK))
+        lean = density and len(points[0]) <= _DENSITY_POINTS
+        joint = density and not lean  # the density comes from `_factored` or the scan
+        terms = _density(points, sigma, sigma * unit, sent) if lean else []
+        errors = []
+        for a, z in zip(pop, points) if decode or joint else ():
             ys = z[sent] + sigma * unit  # noise made per matrix, so it is not held through the scans
-            info = _factored(a, z, sigma, ys, sent) if density and len(z) >= _FACTORED_POINTS else None
-            if decode or (density and info is None):
-                scan, best = _scan(z, sigma, ys, sent, density=density and info is None)
+            info = _factored(a, z, sigma, ys, sent) if joint and len(z) >= _FACTORED_POINTS else None
+            if decode or (joint and info is None):
+                scan, best = _scan(z, sigma, ys, sent, density=joint and info is None)
                 info = scan if info is None else info
-            terms.append(info + chi if density else None)
-            errors.append(np.bitwise_count(sent ^ best) if decode else None)
-        return terms, errors
+            if joint:
+                terms.append(info)
+            if decode:
+                errors.append(np.bitwise_count(sent ^ best))
+        chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2.0 * _LN2)
+        return np.add(terms, chi) if density else None, errors
 
     n_blocks = -(-rows // BLOCK)
     threads = _threads(len(pop) << n, n_blocks)

@@ -242,29 +242,51 @@ def density_stack(m, n):
 
 
 class TestDensity:
-    """`_density`, the decode-free kernel of the capacity criterion, against `_scan`."""
+    """`_density`, the kernel of every capacity at 2**n <= _DENSITY_POINTS."""
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
-    def test_equals_scan_bit_for_bit(self, m, n):
-        # blocks cut mid-way; 1 row, and 2 049 rows at 2**6 points (tiles of 2 048 and 1 row),
-        # leave one-row matrix products
-        points = _points(density_stack(m, n))
+    def test_capacity_callers_agree_bit_for_bit(self, m, n):
+        # the twin and antipodal stacks; 100 rows, a block cut mid-way, and a second block of
+        # one row, which leaves a one-row matrix product
+        pop = density_stack(m, n)[1:]
         for sigma in (SMALLEST_SIGMA, 1e-3, 0.3, 2.0, LARGEST_SIGMA):
-            for rows in (1, 777, 2_049, _rng.BLOCK):
+            for samples in (100, 2_049, _rng.BLOCK + 1):
+                got = population_fitness(CriterionSpec("capacity", sigma, samples), pop, seed=m + n)
+                for a, value in zip(pop, got):
+                    A = SignatureMatrix(a)
+                    assert value == estimate(A, sigma, samples, seed=m + n)[0].sum_bits
+                    assert value == capacity._capacity(A, sigma, samples, seed=m + n).sum_bits
+
+    @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
+    def test_twin_terms_are_exactly_one(self, n):
+        # 2**n copies of one point: every term is 1, so the sum is 2**n and i is exactly 0
+        z = np.tile(_points(random_normalized(3, n, seed=n).entries)[3 % 2**n], (2**n, 1))
+        sent, unit = _rng.draw_block(n, 0, n, 3, 777)
+        for sigma in (SMALLEST_SIGMA, 1e-3, 0.3, 2.0, LARGEST_SIGMA):
+            npt.assert_array_equal(_rng._density(z[None], sigma, sigma * unit, sent), 0.0)
+        # the +-1 points of a 1 x n matrix: at the floor every other term is below e^-700, so
+        # the sum counts the points equal to the sent one exactly
+        z = _points(density_stack(1, n)[1])
+        sent, unit = _rng.draw_block(n, 0, n, 1, 777)
+        info = _rng._density(z[None], SMALLEST_SIGMA, SMALLEST_SIGMA * unit, sent)[0]
+        twins = (z[sent] == z.T).sum(axis=1)
+        npt.assert_array_equal(info, n - np.log(twins) / math.log(2))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
+    def test_matches_scan(self, m, n):
+        # test_channel_pass_decodes_as_scan's standard for `_factored`, plus the rounding of e
+        # (about 1e-16 ||z||^2 in either kernel) times 1/(2 sigma^2): at sigma 0.01 the
+        # near-twin points of the 3-chip stacks part the two by up to 1.2e-11
+        points = _points(density_stack(m, n))
+        for sigma in (0.01, 0.1, 0.3, 2.0, 1e3):
+            for rows in (1, 777, _rng.BLOCK):
                 sent, unit = (a[:rows] for a in _rng.draw_block(10 * m + n, 0, n, m))
                 noise = sigma * unit
                 want = [_scan(z, sigma, z[sent] + noise, sent)[0] for z in points]
-                npt.assert_array_equal(_rng._density(points, sigma, noise, sent), want)
-
-    def test_pairwise_is_numpys_summation_order(self):
-        # a numpy that sums in another order fails here by name, where it would otherwise
-        # only part population_fitness from estimate
-        rng = np.random.default_rng(0)
-        for width in range(1, 1_101):
-            x = np.exp(8.0 * rng.standard_normal((3, width)))
-            npt.assert_array_equal(_rng._pairwise(np.ascontiguousarray(x.T)[None])[0],
-                                   np.add.reduce(x, axis=1), err_msg=f"width {width}")
+                npt.assert_allclose(_rng._density(points, sigma, noise, sent), want,
+                                    rtol=1e-12, atol=1e-12 * n + 1e-14 / sigma**2)
 
     @pytest.mark.parametrize("tile", [12 * _rng.BLOCK, 8 * 100], ids=["one-matrix", "100-rows"])
     def test_chunks_change_no_bit(self, monkeypatch, tile):
@@ -483,6 +505,17 @@ class TestCapacityEstimate:
         assert cap.sum_bits == pytest.approx(5.366189108139556, rel=1e-12)
         assert cap.std_error == pytest.approx(0.021176995896320515, rel=1e-12)
         assert (err.bit_errors, err.block_errors) == (8386, 2935)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_cut_block_is_the_full_blocks_prefix(self, n):
+        # a cut block advances PCG64 past the bits it does not read: a numpy whose bounded
+        # integers take another count of outputs fails here by name
+        for m in (1, 3, 8, 16):
+            sent, unit = _rng.draw_block(5, 2, n, m)
+            for rows in (1, 2, 3, 100, 999, 1_000, 2_047, 4_095, 4_096):
+                cut = _rng.draw_block(5, 2, n, m, rows)
+                npt.assert_array_equal(cut[0], sent[:rows])
+                npt.assert_array_equal(cut[1], unit[:rows])
 
     def test_deterministic_per_seed(self):
         A = random_normalized(2, 3, seed=9)

@@ -820,8 +820,9 @@ def test_sweep_rows_equal_eval_rows(tmp_path, capsys, kind, m, n):
 
 
 def test_sweep_draws_each_block_once_per_matrix(tmp_path, monkeypatch):
-    # two 4x8 matrices, four sigmas, two blocks: 4 draws, not 16, on one thread or two; past
-    # the memory cap on shared draws each sigma draws its own, and no output byte moves
+    # two 4x8 matrices, four sigmas, two blocks (the second cut to 904 rows): 4 draws, not 16,
+    # on one thread or two; past the memory cap on shared draws each sigma draws its own, and
+    # no output byte moves
     calls, draw = [], _rng.draw_block
     monkeypatch.setattr(_rng, "draw_block", lambda *args: calls.append(args) or draw(*args))
     paths = [tmp_path / f"{kind}.json" for kind in ("wbe", "random")]
@@ -835,7 +836,7 @@ def test_sweep_draws_each_block_once_per_matrix(tmp_path, monkeypatch):
         out = tmp_path / "s.csv"
         assert main(["sweep", *map(str, paths), "--sigma-grid", "0.1:1:4", "--budget", "5000",
                      "--seed", "3", "--out", str(out)]) == 0
-        assert sorted(calls) == [(3, 0, 8, 4)] * draws + [(3, 1, 8, 4)] * draws
+        assert sorted(calls) == [(3, 0, 8, 4, 4096)] * draws + [(3, 1, 8, 4, 904)] * draws
         tables.append(out.read_bytes())
     assert tables[0] == tables[1] == tables[2]
 
