@@ -4,22 +4,22 @@ Randomness is derived from (seed, block index) for fixed-size blocks of
 samples, never from the thread layout, so results are bit-identical for
 any thread count and extending a sample budget leaves earlier draws
 unchanged.  Each block yields sent input indices, in the model's canonical
-order, plus unit-variance noise; callers scale the noise by sigma, which
-makes runs with matched seeds share their draws across different noise
-levels (common random numbers), and a sweep's grid can share one cache of them.
+order, plus unit-variance noise; scaling it by sigma makes runs with matched
+seeds share their draws across noise levels (common random numbers).
 
-`channel_pass` scores every drawn channel use against the constellation
-once, for the capacity and the BER estimators or for either alone, and for
-a whole stack of matrices.  Each row is scored against the point that was
-sent, so the mean of its per-row capacity terms is the sum capacity at every
-sigma that `_check_sigma` accepts.  Sent and decoded inputs stay indices
-throughout: a row's bit errors are the popcount of their XOR.  Three kernels
-give the densities, the same one for every caller at a given size, so the
-`capacity` criterion equals `estimate` bit for bit: `_density`, points-major
-with no decode, at 2**n <= _DENSITY_POINTS; `_factored`, over two half
+`channel_pass` draws each block once for a whole sigma grid and a whole
+stack of matrices, scores each row against the point that was sent, for the
+capacity and the BER estimators or for either alone, and keeps only each
+block's statistics, so memory does not grow with the budget.  The mean of
+the per-row capacity terms is the sum capacity at every sigma that
+`_check_sigma` accepts.  Sent and decoded inputs stay indices throughout: a
+row's bit errors are the popcount of their XOR.  Three kernels give the
+densities, the same one for every caller at a given size, so the `capacity`
+criterion equals `estimate` bit for bit: `_density`, points-major with no
+decode, at 2**n <= _DENSITY_POINTS; `_factored`, over two half
 constellations, at 2**n >= _FACTORED_POINTS; `_scan`, row-major with the ML
-decode, for the rest and the rows `_factored` declines.  Where no kernel gives
-the decode with the density, `_scan` decodes alone.
+decode, for the rest and the rows `_factored` declines.  Where no kernel
+gives the decode with the density, `_scan` decodes alone.
 """
 
 from __future__ import annotations
@@ -221,44 +221,55 @@ def _factored(a: np.ndarray, points: np.ndarray, sigma: float, ys: np.ndarray, s
     return info
 
 
-def channel_pass(pop: np.ndarray, sigma: float, rows: int, seed: int, decode=True, density=True,
-                 draw=draw_block):
-    """Per-row capacity terms and ML bit-error counts, each (P, rows), for a (P, m, n) stack.
+def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, density=True):
+    """Per-block statistics of the capacity terms and ML bit errors of a (P, m, n) stack at each sigma.
 
     A row's term is its information density plus (||u||^2 - m) / (2 ln 2) for its unit noise
     u: that equals -log2 f_Y(y) - h(N), so the terms average to the sum capacity.  Rows come
-    in order from the blocks draw(seed, b, n, m, rows_b), `draw_block`'s substreams or a cache
-    of them, each cut to the rows_b = min(BLOCK, rows - b BLOCK) it gives and shared by all P
-    matrices.  The terms of 2**n <= _DENSITY_POINTS points come from `_density` and the errors
-    from `_scan`'s decode alone; above, one `_scan` per matrix gives both, or the decode beside
-    `_factored`.  With decode=False errors is None, with density=False terms is None.
+    in order from the blocks draw_block(seed, b, n, m, rows_b), each cut to the rows_b =
+    min(BLOCK, rows - b BLOCK) it gives and shared by every sigma and all P matrices.  terms
+    (blocks, sigmas, 3, P) holds each block's row count, mean and M2 (sum of squared deviations
+    from that mean) of its terms, errors, in int64, the sum, sum of squares and nonzero count
+    of its bit errors.  The terms of 2**n <= _DENSITY_POINTS points come from `_density`, the
+    errors from `_scan`'s decode alone; above, one `_scan` per matrix gives both, or the decode
+    beside `_factored`.  With decode=False errors is None, with density=False terms is None.
     """
-    _check_sigma(sigma)
+    for sigma in sigmas:
+        _check_sigma(sigma)
     _, m, n = pop.shape
     points = _points(pop)
+    lean = density and len(points[0]) <= _DENSITY_POINTS
+    joint = density and not lean  # the density comes from `_factored` or the scan
 
     def one_block(b):
-        sent, unit = draw(seed, b, n, m, min(BLOCK, rows - b * BLOCK))
-        lean = density and len(points[0]) <= _DENSITY_POINTS
-        joint = density and not lean  # the density comes from `_factored` or the scan
-        terms = _density(points, sigma, sigma * unit, sent) if lean else []
-        errors = []
-        for a, z in zip(pop, points) if decode or joint else ():
-            ys = z[sent] + sigma * unit  # noise made per matrix, so it is not held through the scans
-            info = _factored(a, z, sigma, ys, sent) if joint and len(z) >= _FACTORED_POINTS else None
-            if decode or (joint and info is None):
-                scan, best = _scan(z, sigma, ys, sent, density=joint and info is None)
-                info = scan if info is None else info
-            if joint:
-                terms.append(info)
-            if decode:
-                errors.append(np.bitwise_count(sent ^ best))
+        sent, unit = draw_block(seed, b, n, m, min(BLOCK, rows - b * BLOCK))
         chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2.0 * _LN2)
-        return np.add(terms, chi) if density else None, errors
+        stats = [], []  # (3, P) statistics of the terms and of the errors at each sigma
+        for sigma in sigmas:
+            terms = _density(points, sigma, sigma * unit, sent) if lean else []
+            errors = []
+            for a, z in zip(pop, points) if decode or joint else ():
+                ys = z[sent] + sigma * unit  # made per matrix, so not held through the scans
+                info = _factored(a, z, sigma, ys, sent) if joint and len(z) >= _FACTORED_POINTS else None
+                if decode or (joint and info is None):
+                    scan, best = _scan(z, sigma, ys, sent, density=joint and info is None)
+                    info = scan if info is None else info
+                if joint:
+                    terms.append(info)
+                if decode:
+                    errors.append(np.bitwise_count(sent ^ best))
+            if density:  # in place: a block holds one (P, rows) array of terms at a time
+                terms = np.add(terms, chi, out=terms if lean else None)
+                mean = terms.mean(axis=1)
+                np.square(np.subtract(terms, mean[:, None], out=terms), out=terms)
+                stats[0].append([np.full_like(mean, len(sent)), mean, terms.sum(axis=1)])
+            if decode:
+                e = np.array(errors, dtype=np.int64)
+                stats[1].append([e.sum(axis=1), np.square(e).sum(axis=1), np.count_nonzero(e, axis=1)])
+        return stats
 
     n_blocks = -(-rows // BLOCK)
     threads = _threads(len(pop) << n, n_blocks)
     runs = map_blocks(lambda t: [one_block(b) for b in range(t, n_blocks, threads)], threads)
     terms, errors = zip(*(runs[b % threads][b // threads] for b in range(n_blocks)))
-    return (np.concatenate(terms, axis=1) if density else None,
-            np.concatenate(errors, axis=1) if decode else None)
+    return np.array(terms) if density else None, np.array(errors) if decode else None

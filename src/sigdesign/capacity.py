@@ -22,8 +22,6 @@ from . import _rng
 from .model import NumericFailure, SignatureMatrix, _check_samples, _check_sigma
 
 _QUAD_TOL = 1e-6  # largest accepted difference of the oracle's two quadrature rules, in bits
-# a sigma grid shares its drawn blocks up to 2 MiB (sweep-n8's take 0.8); past that each sigma redraws
-_SHARED_DRAWS_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -56,45 +54,32 @@ class BerEstimate:
     block_std_error: float
 
 
-def _capacity_estimate(terms: np.ndarray, n: int, sigma: float):
-    sum_bits = float(np.mean(terms))
-    return CapacityEstimate(
-        sum_bits=sum_bits,
-        per_user_bits=sum_bits / n,
-        std_error=float(np.std(terms, ddof=1) / math.sqrt(terms.size)),
-        samples=terms.size,
-        sigma=float(sigma),
-    )
+def _combine(terms: np.ndarray):
+    """Mean and M2 of all rows from (blocks, ..., 3, P) per-block count, mean and M2, merged in block
+    order as Chan, Golub & LeVeque (Am. Stat. 1983) do; elementwise, so each matrix gets its own."""
+    count, means, m2s = np.moveaxis(terms, -2, 0)
+    mean = sum(n * mu for n, mu in zip(count, means)) / sum(count)
+    return mean, sum(m2 + n * np.square(mu - mean) for n, mu, m2 in zip(count, means, m2s))
 
 
-def _ber_estimate(errors: np.ndarray, n_users: int, sigma: float) -> BerEstimate:
-    """BER estimate from per-vector bit-error counts.
+def _ber_estimate(errors, blocks: int, n_users: int, sigma: float) -> BerEstimate:
+    """BER estimate from the sum, sum of squares and nonzero count of `blocks` bit-error counts.
 
-    ML decoding flips the bits of one vector together, so std_error is
-    the cluster estimate sd(errors) / (n * sqrt(blocks)), not per bit.
-    With no errors both standard errors are 1 / blocks, so a 3-sigma band
-    reaches the rule-of-three 95 % bound 3 / blocks instead of width 0.
+    ML decoding flips the bits of one vector together, so std_error is the cluster
+    estimate sd(errors) / (n * sqrt(blocks)), not per bit, from exact integer sums.
+    With no errors both standard errors are 1 / blocks, so a 3-sigma band reaches
+    the rule-of-three 95 % bound 3 / blocks instead of width 0.
     """
-    blocks = errors.size
-    bit_errors = int(errors.sum())
-    block_errors = int(np.count_nonzero(errors))
+    bit_errors, squares, block_errors = (int(v) for v in errors)
     bits = blocks * n_users
     bler = block_errors / blocks
-    std_error = float(np.std(errors, ddof=1)) / (n_users * math.sqrt(blocks))
+    std_error = math.sqrt((blocks * squares - bit_errors**2) / (blocks - 1)) / (n_users * blocks)
     block_std_error = math.sqrt(bler * (1.0 - bler) / blocks)
     if bit_errors == 0:
         std_error = block_std_error = 1.0 / blocks
-    return BerEstimate(
-        ber=bit_errors / bits,
-        bit_errors=bit_errors,
-        bits_simulated=bits,
-        std_error=std_error,
-        sigma=float(sigma),
-        block_error_rate=bler,
-        block_errors=block_errors,
-        blocks=blocks,
-        block_std_error=block_std_error,
-    )
+    return BerEstimate(ber=bit_errors / bits, bit_errors=bit_errors, bits_simulated=bits,
+                       std_error=std_error, sigma=float(sigma), block_error_rate=bler,
+                       block_errors=block_errors, blocks=blocks, block_std_error=block_std_error)
 
 
 def estimate(
@@ -114,21 +99,22 @@ def estimate(
     return _estimates(A, [sigma], samples, seed)[0]
 
 
-def _estimates(A: SignatureMatrix, sigmas, samples: int, seed: int) -> list:
-    """[estimate(A, sigma, samples, seed) for sigma in sigmas], sharing its blocks where they fit."""
-    _check_samples(samples)
-    shared = -(-samples // _rng.BLOCK) * _rng.BLOCK * 8 * (A.m + 1) <= _SHARED_DRAWS_BYTES
-    draw = functools.lru_cache(None)(_rng.draw_block) if len(sigmas) > 1 and shared else _rng.draw_block
-    def one(sigma):  # its rows are freed on return, before the next sigma's pass
-        terms, errors = _rng.channel_pass(A.entries[None], sigma, samples, seed, draw=draw)
-        return _capacity_estimate(terms[0], A.n, sigma), _ber_estimate(errors[0], A.n, sigma)
-    return [one(sigma) for sigma in sigmas]
+def _estimates(A: SignatureMatrix, sigmas, samples: int, seed: int, decode=True) -> list:
+    """[estimate(A, sigma, samples, seed) for sigma in sigmas], from one draw of each block;
+    with decode=False each BerEstimate is None and the pass runs no decode."""
+    samples = _check_samples(samples)
+    terms, errors = _rng.channel_pass(A.entries[None], sigmas, samples, seed, decode)
+    mean, m2 = (v[:, 0] for v in _combine(terms))
+    se = np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    caps = [CapacityEstimate(sum_bits=float(mu), per_user_bits=float(mu) / A.n, std_error=float(e),
+                             samples=samples, sigma=float(s)) for s, mu, e in zip(sigmas, mean, se)]
+    totals = errors.sum(axis=0)[..., 0] if decode else [None] * len(caps)  # each sigma's 3 sums
+    return [(c, t if t is None else _ber_estimate(t, samples, A.n, c.sigma)) for c, t in zip(caps, totals)]
 
 
 def _capacity(A: SignatureMatrix, sigma: float, samples: int, seed: int) -> CapacityEstimate:
-    """estimate(A, sigma, samples, seed)[0] of checked samples, bit for bit, from a pass with no decode."""
-    terms, _ = _rng.channel_pass(A.entries[None], sigma, samples, seed, decode=False)
-    return _capacity_estimate(terms[0], A.n, sigma)
+    """estimate(A, sigma, samples, seed)[0], bit for bit, from a pass with no decode."""
+    return _estimates(A, [sigma], samples, seed, decode=False)[0][0]
 
 
 @functools.cache

@@ -11,8 +11,8 @@ overload-sweep  optimize per user count and tabulate per-user capacity vs n/m
 All commands are deterministic given --seed, and their outputs are
 byte-identical for any thread count of the Monte-Carlo pass.
 
-eval and sweep read capacity and BER off the same draws (a sweep draws each block
-once for its whole grid); ber_std_error is the per-vector (cluster) estimate.
+eval and sweep read capacity and BER off the same draws (a sweep draws each block once for its
+whole grid and keeps only its statistics); ber_std_error is the per-vector (cluster) estimate.
 
 Exit codes: 0 success, 2 ValueError (invalid input), 3 NumericFailure or MemoryError.
 """

@@ -19,14 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
+from .capacity import _combine
 from .model import SignatureMatrix, _check_columns, _check_samples, _check_sigma, _check_users
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")
-
-# population_fitness chunk size for stochastic kinds, in float64s per (individuals, rows)
-# array: it bounds memory, and fewer chunks share each block's draws more widely
-_ROW_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -49,8 +46,8 @@ class CriterionSpec:
             if self.sigma is None:
                 raise ValueError(f"criterion {self.kind!r} needs sigma")
             _check_sigma(self.sigma)
-        if self.kind in STOCHASTIC_KINDS:
-            _check_samples(self.eval_budget)
+        if self.kind in STOCHASTIC_KINDS:  # stored as a Python int, so a run file serializes it
+            object.__setattr__(self, "eval_budget", _check_samples(self.eval_budget))
 
 
 # Cephes ndtr.c, highest power first, the monic denominators' leading 1 written out:
@@ -197,25 +194,20 @@ def constellation_measures(A: SignatureMatrix, sigma: float) -> ConstellationMea
 def population_fitness(spec: CriterionSpec, population, seed: int = 0) -> np.ndarray:
     """Score each matrix of a (P, m, n) unit-column stack, equal bit for bit to scoring it alone.
 
-    Stochastic kinds draw each block once for a chunk of individuals, and
-    chunks bound memory; constellation kinds make one pair-kernel call.
+    Stochastic kinds draw each block once for the whole stack and keep only its statistics,
+    so memory does not grow with the budget; constellation kinds make one pair-kernel call.
     Non-finite entries or non-unit columns raise SignatureMatrix's ValueError.
     """
     pop = np.ascontiguousarray(population, dtype=float)
     if pop.ndim != 3 or 0 in pop.shape:
         raise ValueError("population must be a non-empty (P, m, n) array")
     _check_columns(pop)
-    n = pop.shape[-1]
     if spec.kind not in STOCHASTIC_KINDS:
         value = _pair_measures(pop, spec.sigma, (spec.kind,))[0]
         return value if spec.kind == "md" else -value
-    scores, ber = [], spec.kind == "ber"  # the pass computes only what the kind reads
-    step = max(1, _ROW_CHUNK // spec.eval_budget)
-    for chunk in (pop[lo : lo + step] for lo in range(0, len(pop), step)):
-        terms, errors = _rng.channel_pass(chunk, spec.sigma, spec.eval_budget, seed, ber, not ber)
-        if spec.kind == "capacity":
-            scores.append(terms.mean(axis=1))
-        else:  # negate the quotient: a BER of 0 scores -0.0, the same as -BerEstimate.ber
-            scores.append(-(errors.sum(axis=1) / (spec.eval_budget * n)))
-    return np.concatenate(scores)
-
+    ber = spec.kind == "ber"  # the pass computes only what the kind reads
+    terms, errors = _rng.channel_pass(pop, [spec.sigma], spec.eval_budget, seed, ber, not ber)
+    if not ber:
+        return _combine(terms)[0][0]
+    # negate the quotient: a BER of 0 scores -0.0, the same as -BerEstimate.ber
+    return -(errors[:, 0, 0].sum(axis=0) / (spec.eval_budget * pop.shape[-1]))

@@ -12,13 +12,13 @@ individuals (common random numbers within a generation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .baselines import _random_unit_columns
 from .criteria import CriterionSpec, population_fitness
-from .model import NumericFailure, SignatureMatrix
+from .model import NumericFailure, SignatureMatrix, _check_integer
 
 _COLUMN_DEGENERATE = 1e-9
 _TOURNAMENT_SIZE = 3
@@ -36,11 +36,11 @@ class GaConfig:
     generations: int = 200
     seed: int = 0
 
-    def __post_init__(self):
-        if self.population_size < _TOURNAMENT_SIZE:
-            raise ValueError(f"population_size must be at least {_TOURNAMENT_SIZE}")
-        if self.generations < 1:
-            raise ValueError("generations must be at least 1")
+    def __post_init__(self):  # stored as Python ints, so a run file serializes them
+        for field, least in zip(fields(self), (_TOURNAMENT_SIZE, 1, 0)):
+            if (value := _check_integer(getattr(self, field.name), field.name)) < least:
+                raise ValueError(f"{field.name} must be at least {least}")
+            object.__setattr__(self, field.name, value)
 
 
 @dataclass(frozen=True)

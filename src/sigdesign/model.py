@@ -17,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,19 @@ def _check_users(n: int) -> None:
         raise ValueError(f"n={n} exceeds the 2**n enumeration guard (MAX_USERS={MAX_USERS})")
 
 
-def _check_samples(samples: int) -> None:
-    """Raise ValueError for a Monte-Carlo budget below 100 samples."""
-    if samples < 100:
+def _check_integer(value, name: str) -> int:
+    """value as a Python int, from a Python or numpy integer; ValueError for a float or other type."""
+    try:
+        return operator.index(value)
+    except TypeError:  # a float, a string, an array of more than one element, ...
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_samples(samples) -> int:
+    """samples as a Python int; ValueError unless it is an integer of at least 100."""
+    if (samples := _check_integer(samples, "samples")) < 100:
         raise ValueError("need at least 100 samples")
+    return samples
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -162,14 +162,17 @@ class TestBerEstimate:
     def test_per_row_errors_are_hamming_distances(self, entries):
         # the all-ones 1x4 has coinciding points, so its decoding ties; 5000 rows span two blocks
         (m, n), sigma, rows, seed = entries.shape, 0.5, 5000, 3
-        _, errors = _rng.channel_pass(entries[None], sigma, rows, seed)
+        _, errors = _rng.channel_pass(entries[None], [sigma], rows, seed)
         blocks = [_rng.draw_block(seed, b, n, m) for b in (0, 1)]
         sent, unit = (np.concatenate(a)[:rows] for a in zip(*blocks))
         inputs = enumerate_inputs(n)
         points = inputs @ entries.T
         decoded = _scan(points, sigma, points[sent] + sigma * unit, sent)[1]
-        npt.assert_array_equal(errors[0], (inputs[sent] != inputs[decoded]).sum(axis=1))
-        assert errors[0].max() >= 2  # multi-bit errors occur, so a count of 0 or 1 would not pass
+        want = (inputs[sent] != inputs[decoded]).sum(axis=1)
+        # each block's sum, sum of squares and nonzero count of the per-row errors
+        stats = [[w.sum(), np.square(w).sum(), np.count_nonzero(w)] for w in np.split(want, [4096])]
+        npt.assert_array_equal(errors[:, 0, :, 0], stats)
+        assert want.max() >= 2  # multi-bit errors occur, so a count of 0 or 1 would not pass
 
     def test_blocks_validated(self):
         with pytest.raises(ValueError):

@@ -191,16 +191,18 @@ class TestScan:
 
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 2.0])
     def test_channel_pass_terms_are_density_minus_noise_entropy(self, sigma):
-        # the (||u||^2 - m) / (2 ln 2) term has mean 0, so only a per-row check sees its sign
+        # the (||u||^2 - m) / (2 ln 2) term has mean 0, so only a check of few rows sees its sign:
+        # a flipped sign moves the mean of 300 by about 0.2
         A = random_normalized(3, 6, seed=1).entries
-        terms, _ = _rng.channel_pass(A[None], sigma, 300, seed=2)
+        terms, _ = _rng.channel_pass(A[None], [sigma], 300, seed=2)
         sent, unit = (a[:300] for a in _rng.draw_block(2, 0, 6, 3))
         points = enumerate_inputs(6) @ A.T
         d2 = np.square((points[sent] + sigma * unit)[:, None, :] - points[None]).sum(axis=2)
         norm = math.log(2**6) + 1.5 * math.log(2 * math.pi * sigma**2)
         ln_f = logsumexp(-d2 / (2 * sigma**2), axis=1) - norm
         ref = -ln_f / math.log(2) - noise_entropy(3, sigma)
-        npt.assert_allclose(terms[0], ref, rtol=1e-12, atol=1e-11)
+        want = [300, ref.mean(), np.square(ref - ref.mean()).sum()]  # one block: count, mean, M2
+        npt.assert_allclose(terms[0, 0, :, 0], want, rtol=1e-12, atol=1e-11)
 
     @pytest.mark.parametrize("n", [1, 3, 6, 8, 10, 12])  # 10 and 12 span several slabs
     def test_exp_floor_changes_no_bit(self, monkeypatch, n):
@@ -392,10 +394,12 @@ class TestFactored:
     @pytest.mark.parametrize("sigma", [0.05, 0.15, 0.3, 2.0])
     def test_channel_pass_decodes_as_scan(self, monkeypatch, name, a, sigma):
         rows = 300 if a.shape[1] == 16 else 4_400  # a second block of 304 rows
-        got = _rng.channel_pass(a[None], sigma, rows, seed=4)
+        got = _rng.channel_pass(a[None], [sigma], rows, seed=4)
         monkeypatch.setattr(_rng, "_FACTORED_POINTS", np.inf)  # every density from _scan
-        want = _rng.channel_pass(a[None], sigma, rows, seed=4)
+        want = _rng.channel_pass(a[None], [sigma], rows, seed=4)
         npt.assert_array_equal(got[1], want[1])
+        # each block's count, mean and M2; the chi term gives the terms a spread of about 1, so
+        # M2 moves, relative to itself, by no more than the rows do
         npt.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-12 * a.shape[1])
 
     @pytest.mark.parametrize("sigma", [0.15, 0.3])
@@ -414,7 +418,7 @@ class TestFactored:
         runs = []
         for count in (1, 2, 3):
             force_threads(monkeypatch, count)
-            runs.append(_rng.channel_pass(pop, 0.3, 8_500, seed=1, decode=False)[0].tobytes())
+            runs.append(_rng.channel_pass(pop, [0.3], 8_500, seed=1, decode=False)[0].tobytes())
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("a", [random_normalized(4, 10, seed=0).entries, np.ones((1, 12))],
@@ -424,7 +428,7 @@ class TestFactored:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for decode in (True, False):
-                terms, _ = _rng.channel_pass(a[None], sigma, 300, seed=0, decode=decode)
+                terms, _ = _rng.channel_pass(a[None], [sigma], 300, seed=0, decode=decode)
                 assert np.isfinite(terms).all()
 
 
@@ -465,7 +469,7 @@ class TestFactoredSmall:
         factored = _rng._factored
         monkeypatch.setattr(_rng, "_factored", lambda a, *args: calls.append(a.shape) or factored(a, *args))
         for n in (7, 8):
-            _rng.channel_pass(random_normalized(4, n, seed=1).entries[None], 0.3, 300, seed=0)
+            _rng.channel_pass(random_normalized(4, n, seed=1).entries[None], [0.3], 300, seed=0)
         assert calls == [(4, 8)]
         # wbe 4x8 at sigma 0.1 has H* = 333: inside the cap from n = 9 (350), past n = 8's (300),
         # below which no measured 8-user matrix lost to `_scan`; at 349 three lost, by up to 16 %
@@ -527,6 +531,19 @@ class TestCapacityEstimate:
         with pytest.raises(ValueError, match="at least 100 samples"):
             estimate(SCALAR_ONE, 1.0, samples=99, seed=0)[0]
 
+    @pytest.mark.parametrize("samples", [1e4, np.float64(5000), np.array([5000]), "5000", None, 5000 + 0j])
+    def test_non_integer_budget_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            estimate(SCALAR_ONE, 1.0, samples=samples, seed=0)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_budget_equals_python_int(self, kind):
+        # 5 000 rows cut the second block, which once handed PCG64.advance a numpy integer
+        A = random_normalized(3, 4, seed=2)
+        got = estimate(A, 0.5, samples=kind(5_000), seed=1)
+        assert got == estimate(A, 0.5, samples=5_000, seed=1)
+        assert type(got[0].samples) is int and type(got[1].blocks) is int
+
     def test_user_guard(self):
         wide = SignatureMatrix(np.ones((1, 17)))
         with pytest.raises(ValueError, match="MAX_USERS=16"):
@@ -567,6 +584,41 @@ class TestCapacityEstimate:
         )
 
 
+def block_density(a, z, sigma, sent, unit):
+    """Information densities of one block's rows from the kernel `channel_pass` takes for a."""
+    if len(z) <= _rng._DENSITY_POINTS:
+        return _rng._density(z[None], sigma, sigma * unit, sent)[0]
+    ys = z[sent] + sigma * unit
+    info = _rng._factored(a, z, sigma, ys, sent) if len(z) >= _rng._FACTORED_POINTS else None
+    return _scan(z, sigma, ys, sent)[0] if info is None else info
+
+
+class TestBlockStatistics:
+    """`estimate` combines per-block statistics; a mean and an SD over all rows agree with it."""
+
+    @pytest.mark.parametrize("m, n", [(3, 4), (4, 8)])  # `_density`, then `_factored` or `_scan`
+    def test_combined_fields_equal_whole_row_reductions(self, m, n):
+        # 9 000 rows: three blocks, the last cut to 808; the rows are rebuilt from the blocks
+        # and the kernels, and each field is reduced over all of them at once
+        A, samples, seed = random_normalized(m, n, seed=4), 9_000, 6
+        z = _points(A.entries)
+        blocks = [_rng.draw_block(seed, b, n, m, min(_rng.BLOCK, samples - b * _rng.BLOCK))
+                  for b in range(3)]
+        sent, unit = (np.concatenate(x) for x in zip(*blocks))
+        chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2 * math.log(2))
+        for sigma in (0.2, 0.5, 1.5):
+            cap, err = estimate(A, sigma, samples, seed)
+            terms = np.concatenate([block_density(A.entries, z, sigma, s, u) for s, u in blocks]) + chi
+            errors = np.bitwise_count(sent ^ _scan(z, sigma, z[sent] + sigma * unit, sent)[1])
+            assert (err.bit_errors, err.block_errors) == (errors.sum(), np.count_nonzero(errors))
+            assert err.ber == errors.sum() / (samples * n)
+            assert err.block_error_rate == np.count_nonzero(errors) / samples
+            for got, want in [(cap.sum_bits, np.mean(terms)),
+                              (cap.std_error, np.std(terms, ddof=1) / math.sqrt(samples)),
+                              (err.std_error, np.std(errors, ddof=1) / (n * math.sqrt(samples)))]:
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class _Chosen(Exception):
     pass
 
@@ -582,7 +634,7 @@ class TestThreads:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(_rng, "_threads", stop)
         with pytest.raises(_Chosen) as exc:
-            _rng.channel_pass(np.ones(shape), 0.5, rows, seed=0)
+            _rng.channel_pass(np.ones(shape), [0.5], rows, seed=0)
         return exc.value.args[0]
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
@@ -599,14 +651,14 @@ class TestThreads:
         assert self.chosen(monkeypatch, cpus, (1, 6, 12), 20_000) == min(cpus, 5)
 
     def test_estimate_identical_at_forced_counts(self, monkeypatch):
-        # 20 000 rows: five blocks, the last cut to 3 616 rows.  The rows themselves are
-        # compared too: a sum of error counts cannot see them out of block order
+        # 20 000 rows: five blocks, the last cut to 3 616 rows.  The per-block statistics are
+        # compared too: a total of error counts cannot see blocks out of order
         A = random_normalized(6, 12, seed=1)
         results = []
         for count in (1, 2, 3):
             force_threads(monkeypatch, count)
-            rows = _rng.channel_pass(A.entries[None], 0.5, 20_000, seed=5)
-            results.append((estimate(A, 0.5, samples=20_000, seed=5), [r.tobytes() for r in rows]))
+            stats = _rng.channel_pass(A.entries[None], [0.5], 20_000, seed=5)
+            results.append((estimate(A, 0.5, samples=20_000, seed=5), [s.tobytes() for s in stats]))
         assert results[0] == results[1] == results[2]
 
 

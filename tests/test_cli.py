@@ -31,7 +31,7 @@ from sigdesign.cli import (
     matrix_document,
     save_matrix,
 )
-from sigdesign import _rng, capacity
+from sigdesign import _rng
 from test_capacity import SMALLEST_SIGMA, force_threads
 
 
@@ -820,25 +820,27 @@ def test_sweep_rows_equal_eval_rows(tmp_path, capsys, kind, m, n):
 
 
 def test_sweep_draws_each_block_once_per_matrix(tmp_path, monkeypatch):
-    # two 4x8 matrices, four sigmas, two blocks (the second cut to 904 rows): 4 draws, not 16,
-    # on one thread or two; past the memory cap on shared draws each sigma draws its own, and
-    # no output byte moves
+    # two matrices, each block drawn once per matrix for the whole grid at any budget, on one
+    # thread or two with no output byte moved: 4x8 at four sigmas and 5 000 rows is two blocks,
+    # the second cut to 904 rows (4 draws, not 16); 3x4 at three sigmas and 70 000 rows is 18,
+    # the last cut to 368, more than a grid's shared draws used to fit in (36 draws, not 108)
     calls, draw = [], _rng.draw_block
     monkeypatch.setattr(_rng, "draw_block", lambda *args: calls.append(args) or draw(*args))
-    paths = [tmp_path / f"{kind}.json" for kind in ("wbe", "random")]
-    for path in paths:
-        save_matrix(path, baselines.generate(path.stem, 4, 8, 0))
-    tables = []
-    for threads, cap, draws in [(1, 1 << 21, 2), (2, 1 << 21, 2), (1, 2 * 4096 * 8 * 5 - 1, 8)]:
-        force_threads(monkeypatch, threads)
-        monkeypatch.setattr(capacity, "_SHARED_DRAWS_BYTES", cap)
-        calls.clear()
-        out = tmp_path / "s.csv"
-        assert main(["sweep", *map(str, paths), "--sigma-grid", "0.1:1:4", "--budget", "5000",
-                     "--seed", "3", "--out", str(out)]) == 0
-        assert sorted(calls) == [(3, 0, 8, 4, 4096)] * draws + [(3, 1, 8, 4, 904)] * draws
-        tables.append(out.read_bytes())
-    assert tables[0] == tables[1] == tables[2]
+    for m, n, steps, budget in [(4, 8, 4, 5_000), (3, 4, 3, 70_000)]:
+        paths = [tmp_path / f"{kind}.json" for kind in ("wbe", "random")]
+        for path in paths:
+            save_matrix(path, baselines.generate(path.stem, m, n, 0))
+        blocks = [(3, b, n, m, min(4096, budget - 4096 * b)) for b in range(-(-budget // 4096))]
+        tables = []
+        for threads in (1, 2):
+            force_threads(monkeypatch, threads)
+            calls.clear()
+            out = tmp_path / "s.csv"
+            assert main(["sweep", *map(str, paths), "--sigma-grid", f"0.1:1:{steps}", "--budget",
+                         str(budget), "--seed", "3", "--out", str(out)]) == 0
+            assert sorted(calls) == sorted(blocks * 2)
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestEvaluateMatrix:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -132,6 +133,15 @@ class TestCriterionSpec:
             CriterionSpec(kind="capacity", sigma=1.0, eval_budget=99)
         CriterionSpec(kind="capacity", sigma=1.0, eval_budget=100)
 
+    @pytest.mark.parametrize("budget", [5000.0, 1e4, "5000"])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            CriterionSpec(kind="ber", sigma=1.0, eval_budget=budget)
+
+    def test_numpy_integer_budget_stored_as_python_int(self):
+        spec = CriterionSpec(kind="capacity", sigma=1.0, eval_budget=np.int64(5_000))
+        assert type(spec.eval_budget) is int and spec == CriterionSpec("capacity", 1.0, 5_000)
+
 
 class TestFitness:
     # population_fitness on one- and two-matrix stacks
@@ -227,8 +237,20 @@ class TestPopulationFitness:
         pop, spec = _population(7, 3, 4), _spec(kind)
         whole = population_fitness(spec, pop, seed=3)
         monkeypatch.setattr(criteria_module, "_CHUNK_ROWS", 3**4)  # one matrix per chunk
-        monkeypatch.setattr(criteria_module, "_ROW_CHUNK", 1)
         npt.assert_array_equal(population_fitness(spec, pop, seed=3), whole)
+
+    def test_memory_does_not_grow_with_the_budget(self, monkeypatch):
+        # a 64x3x4 capacity generation at budget 200 000, 49 blocks on two threads: each
+        # block keeps its statistics, not (64, rows) arrays of terms
+        pop, spec = _population(64, 3, 4), CriterionSpec("capacity", sigma=0.3, eval_budget=200_000)
+        force_threads(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            population_fitness(spec, pop, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize(
         "m,n", [(1, 1), (2, 3), (3, 4), (4, 8), (4, 9), (5, 10), (2, 10)]
@@ -322,8 +344,8 @@ def test_ber_fitness_unchanged_by_the_decode_only_pass(n):
     got = population_fitness(CriterionSpec("ber", 0.3, 5_000), pop, seed=2)
     want = -(np.array(BER_ERRORS[n]) / (5_000 * n))
     assert got.tobytes() == want.tobytes()
-    _, errors = _rng.channel_pass(pop, 0.3, 5_000, 2)  # the decode of the full pass
-    assert errors.sum(axis=1).tolist() == BER_ERRORS[n]
+    _, errors = _rng.channel_pass(pop, [0.3], 5_000, 2)  # the decode of the full pass
+    assert errors[:, 0, 0].sum(axis=0).tolist() == BER_ERRORS[n]
 
 
 def test_ber_fitness_runs_no_density_kernel(monkeypatch):

@@ -19,6 +19,7 @@ from sigdesign import (
     random_normalized,
 )
 from sigdesign.baselines import _random_unit_columns
+from sigdesign.cli import save_run
 from test_capacity import force_threads
 
 MD = CriterionSpec(kind="md")
@@ -59,6 +60,25 @@ class TestGaConfig:
     def test_validation(self, field, value):
         with pytest.raises(ValueError, match=field):
             GaConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["population_size", "generations", "seed"])
+    @pytest.mark.parametrize("value", [64.0, 1e2, np.float64(8), "64", None])
+    def test_non_integers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GaConfig(**{field: value})
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        config = GaConfig(np.int64(16), np.int32(3), np.uint8(7))
+        assert config == GaConfig(16, 3, 7)
+        assert [type(v) for v in astuple(config)] == [int, int, int]
+
+    def test_numpy_integer_budget_equals_python_int(self, tmp_path):
+        # 5 000 rows cut the second block, which once handed PCG64.advance a numpy integer;
+        # the run file, which echoes the budget, is written and is the same byte for byte
+        config = GaConfig(population_size=6, generations=3, seed=2)
+        for name, budget in [("int", 5_000), ("int64", np.int64(5_000))]:
+            save_run(tmp_path / name, evolve(3, 4, CriterionSpec("capacity", 0.3, budget), config))
+        assert (tmp_path / "int").read_bytes() == (tmp_path / "int64").read_bytes()
 
 
 class TestInitPopulation:
