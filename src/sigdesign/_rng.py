@@ -90,12 +90,12 @@ def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray, de
     e = [y, 1] @ [2 z, -||z||^2]^T = ||y||^2 - ||y - z||^2, into one reused buffer; decode is
     its row argmax, ties to the lowest index (first in a slab, strict update across slabs).
     The sum runs relative to the running row maximum and ends on the sent point's own entry
-    e_s, so the sent point and any point equal to it count exactly 1 at every sigma.  Clamping
-    at _EXP_FLOOR before the 1/(2 sigma^2) scale keeps exp off its slow underflow path and
-    changes no bit: terms below e^-700 cannot move a sum >= 1.  The slabs run over tiles of
-    rows whose buffer holds about _TILE float64s, so it stays in cache; a row's bits do not
-    depend on its tile, unless the tile is one row: numpy runs that product as GEMV, not GEMM.
-    With density=False only the decode runs and i is None.
+    e_s, so the sent point and any point equal to it, as `_points` makes coincident ones, count
+    exactly 1 at every sigma.  Clamping at _EXP_FLOOR before the 1/(2 sigma^2) scale keeps exp
+    off its slow underflow path and changes no bit: terms below e^-700 cannot move a sum >= 1.
+    The slabs run over tiles of rows whose buffer holds about _TILE float64s, so it stays in
+    cache; a row's bits do not depend on its tile, unless the tile is one row: numpy runs that
+    product as GEMV, not GEMM.  With density=False only the decode runs and i is None.
     """
     sigma = float(sigma)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)  # as _check_sigma forms it, so it is finite
@@ -138,11 +138,11 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
     One batched GEMM of C-contiguous operands fills a (matrices, points, rows) chunk with
     e = [2 z, -||z||^2] @ [y, 1]^T = ||y||^2 - ||y - z||^2, so the shift and the sum over the
     points are whole-row ops.  Each row is shifted by its sent point's own entry e_s: the sent
-    point and any point equal to it count exactly 1 at every sigma.  Every other exponent is at
-    most |Pu|^2 / 2, Pu the unit noise's part in the span of z - z_s (n <= 6 dimensions), so
-    only rounding reaches the ceiling of the clip to [_EXP_FLOOR, _EXP_CEIL]; the clip keeps exp
-    off its slow underflow path and that rounding off overflow.  1/(2 sigma^2) is folded into
-    the GEMM operand up to _FOLD_SCALE, else applied after the clip.
+    point and any point equal to it, as `_points` makes coincident ones, count exactly 1 at every
+    sigma.  Every other exponent is at most |Pu|^2 / 2, Pu the unit noise's part in the span of
+    z - z_s (n <= 6 dimensions), so only rounding reaches the ceiling of the clip to [_EXP_FLOOR,
+    _EXP_CEIL]; the clip keeps exp off its slow underflow path and that rounding off overflow.
+    1/(2 sigma^2) is folded into the GEMM operand up to _FOLD_SCALE, else applied after the clip.
     """
     sigma = float(sigma)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)

@@ -112,11 +112,6 @@ def _estimates(A: SignatureMatrix, sigmas, samples: int, seed: int, decode=True)
     return [(c, t if t is None else _ber_estimate(t, samples, A.n, c.sigma)) for c, t in zip(caps, totals)]
 
 
-def _capacity(A: SignatureMatrix, sigma: float, samples: int, seed: int) -> CapacityEstimate:
-    """estimate(A, sigma, samples, seed)[0], bit for bit, from a pass with no decode."""
-    return _estimates(A, [sigma], samples, seed, decode=False)[0][0]
-
-
 @functools.cache
 def _hermite_rules() -> tuple:
     """Nodes (384,) and (2, 384) weights of the probabilists' 128- and 256-node Gauss-Hermite rules."""

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .capacity import _capacity, _estimates
+from .capacity import _estimates
 from .criteria import KINDS, CriterionSpec, _pair_measures
 from .ga import GaConfig, GaRun, evolve
 from .model import NumericFailure, SignatureMatrix, _check_samples, _check_sigma, _check_users
@@ -284,7 +284,7 @@ def cmd_overload_sweep(args) -> int:
     config = _ga_config(args)
     for n in n_list:
         run = evolve(args.m, n, spec, config)
-        cap = _capacity(run.best_matrix, args.sigma, args.budget, args.seed)  # no BER is reported
+        cap = _estimates(run.best_matrix, [args.sigma], args.budget, args.seed, decode=False)[0][0]
         lines.append(
             f"{args.m},{n},{repr(n / args.m)},{repr(float(args.sigma))},"
             f"{args.criterion},{repr(run.best_fitness)},"

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _rng
 from .capacity import _combine
-from .model import SignatureMatrix, _check_columns, _check_samples, _check_sigma, _check_users
+from .model import (SignatureMatrix, _check_columns, _check_integer, _check_samples, _check_sigma,
+                    _check_users)
 
 KINDS = ("capacity", "ber", "md", "qd", "ed")
 STOCHASTIC_KINDS = ("capacity", "ber")
@@ -46,8 +47,10 @@ class CriterionSpec:
             if self.sigma is None:
                 raise ValueError(f"criterion {self.kind!r} needs sigma")
             _check_sigma(self.sigma)
-        if self.kind in STOCHASTIC_KINDS:  # stored as a Python int, so a run file serializes it
-            object.__setattr__(self, "eval_budget", _check_samples(self.eval_budget))
+        # stored as a Python int for every kind, so a run file serializes it
+        object.__setattr__(self, "eval_budget", _check_integer(self.eval_budget, "samples"))
+        if self.kind in STOCHASTIC_KINDS:
+            _check_samples(self.eval_budget)
 
 
 # Cephes ndtr.c, highest power first, the monic denominators' leading 1 written out:
@@ -143,7 +146,7 @@ def _pair_measures(a: np.ndarray, sigma, kinds=("md", "qd", "ed")):
     n = a.shape[-1]
     _check_users(n)
     grid = [sigma] if (scalar := np.ndim(sigma) == 0) else list(sigma)  # None is a scalar
-    for s in grid if sigma is not None else ():
+    for s in grid if set(kinds) != {"md"} else ():
         _check_sigma(s)
     low = min(n, _LOW_USERS)
     (d_lo, s_lo), (d_hi, s_hi) = _ternary(low), _ternary(n - low)

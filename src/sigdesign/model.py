@@ -17,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -31,12 +32,12 @@ class NumericFailure(RuntimeError):
 
 
 def _check_sigma(sigma) -> None:
-    """Raise ValueError unless sigma > 0 and 2 sigma**2 and its reciprocal are finite.
+    """Raise ValueError unless sigma is a real number > 0 with 2 sigma**2 and its reciprocal finite.
 
-    Every Gaussian density and tail here divides by 2 sigma**2; this also
-    rejects nan, inf, and sigma outside about [5e-155, 9e153].
+    Every Gaussian density and tail here divides by 2 sigma**2; this also rejects nan, inf,
+    sigma outside about [5e-155, 9e153], and None, strings and arrays.
     """
-    s = float(sigma) if sigma > 0 else 0.0
+    s = float(sigma) if isinstance(sigma, numbers.Real) and sigma > 0 else 0.0
     if not 0.0 < 2.0 * s * s < math.inf or 1.0 / (2.0 * s * s) == math.inf:
         raise ValueError(f"sigma must be > 0 with 2 sigma^2 and its inverse finite, got {sigma!r}")
 
@@ -111,5 +112,17 @@ def enumerate_inputs(n: int) -> np.ndarray:
 
 
 def _points(a: np.ndarray) -> np.ndarray:
-    """(..., 2**n, m) noiseless outputs A @ x of each (m, n) matrix in a, in input order."""
-    return enumerate_inputs(a.shape[-1]) @ a.swapaxes(-1, -2)
+    """(..., 2**n, m) noiseless outputs A @ x of each (m, n) matrix in a, in input order.
+
+    A column exactly equal to an earlier one, or to its negation, is folded into the first such
+    column before the product, weighted by the signed sum of its users' +-1: inputs with equal
+    weights get bitwise-equal points, which the density kernels count exactly once.
+    """
+    x, at, users = enumerate_inputs(a.shape[-1]), a.swapaxes(-1, -2), np.arange(a.shape[-1])
+    # [..., j, k]: column j equals column k, or equals its negation
+    same = (at[..., None, :] == at[..., None, :, :]).all(axis=-1)
+    anti = (at[..., None, :] == -at[..., None, :, :]).all(axis=-1)
+    first = (same | anti).argmax(axis=-1)[..., None]  # j itself unless an earlier column matches
+    if (first == users[:, None]).all():
+        return x @ at
+    return (x @ np.where(first == users, same - 1.0 * anti, 0.0)) @ at

@@ -222,6 +222,12 @@ def test_pair_measures_check_sigma(sigma):
             _pair_measures(a, sigma, ("qd", "ed"))
 
 
+def test_constellation_measures_need_a_sigma():
+    # nu1 ignores sigma, but nu2 and nu3 divide by it: None once raised a TypeError there
+    with pytest.raises(ValueError, match="sigma must be"):
+        constellation_measures(random_normalized(2, 3, seed=0), None)
+
+
 @pytest.fixture(scope="module")
 def estimates_over_seeds():
     # one pass per seed gives both estimates

@@ -258,7 +258,8 @@ class TestDensity:
                 for a, value in zip(pop, got):
                     A = SignatureMatrix(a)
                     assert value == estimate(A, sigma, samples, seed=m + n)[0].sum_bits
-                    assert value == capacity._capacity(A, sigma, samples, seed=m + n).sum_bits
+                    decode_free = capacity._estimates(A, [sigma], samples, m + n, decode=False)
+                    assert value == decode_free[0][0].sum_bits
 
     @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
     def test_twin_terms_are_exactly_one(self, n):
@@ -278,9 +279,8 @@ class TestDensity:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
     def test_matches_scan(self, m, n):
-        # test_channel_pass_decodes_as_scan's standard for `_factored`, plus the rounding of e
-        # (about 1e-16 ||z||^2 in either kernel) times 1/(2 sigma^2): at sigma 0.01 the
-        # near-twin points of the 3-chip stacks part the two by up to 1.2e-11
+        # test_channel_pass_decodes_as_scan's standard for `_factored`: the twin and antipodal
+        # points are bitwise equal, so no rounding of e is scaled by 1/(2 sigma^2)
         points = _points(density_stack(m, n))
         for sigma in (0.01, 0.1, 0.3, 2.0, 1e3):
             for rows in (1, 777, _rng.BLOCK):
@@ -288,7 +288,7 @@ class TestDensity:
                 noise = sigma * unit
                 want = [_scan(z, sigma, z[sent] + noise, sent)[0] for z in points]
                 npt.assert_allclose(_rng._density(points, sigma, noise, sent), want,
-                                    rtol=1e-12, atol=1e-12 * n + 1e-14 / sigma**2)
+                                    rtol=1e-12, atol=1e-12 * n)
 
     @pytest.mark.parametrize("tile", [12 * _rng.BLOCK, 8 * 100], ids=["one-matrix", "100-rows"])
     def test_chunks_change_no_bit(self, monkeypatch, tile):
@@ -536,6 +536,11 @@ class TestCapacityEstimate:
         with pytest.raises(ValueError, match="samples must be an integer"):
             estimate(SCALAR_ONE, 1.0, samples=samples, seed=0)
 
+    @pytest.mark.parametrize("sigma", [None, "0.5", np.array([0.3, 0.5])], ids=["None", "str", "array"])
+    def test_non_real_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be"):
+            estimate(SCALAR_ONE, sigma, samples=1_000, seed=0)
+
     @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint16])
     def test_numpy_integer_budget_equals_python_int(self, kind):
         # 5 000 rows cut the second block, which once handed PCG64.advance a numpy integer
@@ -687,6 +692,20 @@ class TestSmallSigma:
         est = estimate(A, sigma, samples=samples, seed=0)[0]
         assert abs(est.sum_bits - limit) <= 3 * est.std_error
 
+    # a column repeating or negating the first: half the inputs share their point with one
+    # other, so the limit is n - 0.5 bits.  The shared points are bitwise equal, so every sigma
+    # that clamps the other terms away reads the same value; through `_density` (3x3), the
+    # joint scan (4x7) and the scan past `_factored`'s guards (4x8, 6x12)
+    @pytest.mark.parametrize("m, n", [(3, 3), (4, 7), (4, 8), (6, 12)])
+    @pytest.mark.parametrize("stack_index", [1, 2], ids=["repeated", "negated"])
+    def test_coincident_columns_read_one_value_to_the_floor(self, m, n, stack_index):
+        A = SignatureMatrix(density_stack(m, n)[stack_index])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ests = [estimate(A, sigma, 4_096, 0)[0] for sigma in (1e-6, 1e-10, 1e-20, 1e-100, SMALLEST_SIGMA)]
+        assert len({est.sum_bits for est in ests}) == 1
+        assert abs(ests[0].sum_bits - (n - 0.5)) <= 3 * ests[0].std_error
+
 
 class TestExactCapacity1d:
     def test_large_noise_limit(self):
@@ -742,6 +761,10 @@ class TestExactCapacity1d:
     def test_sigma_validated(self):
         with pytest.raises(ValueError):
             exact_capacity_1d(SCALAR_ONE, 0.0)
+
+    def test_missing_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be"):
+            exact_capacity_1d(SCALAR_ONE, None)
 
     def test_needs_one_row(self):
         with pytest.raises(ValueError, match="needs a 1 x n matrix"):

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -141,6 +143,20 @@ class TestCriterionSpec:
     def test_numpy_integer_budget_stored_as_python_int(self):
         spec = CriterionSpec(kind="capacity", sigma=1.0, eval_budget=np.int64(5_000))
         assert type(spec.eval_budget) is int and spec == CriterionSpec("capacity", 1.0, 5_000)
+
+    @pytest.mark.parametrize("kind, sigma", [("md", None), ("qd", 0.5), ("ed", 0.5)])
+    def test_constellation_kinds_store_a_python_int_budget(self, kind, sigma):
+        # a numpy integer once stayed one here, and the run file's json.dumps failed after the GA
+        spec = CriterionSpec(kind, sigma, eval_budget=np.int64(5_000))
+        assert type(spec.eval_budget) is int
+        assert json.loads(json.dumps(asdict(spec)))["eval_budget"] == 5_000
+        assert CriterionSpec(kind, sigma, eval_budget=5).eval_budget == 5  # no 100-sample floor
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            CriterionSpec(kind, sigma, eval_budget=5_000.0)
+
+    def test_non_real_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be"):
+            CriterionSpec("ed", "0.5")
 
 
 class TestFitness:

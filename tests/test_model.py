@@ -10,6 +10,13 @@ from sigdesign import (
 from sigdesign.model import MAX_USERS, _points
 
 
+def coincident_3x5():
+    """A random 3x5 matrix whose column 3 repeats column 1 and whose column 4 negates column 0."""
+    a = random_normalized(3, 5, seed=2).entries.copy()
+    a[:, 3], a[:, 4] = a[:, 1], -a[:, 0]
+    return a
+
+
 class TestSignatureMatrix:
     def test_rejects_non_unit_columns(self):
         with pytest.raises(ValueError):
@@ -91,8 +98,27 @@ class TestBuildConstellation:
         for i in (0, 5, 11, 15):
             npt.assert_allclose(points[i], A.entries @ inputs[i], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(32, 3, 6), (64, 3, 4), (8, 16)])
+    def test_no_repeated_column_takes_the_plain_product(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        a /= np.linalg.norm(a, axis=-2, keepdims=True)
+        npt.assert_array_equal(_points(a), enumerate_inputs(shape[-1]) @ a.swapaxes(-1, -2))
+
+    def test_coincident_inputs_get_equal_points(self):
+        # column 3 repeats column 1 and column 4 negates column 0: the outputs of two inputs
+        # coincide when their weights x0 - x4, x1 + x3 and x2 are equal, and then bit for bit
+        a = coincident_3x5()
+        x = enumerate_inputs(5)
+        weights = np.column_stack([x[:, 0] - x[:, 4], x[:, 1] + x[:, 3], x[:, 2]])
+        groups = np.unique(weights, axis=0, return_inverse=True)[1]
+        points = _points(a)
+        for g in range(groups.max() + 1):
+            assert len(np.unique(points[groups == g], axis=0)) == 1
+        assert len(np.unique(points, axis=0)) == 18
+        npt.assert_allclose(points, x @ a.T, rtol=0, atol=1e-15)
+
     def test_stack_equals_each_matrix(self):
-        pop = np.stack([random_normalized(3, 5, seed=s).entries for s in range(4)])
+        pop = np.stack([random_normalized(3, 5, seed=s).entries for s in range(4)] + [coincident_3x5()])
         stacked = _points(pop)
         for a, points in zip(pop, stacked):
             npt.assert_array_equal(points, _points(a))
