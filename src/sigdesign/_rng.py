@@ -13,13 +13,15 @@ capacity and the BER estimators or for either alone, and keeps only each
 block's statistics, so memory does not grow with the budget.  The mean of
 the per-row capacity terms is the sum capacity at every sigma that
 `_check_sigma` accepts.  Sent and decoded inputs stay indices throughout: a
-row's bit errors are the popcount of their XOR.  Three kernels give the
+row's bit errors are the popcount of their XOR.  Two kernels give the
 densities, the same one for every caller at a given size, so the `capacity`
-criterion equals `estimate` bit for bit: `_density`, points-major with no
-decode, at 2**n <= _DENSITY_POINTS; `_factored`, over two half
-constellations, at 2**n >= _FACTORED_POINTS; `_scan`, row-major with the ML
-decode, for the rest and the rows `_factored` declines.  Where no kernel
-gives the decode with the density, `_scan` decodes alone.
+criterion equals `estimate` bit for bit: `_factored`, over two half
+constellations, at 2**n >= _FACTORED_POINTS within its guards, and
+`_density`, points-major, for everything else.  The ML decode is `_scan`'s,
+run only on the rows that no certificate settles: a row provably decodes to
+its sent point when its noise lies well inside half the distance to that
+point's nearest neighbour, when it did so at a larger sigma of the grid, or
+when its own density leaves every other point's term below the sent one's.
 """
 
 from __future__ import annotations
@@ -40,16 +42,18 @@ _MIN_THREADED_POINTS = 1 << 10
 _SLAB = 512
 _TILE = 1 << 17  # float64s in one tile's (rows, slab) buffer: 1 MiB, which stays in L2
 _EXP_FLOOR = -700.0  # np.exp leaves its vector path below about -708
-_EXP_CEIL = 700.0  # `_density`'s ceiling: 2**6 terms of e^700 still sum below the largest double
-_FOLD_SCALE = 1e150  # up to this 1/(2 sigma^2), `_density` folds it into [2z, -||z||^2] (|.| <= 36)
+_EXP_CEIL = 690.0  # `_density`'s ceiling: 2**16 terms of e^690 still sum below the largest double
+_FOLD_SCALE = 1e150  # up to this 1/(2 sigma^2), `_density` folds it into [2z, -||z||^2] (|.| <= n^2)
 _LN2 = math.log(2.0)
-# largest 2**n for `_density`: beside the decode-only `_scan`, an `estimate` block cost 0.88-1.12x
-# the joint scan's at n <= 6 and 0.95-1.21x at n = 7 (BENCH_lean_density.json)
-_DENSITY_POINTS = 64
 # `_factored` from 2**n = 256, while n / (2 sigma^2) <= 1200 and H* <= 300 at n = 8, 350 above:
 # past these, with the decode, it lost to `_scan` (BENCH_factored_density.json,
 # BENCH_sweep_grid.json), as products of tiny factors go subnormal and rows fail the range test
 _FACTORED_POINTS, _FACTORED_SCALE, _FACTORED_SPREAD, _FACTORED_RANGE = 256, 1200.0, (300, 350), -600.0
+# largest 2**n whose nearest-neighbour table a decoding pass builds (BENCH_certified_decode.json)
+_CERT_POINTS = 1 << 10
+# the certificates' margins: relative, and per chip times (n + sigma ||u||)^2, a bound on the
+# scan's rounding of ||y - z_i||^2 - ||y - z_s||^2 that (m + 1) 2^-51 (n + sigma ||u||)^2 covers
+_CERT_REL, _CERT_ERR = 1e-9, 1e-12
 
 
 def draw_block(seed: int, block: int, n_users: int, m_chips: int, rows: int = BLOCK):
@@ -82,106 +86,102 @@ def map_blocks(fn, threads: int) -> list:
         return list(pool.map(fn, range(threads)))
 
 
-def _scan(points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray, density=True):
-    """Information density i and nearest index into the (2**n, m) points for each row of ys.
+def _scan(points: np.ndarray, ys: np.ndarray, work=None) -> np.ndarray:
+    """Nearest index into the (2**n, m) points for each row of ys, ties to the lowest index.
 
-    Row k is scored against its sent point s = sent[k]:
-    i = n - log2 sum_i exp((||y - z_s||^2 - ||y - z_i||^2) / 2 sigma^2).  One GEMM per slab,
-    e = [y, 1] @ [2 z, -||z||^2]^T = ||y||^2 - ||y - z||^2, into one reused buffer; decode is
-    its row argmax, ties to the lowest index (first in a slab, strict update across slabs).
-    The sum runs relative to the running row maximum and ends on the sent point's own entry
-    e_s, so the sent point and any point equal to it, as `_points` makes coincident ones, count
-    exactly 1 at every sigma.  Clamping at _EXP_FLOOR before the 1/(2 sigma^2) scale keeps exp
-    off its slow underflow path and changes no bit: terms below e^-700 cannot move a sum >= 1.
-    The slabs run over tiles of rows whose buffer holds about _TILE float64s, so it stays in
-    cache; a row's bits do not depend on its tile, unless the tile is one row: numpy runs that
-    product as GEMV, not GEMM.  With density=False only the decode runs and i is None.
+    One GEMM per slab, e = [y, 1] @ [2 z, -||z||^2]^T = ||y||^2 - ||y - z||^2, into one reused
+    buffer; decode is its row argmax, first in a slab and updated only on a strict > across
+    slabs.  The slabs run over tiles of rows whose buffer holds about _TILE float64s, so it stays
+    in cache; a row's bits do not depend on its tile, unless the tile is one row: numpy runs that
+    product as GEMV, not GEMM, so a lone last row is scanned beside a copy of itself.  work, if
+    given, is a (_TILE,) float64 array to hold the buffer, as for the two kernels below.
     """
-    sigma = float(sigma)
-    inv2s2 = 1.0 / (2.0 * sigma * sigma)  # as _check_sigma forms it, so it is finite
-    floor = _EXP_FLOOR / inv2s2  # -inf at the largest sigma, which clamps nothing
-    y1 = np.column_stack([ys, np.ones(len(ys))])
-    z1 = np.column_stack([2.0 * points, -np.einsum("ij,ij->i", points, points)])
-    best_i, log_sum = np.zeros(len(ys), dtype=np.int64), np.empty(len(ys))
     width = min(_SLAB, len(points))
     tile_rows = min(len(ys), _TILE // width)
-    buffer = np.empty((tile_rows, width))  # last, so the next call reuses its memory
+    if (len(ys) - 1) % tile_rows == 0:  # the last tile holds one row
+        return _scan(points, np.concatenate([ys, ys[-1:]]), work)[:-1]
+    y1 = np.column_stack([ys, np.ones(len(ys))])
+    z1 = np.column_stack([2.0 * points, -np.einsum("ij,ij->i", points, points)])
+    best_i = np.zeros(len(ys), dtype=np.int64)
+    buffer = (np.empty(_TILE) if work is None else work)[: tile_rows * width].reshape(tile_rows, width)
     for lo in range(0, len(ys), tile_rows):
         e = buffer[: len(ys) - lo]  # the last tile may be short
         tile = slice(lo, lo + len(e))
-        rows, best = np.arange(len(e)), best_i[tile]
-        top, e_s, total = np.full(len(e), -np.inf), np.empty(len(e)), np.zeros(len(e))
-        slab_of, col = np.divmod(sent[tile], width)
-        for slab, start in enumerate(range(0, len(points), width)):
+        rows, best, top = np.arange(len(e)), best_i[tile], np.full(len(e), -np.inf)
+        for start in range(0, len(points), width):
             np.matmul(y1[tile], z1[start : start + width].T, out=e)
             j = e.argmax(axis=1)
             e_max = e[rows, j]
             np.copyto(best, start + j, where=e_max > top)
-            raised = np.maximum(top, e_max)
-            if density:
-                np.copyto(e_s, e[rows, col], where=slab_of == slab)
-                total *= np.exp(np.maximum(top - raised, floor) * inv2s2)
-                e -= raised[:, None]
-                np.maximum(e, floor, out=e)
-                e *= inv2s2
-                np.exp(e, out=e)
-                total += e.sum(axis=1)
-            top = raised
-        if density:
-            log_sum[tile] = np.log(total) + (top - e_s) * inv2s2
-    return (len(points).bit_length() - 1) - log_sum / _LN2 if density else None, best_i
+            np.maximum(top, e_max, out=top)
+    return best_i
 
 
-def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarray):
+def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarray, work=None):
     """(P, rows) information densities of rows points[p, sent] + noise, with no decode.
 
     One batched GEMM of C-contiguous operands fills a (matrices, points, rows) chunk with
     e = [2 z, -||z||^2] @ [y, 1]^T = ||y||^2 - ||y - z||^2, so the shift and the sum over the
     points are whole-row ops.  Each row is shifted by its sent point's own entry e_s: the sent
     point and any point equal to it, as `_points` makes coincident ones, count exactly 1 at every
-    sigma.  Every other exponent is at most |Pu|^2 / 2, Pu the unit noise's part in the span of
-    z - z_s (n <= 6 dimensions), so only rounding reaches the ceiling of the clip to [_EXP_FLOOR,
-    _EXP_CEIL]; the clip keeps exp off its slow underflow path and that rounding off overflow.
-    1/(2 sigma^2) is folded into the GEMM operand up to _FOLD_SCALE, else applied after the clip.
+    sigma.  Past _SLAB points the points run in slabs, and a first pass over them picks each
+    row's e_s out of the same products.  Every other exponent is at most |Pu|^2 / 2, Pu the unit
+    noise's part in the span of z - z_s, so only rounding reaches the ceiling of the clip to
+    [_EXP_FLOOR, _EXP_CEIL]; the clip keeps exp off its slow underflow path and that rounding
+    off overflow.  1/(2 sigma^2) is folded into the GEMM operand up to _FOLD_SCALE, else applied
+    after the clip.
     """
     sigma = float(sigma)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
     fold = inv2s2 <= _FOLD_SCALE
     bounds = (_EXP_FLOOR, _EXP_CEIL) if fold else (_EXP_FLOOR / inv2s2, _EXP_CEIL / inv2s2)
     count, width, m = points.shape
+    slab = min(width, _SLAB)
     z1 = np.concatenate([2.0 * points, -np.einsum("pij,pij->pi", points, points)[..., None]], 2)
     z1 *= inv2s2 if fold else 1.0
     zt = np.ascontiguousarray(points.swapaxes(1, 2))  # (P, m, 2**n): sent rows gather contiguously
-    tile_rows = min(len(sent), _TILE // width)
-    step = max(1, _TILE // ((width + m + 1) * tile_rows))  # e and y1t together fill a tile
-    e_buf, y_buf = np.empty(step * width * tile_rows), np.empty(step * (m + 1) * tile_rows)
+    tile_rows = min(len(sent), _TILE // slab)
+    step = max(1, _TILE // ((slab + m + 1) * tile_rows))  # e and y1t together fill a tile
+    e_buf = np.empty(_TILE) if work is None else work
+    y_buf = np.empty(step * (m + 1) * tile_rows)
     log_sum = np.empty((count, len(sent)))
+    slabs = range(0, width, slab)
     for lo in range(0, len(sent), tile_rows):
         s, tile = sent[lo : lo + tile_rows], slice(lo, lo + tile_rows)
-        at = (np.arange(step)[:, None] * width + s) * len(s) + np.arange(len(s))  # e_s in e
+        slab_of, col = np.divmod(s, slab)
+        at = (np.arange(step)[:, None] * slab + col) * len(s) + np.arange(len(s))  # e_s in e
         for p in range(0, count, step):
             k, chunk = min(step, count - p), slice(p, p + step)
             y1t = y_buf[: k * (m + 1) * len(s)].reshape(k, m + 1, len(s))
             np.add(np.take(zt[chunk], s, axis=2), noise[tile].T, out=y1t[:, :m])
             y1t[:, m] = 1.0
-            e = np.matmul(z1[chunk], y1t, out=e_buf[: k * width * len(s)].reshape(k, width, len(s)))
-            e -= np.take(e, at[:k])[:, None]
-            np.clip(e, *bounds, out=e)
-            if not fold:
-                e *= inv2s2
-            log_sum[chunk, tile] = np.log(np.exp(e, out=e).sum(axis=1))
+            e = e_buf[: k * slab * len(s)].reshape(k, slab, len(s))
+            e_s = np.take(np.matmul(z1[chunk, :slab], y1t, out=e), at[:k])
+            for start in slabs[1:]:
+                np.matmul(z1[chunk, start : start + slab], y1t, out=e)
+                np.copyto(e_s, np.take(e, at[:k]), where=slab_of == start // slab)
+            total = 0.0
+            for start in reversed(slabs):  # the last slab's products are still in e
+                if start != slabs[-1]:
+                    np.matmul(z1[chunk, start : start + slab], y1t, out=e)
+                e -= e_s[:, None]
+                np.clip(e, *bounds, out=e)
+                if not fold:
+                    e *= inv2s2
+                total = total + np.exp(e, out=e).sum(axis=1)
+            log_sum[chunk, tile] = np.log(total)
     log_sum /= _LN2
     return np.subtract(width.bit_length() - 1, log_sum, out=log_sum)
 
 
-def _factored(a: np.ndarray, points: np.ndarray, sigma: float, ys: np.ndarray, sent: np.ndarray):
-    """`_scan`'s densities of the rows ys of an (m, n) matrix a, or None past the guards above.
+def _factored(a: np.ndarray, points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarray, work=None):
+    """Densities of the rows points[sent] + noise of an (m, n) matrix a, or None past the guards above.
 
     With z_ab = u_a + w_b over the low ceil(n/2) users and the rest, scores T_ab = f_a + g_b +
     H_ab, H_ab = -u_a.w_b / sigma^2 for all rows, sum to e^(F + G + H*) alpha^T K beta with
     alpha = e^(f - F), beta = e^(g - G), K = e^(H - H*): 2**ceil(n/2) + 2**floor(n/2) exps and
     one matrix product a row.  The factors, clamped at e^_EXP_FLOOR, move no bit of log S while
-    the sent point's term e^(T_s - F - G - H*) is >= e^_FACTORED_RANGE; other rows are `_scan`'s.
+    the sent point's term e^(T_s - F - G - H*) is >= e^_FACTORED_RANGE; other rows are `_density`'s.
     Points-major, so a half's max and the final sum over points are whole-row ops.
     """
     inv2s2 = 1.0 / (2.0 * float(sigma) ** 2)
@@ -196,29 +196,51 @@ def _factored(a: np.ndarray, points: np.ndarray, sigma: float, ys: np.ndarray, s
     halves = [np.column_stack([2.0 * z, -np.einsum("ij,ij->i", z, z)]) * inv2s2 for z in (u, w)]
     sizes = (m + 1, len(u), len(w), len(u))  # [y, 1], f, g and K beta: one tile's rows each
     step = min(len(sent), _TILE // sum(sizes))
-    buffer, info = np.empty(_TILE), np.empty(len(sent))  # `_scan`'s size: its decode reuses it
+    buffer, info = np.empty(_TILE) if work is None else work, np.empty(len(sent))
     for lo in range(0, len(sent), step):
         tile = slice(lo, lo + step)  # the last may be short
         cut = np.cumsum((0,) + sizes) * len(info[tile])
         y1, f, g, s = (buffer[i:j].reshape(-1, len(info[tile])) for i, j in zip(cut, cut[1:]))
-        y1[:m], y1[m] = ys[tile].T, 1.0
+        np.add(np.take(points, sent[tile], axis=0).T, noise[tile].T, out=y1[:m])
+        y1[m] = 1.0
         d, cols = h[a_s[tile], b_s[tile]], np.arange(len(info[tile]))
         for e, z1, sent_half in ((f, halves[0], a_s[tile]), (g, halves[1], b_s[tile])):
-            np.matmul(z1, y1, out=e)  # (||y||^2 - ||y - z||^2) / 2 sigma^2, as in `_scan`
+            np.matmul(z1, y1, out=e)  # (||y||^2 - ||y - z||^2) / 2 sigma^2, as in `_density`
             e -= e.max(axis=0)
             d += e[sent_half, cols]
             np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
         np.multiply(np.matmul(k, g, out=s), f, out=s)
         log_sum = np.log(s.sum(axis=0)) - d
         info[tile] = np.where(d >= _FACTORED_RANGE, n - log_sum / _LN2, np.nan)
-    # a one-row tile gets a matrix-vector product, not a GEMM: double a row, redo a lone last one
+    # `_density` gives a row the bits it has among the others unless its tile is that one row,
+    # which numpy runs as a matrix-vector product: a lone last row is redone beside a copy
     redo = np.flatnonzero(np.isnan(info))
     if len(redo):
-        rows = np.append(redo, redo[-1])
-        info[redo] = _scan(points, sigma, ys[rows], sent[rows])[0][:-1]
-        if redo[-1] == len(ys) - 1 and redo[-1] % min(len(ys), _TILE // min(_SLAB, len(points))) == 0:
-            info[-1:] = _scan(points, sigma, ys[-1:], sent[-1:])[0]
+        rows = np.append(redo, redo[-1]) if (len(redo) - 1) % (_TILE // min(len(points), _SLAB)) == 0 else redo
+        info[redo] = _density(points[None], sigma, noise[rows], sent[rows], work)[0][: len(redo)]
     return info
+
+
+def _nearest(points: np.ndarray) -> np.ndarray:
+    """(P, 2**n) squared distance from each point of a (P, 2**n, m) stack to its nearest other one.
+
+    In Gram form, ||z_s||^2 + min_i (||z_i||^2 - 2 z_s.z_i), over chunks of about _TILE values, so
+    no (2**n, 2**n, m) difference array is made.  Its rounding, below (m + 2) 2^-51 n^2, leaves a
+    point with an exact twin far below the certificates' margin.
+    """
+    count, width, _ = points.shape
+    norm2 = np.einsum("pij,pij->pi", points, points)
+    step = max(1, _TILE // (count * width))
+    gram = np.empty((count, min(step, width), width))
+    near2 = np.empty((count, width))
+    for lo in range(0, width, step):
+        rows = slice(lo, lo + step)  # the last chunk may be short
+        own = np.arange(width)[rows]
+        d2 = np.matmul(-2.0 * points[:, rows], points.swapaxes(1, 2), out=gram[:, : len(own)])
+        d2 += norm2[:, None, :]
+        d2[:, own - lo, own] = np.inf
+        np.add(d2.min(axis=2), norm2[:, rows], out=near2[:, rows])
+    return near2
 
 
 def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, density=True):
@@ -230,42 +252,81 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
     min(BLOCK, rows - b BLOCK) it gives and shared by every sigma and all P matrices.  terms
     (blocks, sigmas, 3, P) holds each block's row count, mean and M2 (sum of squared deviations
     from that mean) of its terms, errors, in int64, the sum, sum of squares and nonzero count
-    of its bit errors.  The terms of 2**n <= _DENSITY_POINTS points come from `_density`, the
-    errors from `_scan`'s decode alone; above, one `_scan` per matrix gives both, or the decode
-    beside `_factored`.  With decode=False errors is None, with density=False terms is None.
+    of its bit errors, both in the caller's sigma order.
+
+    The densities come from `_factored` within its guards, else from `_density`.  A block scores
+    its sigmas from the largest down, and `_scan` decodes only the rows that none of three
+    certificates settles.  Each bounds the gap ||y - z_i||^2 - ||y - z_s||^2 to every other
+    point z_i from below by more than the scan's rounding, which err = _CERT_ERR (m + 1)
+    (n + t)^2 bounds, t = sigma ||u||, so the decode is the scan's bit for bit:
+    1. Up to _CERT_POINTS points, r_s is the distance from z_s to its nearest other point
+       (`_nearest`, 0 for an exact twin); the gap is at least r_s (r_s - 2 t).
+    2. With that table, a row decoded as sent at sigma_a gives gap >= -2 err at sigma_a; the gap
+       is linear in sigma, so at sigma_b = l sigma_a it is >= (1 - l) r_s^2 - 2 l err.
+    3. A density from `_density` counts the sent point as exactly 1, so a row whose density
+       exceeds n - log2(1 + e^-M) by the rounding of its sum puts every other point's exponent
+       below -M = -8 err / (2 sigma^2).
+    With decode=False errors is None, with density=False terms is None.
     """
     for sigma in sigmas:
         _check_sigma(sigma)
     _, m, n = pop.shape
     points = _points(pop)
-    lean = density and len(points[0]) <= _DENSITY_POINTS
-    joint = density and not lean  # the density comes from `_factored` or the scan
+    width = len(points[0])
+    order = sorted(range(len(sigmas)), key=lambda j: -float(sigmas[j]))  # stable: the largest first
+    err = _CERT_ERR * (m + 1)  # err / (n + t)^2
+    table = decode and width <= _CERT_POINTS
+    if table:  # each a bound below the one the derivation needs, past the table's own rounding
+        near2 = _nearest(points) * (1.0 - _CERT_REL)
+        radius = np.sqrt(np.maximum(near2 - 20.0 * err * n * n, 0.0)) / 2.0  # certificate 1
+        near = np.sqrt(np.maximum(near2 - 4.0 * err * n * n, 0.0))  # certificate 2
+    sum_rounding = (4 * width + 64) * 2.0**-53  # of n - log2 of a sum of 2**n terms, as computed
 
     def one_block(b):
         sent, unit = draw_block(seed, b, n, m, min(BLOCK, rows - b * BLOCK))
-        chi = (np.einsum("ij,ij->i", unit, unit) - m) / (2.0 * _LN2)
-        stats = [], []  # (3, P) statistics of the terms and of the errors at each sigma
-        for sigma in sigmas:
-            terms = _density(points, sigma, sigma * unit, sent) if lean else []
-            errors = []
-            for a, z in zip(pop, points) if decode or joint else ():
-                ys = z[sent] + sigma * unit  # made per matrix, so not held through the scans
-                info = _factored(a, z, sigma, ys, sent) if joint and len(z) >= _FACTORED_POINTS else None
-                if decode or (joint and info is None):
-                    scan, best = _scan(z, sigma, ys, sent, density=joint and info is None)
-                    info = scan if info is None else info
-                if joint:
-                    terms.append(info)
-                if decode:
-                    errors.append(np.bitwise_count(sent ^ best))
-            if density:  # in place: a block holds one (P, rows) array of terms at a time
-                terms = np.add(terms, chi, out=terms if lean else None)
+        norm2 = np.einsum("ij,ij->i", unit, unit)
+        chi, norm = (norm2 - m) / (2.0 * _LN2), np.sqrt(norm2)
+        ball, gap = (np.take(radius, sent, axis=1), np.take(near, sent, axis=1)) if table else (None, None)
+        work = np.empty(_TILE)  # every kernel's buffer: one allocation a block
+        stats = [None] * len(sigmas), [None] * len(sigmas)  # (3, P) statistics at each sigma
+        kept = above = None  # rows decoded as sent at the sigma above
+        for j in order:
+            sigma = float(sigmas[j])
+            noise = sigma * unit
+            settled = np.zeros((len(pop), len(sent)), dtype=bool)  # rows certain to decode as sent
+            if density:
+                lean = np.full(len(pop), width < _FACTORED_POINTS)  # the matrices `_density` scores
+                if lean.all():
+                    terms = _density(points, sigma, noise, sent, work)
+                else:
+                    terms = np.empty((len(pop), len(sent)))
+                    for p, (a, z) in enumerate(zip(pop, points)):
+                        info = _factored(a, z, sigma, noise, sent, work)
+                        lean[p] = info is None
+                        terms[p] = _density(z[None], sigma, noise, sent, work)[0] if lean[p] else info
+                if decode and lean.any():  # certificate 3
+                    c = math.sqrt(8.0 * err / (2.0 * sigma * sigma))
+                    floor = np.log1p(np.exp(-np.minimum(np.square(c * (n + sigma * norm)), 700.0)))
+                    settled = lean[:, None] & (terms > n - (floor / _LN2 - sum_rounding))
+                terms += chi  # in place: a block holds one (P, rows) array of terms at a time
                 mean = terms.mean(axis=1)
                 np.square(np.subtract(terms, mean[:, None], out=terms), out=terms)
-                stats[0].append([np.full_like(mean, len(sent)), mean, terms.sum(axis=1)])
+                stats[0][j] = [np.full_like(mean, len(sent)), mean, terms.sum(axis=1)]
             if decode:
-                e = np.array(errors, dtype=np.int64)
-                stats[1].append([e.sum(axis=1), np.square(e).sum(axis=1), np.count_nonzero(e, axis=1)])
+                if table:
+                    settled |= ball > sigma * norm
+                    if above is not None:
+                        reach = math.sqrt(5.0 * err) * (n + above * norm)
+                        settled |= kept & (math.sqrt(1.0 - sigma / above) * gap > reach)
+                e = np.zeros((len(pop), len(sent)), dtype=np.int64)
+                for p, z in enumerate(points):
+                    scan = np.flatnonzero(~settled[p])
+                    if len(scan):
+                        sent_p = np.take(sent, scan)
+                        ys = np.take(z, sent_p, axis=0) + np.take(noise, scan, axis=0)
+                        e[p, scan] = np.bitwise_count(sent_p ^ _scan(z, ys, work))
+                kept, above = e == 0, sigma
+                stats[1][j] = [e.sum(axis=1), np.square(e).sum(axis=1), np.count_nonzero(e, axis=1)]
         return stats
 
     n_blocks = -(-rows // BLOCK)

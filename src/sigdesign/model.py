@@ -116,7 +116,10 @@ def _points(a: np.ndarray) -> np.ndarray:
 
     A column exactly equal to an earlier one, or to its negation, is folded into the first such
     column before the product, weighted by the signed sum of its users' +-1: inputs with equal
-    weights get bitwise-equal points, which the density kernels count exactly once.
+    weights get bitwise-equal points, which the density kernels count exactly once.  A matrix
+    whose entries all have one magnitude c, as a +-1/sqrt(m) code's do, gets c (x @ signs): its
+    sums of +-1 are exact, so points that coincide through any relation between its columns are
+    bitwise equal too.
     """
     x, at, users = enumerate_inputs(a.shape[-1]), a.swapaxes(-1, -2), np.arange(a.shape[-1])
     # [..., j, k]: column j equals column k, or equals its negation
@@ -124,5 +127,9 @@ def _points(a: np.ndarray) -> np.ndarray:
     anti = (at[..., None, :] == -at[..., None, :, :]).all(axis=-1)
     first = (same | anti).argmax(axis=-1)[..., None]  # j itself unless an earlier column matches
     if (first == users[:, None]).all():
-        return x @ at
-    return (x @ np.where(first == users, same - 1.0 * anti, 0.0)) @ at
+        points = x @ at
+    else:
+        points = (x @ np.where(first == users, same - 1.0 * anti, 0.0)) @ at
+    c = np.abs(a[..., :1, :1])
+    code = (np.abs(a) == c).all(axis=(-2, -1))[..., None, None]
+    return np.where(code, c * (x @ np.sign(at)), points) if code.any() else points

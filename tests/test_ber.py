@@ -77,8 +77,7 @@ class TestQFunction:
 def ml_decode(A, y):
     """Index of the input whose noiseless point A x is nearest to y, as the channel pass decodes."""
     points = enumerate_inputs(A.shape[1]) @ A.T
-    # the nearest point depends on neither the sigma nor the reference point the density uses
-    return int(_scan(points, 1.0, np.asarray(y, dtype=float)[None, :], np.zeros(1, int))[1][0])
+    return int(_scan(points, np.asarray(y, dtype=float)[None, :])[0])
 
 
 class TestMlDecode:
@@ -167,7 +166,7 @@ class TestBerEstimate:
         sent, unit = (np.concatenate(a)[:rows] for a in zip(*blocks))
         inputs = enumerate_inputs(n)
         points = inputs @ entries.T
-        decoded = _scan(points, sigma, points[sent] + sigma * unit, sent)[1]
+        decoded = _scan(points, points[sent] + sigma * unit)
         want = (inputs[sent] != inputs[decoded]).sum(axis=1)
         # each block's sum, sum of squares and nonzero count of the per-row errors
         stats = [[w.sum(), np.square(w).sum(), np.count_nonzero(w)] for w in np.split(want, [4096])]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import warnings
@@ -119,7 +120,7 @@ def quad_capacity(n, sigma):
 
 
 def log_output_density(A, sigma, ys):
-    """log2 f_Y at each row of ys, rebuilt from the channel pass's information density i.
+    """log2 f_Y at each row of ys, rebuilt from the information density i of `_rng._density`.
 
     For any reference point z_ref (here input 0), log2 f(y) = log2 phi(y - z_ref) - i.
     """
@@ -128,7 +129,7 @@ def log_output_density(A, sigma, ys):
     ref = np.zeros(len(ys), dtype=int)
     d2 = np.square(ys - points[ref]).sum(axis=1)
     log_phi = -d2 / (2 * sigma**2) - 0.5 * ys.shape[1] * math.log(2 * math.pi * sigma**2)
-    return log_phi / math.log(2) - _scan(points, sigma, ys, ref)[0]
+    return log_phi / math.log(2) - _rng._density(points[None], sigma, ys - points[ref], ref)[0]
 
 
 class TestLogOutputDensity:
@@ -165,19 +166,21 @@ class TestLogOutputDensity:
 
 
 def channel_rows(A, sigma, rows, seed):
-    """The points of A, the indices of uniform random inputs x, and rows y = A x + sigma * noise."""
+    """The points of A, the indices of uniform random inputs x, and the noise of rows A x + noise."""
     rng = np.random.default_rng(seed)
     points = enumerate_inputs(A.shape[1]) @ A.T
     sent = rng.integers(0, len(points), rows)
-    return points, sent, points[sent] + sigma * rng.standard_normal((rows, A.shape[0]))
+    return points, sent, sigma * rng.standard_normal((rows, A.shape[0]))
 
 
 class TestScan:
     @pytest.mark.parametrize("m, n", [(3, 6), (4, 10)])  # 4x10 spans two 512-point slabs
     @pytest.mark.parametrize("sigma", [0.1, 0.5])
     def test_matches_direct_reference(self, m, n, sigma):
-        points, sent, ys = channel_rows(random_normalized(m, n, seed=n).entries, sigma, 300, seed=m)
-        info, nearest = _scan(points, sigma, ys, sent)
+        # the density, once the scan's own half, is `_density`'s now; the scan decodes alone
+        points, sent, noise = channel_rows(random_normalized(m, n, seed=n).entries, sigma, 300, seed=m)
+        ys = points[sent] + noise
+        info, nearest = _rng._density(points[None], sigma, noise, sent)[0], _scan(points, ys)
         d2 = np.square(ys[:, None, :] - points[None]).sum(axis=2)
         d2_sent = d2[np.arange(len(ys)), sent, None]
         ref = n - logsumexp((d2_sent - d2) / (2 * sigma**2), axis=1) / math.log(2)
@@ -206,16 +209,16 @@ class TestScan:
 
     @pytest.mark.parametrize("n", [1, 3, 6, 8, 10, 12])  # 10 and 12 span several slabs
     def test_exp_floor_changes_no_bit(self, monkeypatch, n):
+        # of the density, which the scan computed beside its decode and `_density` computes now
         for seed in (0, 1):
             A = random_normalized(max(1, n // 2), n, seed=seed).entries
             for sigma in (0.05, 0.1, 0.158, 0.3, 1.0):
-                points, sent, ys = channel_rows(A, sigma, 300, seed)
-                floored = _scan(points, sigma, ys, sent)
+                points, sent, noise = channel_rows(A, sigma, 300, seed)
+                floored = _rng._density(points[None], sigma, noise, sent)
                 with monkeypatch.context() as mp:
                     mp.setattr(_rng, "_EXP_FLOOR", -np.inf)
-                    unfloored = _scan(points, sigma, ys, sent)
-                npt.assert_array_equal(floored[0], unfloored[0])
-                npt.assert_array_equal(floored[1], unfloored[1])
+                    unfloored = _rng._density(points[None], sigma, noise, sent)
+                npt.assert_array_equal(floored, unfloored)
 
     @pytest.mark.parametrize(
         "m, n, sigma",
@@ -225,12 +228,12 @@ class TestScan:
         # one 4096-row block: 8 tiles at 4x8, 16 at 6x12; the all-ones 1x12 has
         # twins of the sent point and lowest-index ties in every tile
         A = np.ones((1, n)) if m == 1 else random_normalized(m, n, seed=1).entries
-        points, sent, ys = channel_rows(A, sigma, _rng.BLOCK, seed=3)
+        points, sent, noise = channel_rows(A, sigma, _rng.BLOCK, seed=3)
         assert _rng._TILE // min(_rng._SLAB, len(points)) < _rng.BLOCK  # the default tiles
-        tiled = _scan(points, sigma, ys, sent)
+        tiled = _scan(points, points[sent] + noise), _rng._density(points[None], sigma, noise, sent)
         with monkeypatch.context() as mp:
             mp.setattr(_rng, "_TILE", _rng.BLOCK * len(points))  # one tile holds the block
-            whole = _scan(points, sigma, ys, sent)
+            whole = _scan(points, points[sent] + noise), _rng._density(points[None], sigma, noise, sent)
         npt.assert_array_equal(tiled[0], whole[0])
         npt.assert_array_equal(tiled[1], whole[1])
 
@@ -244,10 +247,10 @@ def density_stack(m, n):
 
 
 class TestDensity:
-    """`_density`, the kernel of every capacity at 2**n <= _DENSITY_POINTS."""
+    """`_density`, the kernel of every capacity below _FACTORED_POINTS and past its guards."""
 
     @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_capacity_callers_agree_bit_for_bit(self, m, n):
         # the twin and antipodal stacks; 100 rows, a block cut mid-way, and a second block of
         # one row, which leaves a one-row matrix product
@@ -261,7 +264,7 @@ class TestDensity:
                     decode_free = capacity._estimates(A, [sigma], samples, m + n, decode=False)
                     assert value == decode_free[0][0].sum_bits
 
-    @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
+    @pytest.mark.parametrize("n", [*range(1, 8), 10])  # 2**10 points run in two passes of slabs
     def test_twin_terms_are_exactly_one(self, n):
         # 2**n copies of one point: every term is 1, so the sum is 2**n and i is exactly 0
         z = np.tile(_points(random_normalized(3, n, seed=n).entries)[3 % 2**n], (2**n, 1))
@@ -277,16 +280,16 @@ class TestDensity:
         npt.assert_array_equal(info, n - np.log(twins) / math.log(2))
 
     @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("n", range(1, _rng._DENSITY_POINTS.bit_length()))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_scan(self, m, n):
-        # test_channel_pass_decodes_as_scan's standard for `_factored`: the twin and antipodal
-        # points are bitwise equal, so no rounding of e is scaled by 1/(2 sigma^2)
+        # against the direct reference the scan's density was held to, at its standard: the
+        # twin and antipodal points are bitwise equal, so no rounding of e is scaled by 1/(2 sigma^2)
         points = _points(density_stack(m, n))
         for sigma in (0.01, 0.1, 0.3, 2.0, 1e3):
             for rows in (1, 777, _rng.BLOCK):
                 sent, unit = (a[:rows] for a in _rng.draw_block(10 * m + n, 0, n, m))
                 noise = sigma * unit
-                want = [_scan(z, sigma, z[sent] + noise, sent)[0] for z in points]
+                want = [direct_info(z, sigma, z[sent] + noise, sent) for z in points]
                 npt.assert_allclose(_rng._density(points, sigma, noise, sent), want,
                                     rtol=1e-12, atol=1e-12 * n)
 
@@ -302,26 +305,43 @@ class TestDensity:
         npt.assert_array_equal(_rng._density(points, 0.3, 0.3 * unit, sent), default)
 
 
+@pytest.mark.parametrize("m, n, sigma", [(4, 7, 0.3), (4, 8, 0.1), (6, 12, 0.05)],
+                         ids=["4x7", "4x8-past-the-spread-guard", "6x12-past-the-scale-guard"])
+def test_capacity_callers_agree_where_the_joint_scan_ran(m, n, sigma):
+    # 2**7 points, and 2**8 and 2**12 past `_factored`'s guards: `_density` gives these densities
+    # now, to the capacity criterion, to `estimate` and to the decode-free pass alike
+    pop = np.stack([baselines.generate(kind, m, n, 1).entries for kind in ("wbe", "random")])
+    samples = 300 if n == 12 else 4_500
+    got = population_fitness(CriterionSpec("capacity", sigma, samples), pop, seed=2)
+    for a, value in zip(pop, got):
+        A = SignatureMatrix(a)
+        assert value == estimate(A, sigma, samples, seed=2)[0].sum_bits
+        assert value == capacity._estimates(A, [sigma], samples, 2, decode=False)[0][0].sum_bits
+
+
 def direct_info(points, sigma, ys, sent):
     """n - log2 sum_i exp((||y - z_s||^2 - ||y - z_i||^2) / 2 sigma^2) per row, by logsumexp."""
     n = len(points).bit_length() - 1
-    d2 = [np.square(y - points).sum(axis=1) for y in ys]  # a row at a time: 2**16 points fit
-    lse = [logsumexp((d[s] - d) / (2 * sigma**2)) for d, s in zip(d2, sent)]
-    return n - np.array(lse) / math.log(2)
+    step = max(1, (1 << 20) // points.size)  # rows at a time: 2**16 points fit
+    lse = []
+    for lo in range(0, len(ys), step):
+        d2 = np.square(ys[lo : lo + step, None, :] - points).sum(axis=2)
+        d2_sent = np.take_along_axis(d2, sent[lo : lo + step, None], axis=1)
+        lse.append(logsumexp((d2_sent - d2) / (2 * sigma**2), axis=1))
+    return n - np.concatenate(lse) / math.log(2)
 
 
 def factored_rows(a, sigma, rows, seed):
-    """The points of a, and `rows` rows of one block as channel_pass draws them."""
+    """The points of a, and the noise and inputs of `rows` rows of one block as channel_pass draws them."""
     z = _points(a)
     sent, unit = (x[:rows] for x in _rng.draw_block(seed, 0, a.shape[1], a.shape[0]))
-    return z, z[sent] + sigma * unit, sent
+    return z, sigma * unit, sent
 
 
-def scan_rows_alone(monkeypatch):
-    """Make `_scan` give NaN densities, so that `_factored` leaves its failed rows NaN."""
-    scan = _rng._scan
-    monkeypatch.setattr(_rng, "_scan", lambda z, sigma, ys, sent, density=True: (
-        np.full(len(ys), np.nan), scan(z, sigma, ys, sent, density)[1]))
+def density_rows_alone(monkeypatch):
+    """Make `_density` give NaN densities, so that `_factored` leaves its failed rows NaN."""
+    monkeypatch.setattr(_rng, "_density", lambda z, sigma, noise, sent, work=None: (
+        np.full((len(z), len(sent)), np.nan)))
 
 
 FACTORED_CASES = [
@@ -334,58 +354,59 @@ FACTORED_CASES = [
 
 
 class TestFactored:
-    """`_factored`, the density at 2**n >= _FACTORED_POINTS, against a reference and `_scan`."""
+    """`_factored`, the density at 2**n >= _FACTORED_POINTS, against a reference and `_density`."""
 
     @pytest.mark.parametrize("name, a", FACTORED_CASES, ids=[c[0] for c in FACTORED_CASES])
     @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.5, 2.0])
     def test_matches_direct_reference(self, name, a, sigma):
         n = a.shape[1]
-        z, ys, sent = factored_rows(a, sigma, 64 if n == 16 else 300, seed=n)
-        info = _rng._factored(a, z, sigma, ys, sent)
-        if info is None:  # the guard: nearly every row would fail, and _scan scores them all
+        z, noise, sent = factored_rows(a, sigma, 64 if n == 16 else 300, seed=n)
+        info = _rng._factored(a, z, sigma, noise, sent)
+        if info is None:  # the guard: nearly every row would fail, and _density scores them all
             assert sigma < 0.3 or name == "ones1x12"
             return
-        npt.assert_allclose(info, direct_info(z, sigma, ys, sent), rtol=1e-12, atol=1e-12 * n)
+        npt.assert_allclose(info, direct_info(z, sigma, z[sent] + noise, sent), rtol=1e-12, atol=1e-12 * n)
 
     @pytest.mark.parametrize("rows", [1, 2, 257, 300, _rng.BLOCK])
     def test_failed_rows_equal_scan_bit_for_bit(self, monkeypatch, rows):
-        # every row fails: 1 row and the 257th (alone in its 256-row tile) take _scan's
-        # matrix-vector product, the others its GEMM, however few are redone together
+        # every row fails and is redone by `_density`, as the block's own kernel would score it:
+        # 1 row and the 257th (alone in its 256-row tile) beside a copy, not as a matrix-vector
+        # product, however few are redone together
         a = random_normalized(4, 10, seed=2).entries
-        z, ys, sent = factored_rows(a, 0.3, rows, seed=2)
-        want = _scan(z, 0.3, ys, sent)[0]
+        z, noise, sent = factored_rows(a, 0.3, _rng.BLOCK, seed=2)
+        want = _rng._density(z[None], 0.3, noise, sent)[0][:rows]
         monkeypatch.setattr(_rng, "_FACTORED_RANGE", np.inf)
-        npt.assert_array_equal(_rng._factored(a, z, 0.3, ys, sent), want)
+        npt.assert_array_equal(_rng._factored(a, z, 0.3, noise[:rows], sent[:rows]), want)
 
     def test_one_failed_row_equals_scan_bit_for_bit(self, monkeypatch):
         # a lone row redone alone would take a matrix-vector product; the range is bisected
         # until exactly one of the 300 rows falls below it
         a = random_normalized(4, 10, seed=2).entries
-        z, ys, sent = factored_rows(a, 0.3, 300, seed=2)
-        want = _scan(z, 0.3, ys, sent)[0]
+        z, noise, sent = factored_rows(a, 0.3, 300, seed=2)
+        want = _rng._density(z[None], 0.3, noise, sent)[0]
         lo, hi = -1e3, 0.0
         for _ in range(200):
             with monkeypatch.context() as mp:
-                scan_rows_alone(mp)
+                density_rows_alone(mp)
                 mp.setattr(_rng, "_FACTORED_RANGE", (lo + hi) / 2)
-                failed = np.flatnonzero(np.isnan(_rng._factored(a, z, 0.3, ys, sent)))
+                failed = np.flatnonzero(np.isnan(_rng._factored(a, z, 0.3, noise, sent)))
             if len(failed) == 1:
                 break
             lo, hi = (lo, (lo + hi) / 2) if len(failed) else ((lo + hi) / 2, hi)
         assert len(failed) == 1 and failed[0] < 299
         monkeypatch.setattr(_rng, "_FACTORED_RANGE", (lo + hi) / 2)
-        got = _rng._factored(a, z, 0.3, ys, sent)
+        got = _rng._factored(a, z, 0.3, noise, sent)
         assert got[failed[0]] == want[failed[0]]
 
     @pytest.mark.parametrize("rows", [257, _rng.BLOCK])
     def test_rows_failing_the_range_test_equal_scan(self, monkeypatch, rows):
         # at sigma 0.16 this 4x10 passes the guard and about 2 % of its rows fail the test
         a = random_normalized(4, 10, seed=3).entries
-        z, ys, sent = factored_rows(a, 0.16, rows, seed=2)
-        got, want = _rng._factored(a, z, 0.16, ys, sent), _scan(z, 0.16, ys, sent)[0]
+        z, noise, sent = factored_rows(a, 0.16, rows, seed=2)
+        got, want = _rng._factored(a, z, 0.16, noise, sent), _rng._density(z[None], 0.16, noise, sent)[0]
         with monkeypatch.context() as mp:
-            scan_rows_alone(mp)
-            failed = np.isnan(_rng._factored(a, z, 0.16, ys, sent))
+            density_rows_alone(mp)
+            failed = np.isnan(_rng._factored(a, z, 0.16, noise, sent))
         assert 0 < failed.sum() < 0.2 * rows
         npt.assert_array_equal(got[failed], want[failed])
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * 10)
@@ -395,7 +416,7 @@ class TestFactored:
     def test_channel_pass_decodes_as_scan(self, monkeypatch, name, a, sigma):
         rows = 300 if a.shape[1] == 16 else 4_400  # a second block of 304 rows
         got = _rng.channel_pass(a[None], [sigma], rows, seed=4)
-        monkeypatch.setattr(_rng, "_FACTORED_POINTS", np.inf)  # every density from _scan
+        monkeypatch.setattr(_rng, "_FACTORED_POINTS", np.inf)  # every density from _density
         want = _rng.channel_pass(a[None], [sigma], rows, seed=4)
         npt.assert_array_equal(got[1], want[1])
         # each block's count, mean and M2; the chi term gives the terms a spread of about 1, so
@@ -404,7 +425,7 @@ class TestFactored:
 
     @pytest.mark.parametrize("sigma", [0.15, 0.3])
     def test_stack_equals_each_matrix_alone(self, sigma):
-        # at sigma 0.15 the guard keeps three of the five on _scan alone
+        # at sigma 0.15 the guard leaves three of the five to _density
         pop = np.stack([random_normalized(4, 10, seed=s).entries for s in range(5)])
         capacity = population_fitness(CriterionSpec("capacity", sigma, 5_000), pop, seed=3)
         ber = population_fitness(CriterionSpec("ber", sigma, 5_000), pop, seed=3)
@@ -458,11 +479,12 @@ class TestFactoredSmall:
         edges = [e for e in guard_edges(a) if e > 0]
         grid = [0.05, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0]
         for sigma in grid + [e * f for e in edges for f in (1 - 1e-9, 1 + 1e-9)]:
-            z, ys, sent = factored_rows(a, sigma, 300, seed=n)
-            info = _rng._factored(a, z, sigma, ys, sent)
+            z, noise, sent = factored_rows(a, sigma, 300, seed=n)
+            info = _rng._factored(a, z, sigma, noise, sent)
             assert (info is None) == (sigma < max(edges)), sigma
             if info is not None:  # TestScan.test_matches_direct_reference's tolerance
-                npt.assert_allclose(info, _scan(z, sigma, ys, sent)[0], rtol=1e-12, atol=1e-12 * n)
+                want = _rng._density(z[None], sigma, noise, sent)[0]
+                npt.assert_allclose(info, want, rtol=1e-12, atol=1e-12 * n)
 
     def test_channel_pass_takes_it_from_256_points(self, monkeypatch):
         calls = []
@@ -475,8 +497,72 @@ class TestFactoredSmall:
         # below which no measured 8-user matrix lost to `_scan`; at 349 three lost, by up to 16 %
         a = baselines.generate("wbe", 4, 8, 0).entries
         for sigma, declined in [(0.1, True), (0.11, False)]:
-            z, ys, sent = factored_rows(a, sigma, 300, seed=0)
-            assert (_rng._factored(a, z, sigma, ys, sent) is None) == declined
+            z, noise, sent = factored_rows(a, sigma, 300, seed=0)
+            assert (_rng._factored(a, z, sigma, noise, sent) is None) == declined
+
+
+def scanned_rows(monkeypatch):
+    """Record how many rows each `_scan` call decodes."""
+    rows, scan = [], _rng._scan
+    monkeypatch.setattr(_rng, "_scan", lambda z, ys, work=None: rows.append(len(ys)) or scan(z, ys, work))
+    return rows
+
+
+CERTIFIED_CASES = [(kind, m, n) for n in range(2, 11) for m, kind in
+                   [(max(1, n // 2), "random"), (max(1, n // 2), "twin"), (max(1, n // 2), "anti"),
+                    (max(2, n // 2), "wbe")]]
+
+
+class TestCertifiedDecode:
+    """Rows that provably decode to their sent input skip `_scan`, and no bit error moves."""
+
+    @staticmethod
+    def matrix(kind, m, n):
+        if kind == "wbe":
+            return baselines.generate("wbe", m, n, n).entries
+        return density_stack(m, n)[("random", "twin", "anti").index(kind)]
+
+    @pytest.mark.parametrize("kind, m, n", CERTIFIED_CASES, ids=[f"{k}{m}x{n}" for k, m, n in CERTIFIED_CASES])
+    def test_errors_equal_a_forced_full_decode(self, monkeypatch, kind, m, n):
+        # unsorted grids with a repeated sigma, from 1e-6 to 3, on one thread and on two; with
+        # an infinite margin no certificate holds and `_scan` decodes every row
+        a = self.matrix(kind, m, n)[None]
+        grids = [[0.3, 1e-6, 3.0, 0.1, 0.3, 0.05], [0.2, 0.5, 0.2, 1.0, 0.15]]
+        got, want = [], []
+        for count in (1, 2):
+            force_threads(monkeypatch, count)
+            for grid in grids:
+                got.append(_rng.channel_pass(a, grid, 4_500, seed=n))
+                with monkeypatch.context() as mp:
+                    mp.setattr(_rng, "_CERT_ERR", math.inf)
+                    want.append(_rng.channel_pass(a, grid, 4_500, seed=n))
+        md5 = lambda runs, k: hashlib.md5(b"".join(r[k].tobytes() for r in runs)).hexdigest()
+        assert md5(got, 1) == md5(want, 1)
+        assert md5(got, 0) == md5(want, 0)  # the densities never depend on the decode
+
+    @pytest.mark.parametrize("kind", ["wbe", "random"])
+    def test_small_sigma_decodes_few_rows(self, monkeypatch, kind):
+        # a 4x8 sweep at sigma 0.1 scores every row and decodes fewer than 5 % of them
+        rows = scanned_rows(monkeypatch)
+        capacity._estimates(baselines.generate(kind, 4, 8, 0), [0.1], 20_000, 0)
+        assert sum(rows) < 0.05 * 20_000
+
+    @pytest.mark.parametrize("m, n, sigmas", [(3, 6, [1e-12]), (4, 8, [1e-5, 1e-12]), (4, 10, [0.3, 1e-12])])
+    def test_a_lower_index_twin_is_never_certified(self, monkeypatch, m, n, sigmas):
+        # at sigma 1e-12 each row decodes to the lowest input whose point equals its own, so the
+        # bit errors are exactly those of the rows whose sent point has a lower-index twin; a
+        # certified one would count none.  4x8 runs certificates 1, 2 and 3, 4x10 the first two
+        a = density_stack(m, n)[1]
+        z = _points(a)
+        lowest = (z[:, None, :] == z[None]).all(axis=2).argmax(axis=1)
+        sent = np.concatenate([_rng.draw_block(n, b, n, m)[0] for b in (0, 1)])[:6_000]
+        want = np.bitwise_count(sent ^ lowest[sent])
+        assert 0 < np.count_nonzero(want) < len(sent)
+        rows = scanned_rows(monkeypatch)
+        _, errors = _rng.channel_pass(a[None], sigmas, 6_000, seed=n)
+        assert errors[:, -1, 0, 0].sum() == want.sum()
+        assert errors[:, -1, 2, 0].sum() == np.count_nonzero(want)
+        assert sum(rows) < len(sent) * len(sigmas)  # certificates did settle the other rows
 
 
 class TestCapacityEstimate:
@@ -591,17 +677,14 @@ class TestCapacityEstimate:
 
 def block_density(a, z, sigma, sent, unit):
     """Information densities of one block's rows from the kernel `channel_pass` takes for a."""
-    if len(z) <= _rng._DENSITY_POINTS:
-        return _rng._density(z[None], sigma, sigma * unit, sent)[0]
-    ys = z[sent] + sigma * unit
-    info = _rng._factored(a, z, sigma, ys, sent) if len(z) >= _rng._FACTORED_POINTS else None
-    return _scan(z, sigma, ys, sent)[0] if info is None else info
+    info = _rng._factored(a, z, sigma, sigma * unit, sent) if len(z) >= _rng._FACTORED_POINTS else None
+    return _rng._density(z[None], sigma, sigma * unit, sent)[0] if info is None else info
 
 
 class TestBlockStatistics:
     """`estimate` combines per-block statistics; a mean and an SD over all rows agree with it."""
 
-    @pytest.mark.parametrize("m, n", [(3, 4), (4, 8)])  # `_density`, then `_factored` or `_scan`
+    @pytest.mark.parametrize("m, n", [(3, 4), (4, 8)])  # `_density`, then `_factored` or `_density`
     def test_combined_fields_equal_whole_row_reductions(self, m, n):
         # 9 000 rows: three blocks, the last cut to 808; the rows are rebuilt from the blocks
         # and the kernels, and each field is reduced over all of them at once
@@ -614,7 +697,7 @@ class TestBlockStatistics:
         for sigma in (0.2, 0.5, 1.5):
             cap, err = estimate(A, sigma, samples, seed)
             terms = np.concatenate([block_density(A.entries, z, sigma, s, u) for s, u in blocks]) + chi
-            errors = np.bitwise_count(sent ^ _scan(z, sigma, z[sent] + sigma * unit, sent)[1])
+            errors = np.bitwise_count(sent ^ _scan(z, z[sent] + sigma * unit))
             assert (err.bit_errors, err.block_errors) == (errors.sum(), np.count_nonzero(errors))
             assert err.ber == errors.sum() / (samples * n)
             assert err.block_error_rate == np.count_nonzero(errors) / samples
@@ -694,8 +777,8 @@ class TestSmallSigma:
 
     # a column repeating or negating the first: half the inputs share their point with one
     # other, so the limit is n - 0.5 bits.  The shared points are bitwise equal, so every sigma
-    # that clamps the other terms away reads the same value; through `_density` (3x3), the
-    # joint scan (4x7) and the scan past `_factored`'s guards (4x8, 6x12)
+    # that clamps the other terms away reads the same value; through `_density`, below 2**8
+    # points (3x3, 4x7) and past `_factored`'s guards (4x8, 6x12)
     @pytest.mark.parametrize("m, n", [(3, 3), (4, 7), (4, 8), (6, 12)])
     @pytest.mark.parametrize("stack_index", [1, 2], ids=["repeated", "negated"])
     def test_coincident_columns_read_one_value_to_the_floor(self, m, n, stack_index):
@@ -705,6 +788,22 @@ class TestSmallSigma:
             ests = [estimate(A, sigma, 4_096, 0)[0] for sigma in (1e-6, 1e-10, 1e-20, 1e-100, SMALLEST_SIGMA)]
         assert len({est.sum_bits for est in ests}) == 1
         assert abs(ests[0].sum_bits - (n - 0.5)) <= 3 * ests[0].std_error
+
+
+    def test_sign_code_reads_one_value_to_the_floor(self):
+        # a +-1/sqrt(5) 5x8 code with no repeated column, whose points coincide through other
+        # relations between its columns; the limit is the entropy of its 212 distinct points
+        signs = np.array([[-1, 1, -1, -1, -1, -1, 1, -1], [-1, 1, 1, 1, 1, 1, 1, -1],
+                          [-1, 1, 1, -1, 1, -1, 1, 1], [-1, -1, -1, -1, 1, 1, 1, -1],
+                          [1, 1, -1, -1, 1, -1, 1, -1]], dtype=float)
+        counts = np.unique(enumerate_inputs(8) @ signs.T, axis=0, return_counts=True)[1]
+        limit = float(np.sum(counts / 256 * np.log2(256 / counts)))
+        A = SignatureMatrix(signs / math.sqrt(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ests = [estimate(A, sigma, 4_096, 0)[0] for sigma in (1e-6, 1e-10, 1e-20, 1e-100, SMALLEST_SIGMA)]
+        assert len({est.sum_bits for est in ests}) == 1
+        assert abs(ests[0].sum_bits - limit) <= 3 * ests[0].std_error
 
 
 class TestExactCapacity1d:

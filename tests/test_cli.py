@@ -749,7 +749,7 @@ class TestOverloadSweep:
             assert row["capacity_std_error"] == repr(cap.std_error)
 
     def test_capacity_column_runs_no_decode(self, tmp_path, monkeypatch):
-        # the CSV has no BER: up to 2**6 points the pass takes the density kernel, never `_scan`
+        # the CSV has no BER: the pass scores the densities and never decodes
         def no_scan(*args, **kwargs):
             raise AssertionError("the closing estimate decoded")
 
@@ -806,7 +806,8 @@ class TestOverloadSweep:
                                         ("random", 4, 8), ("wbe", 6, 12)])
 def test_sweep_rows_equal_eval_rows(tmp_path, capsys, kind, m, n):
     # the grid shares its draws and its pair distances; each row is still eval's, byte for byte
-    # (at 4x8 the wbe matrix takes `_scan` at sigma 0.1 and the factored density above)
+    # (at 4x8 the wbe matrix takes `_density` at sigma 0.1, the factored density above, and
+    # the sweep reuses decodes from larger sigmas that eval scans or certifies on its own)
     path = tmp_path / "a.json"
     save_matrix(path, baselines.generate(kind, m, n, 1))
     out = tmp_path / "s.csv"

@@ -123,6 +123,29 @@ class TestBuildConstellation:
         for a, points in zip(pop, stacked):
             npt.assert_array_equal(points, _points(a))
 
+    @pytest.mark.parametrize("m, n", [(5, 8), (6, 10)])
+    def test_sign_codes_coincide_bit_for_bit(self, m, n):
+        # +-1/sqrt(m) codes with distinct columns, whose points coincide through relations other
+        # than a repeated or negated column: every pair equal to 1e-12 is equal bit for bit
+        for seed in range(3):
+            rng = np.random.default_rng(100 * m + seed)
+            signs = rng.choice([-1.0, 1.0], size=(m, n))
+            while (np.abs(signs.T @ signs) == m)[~np.eye(n, dtype=bool)].any():  # a repeated column
+                signs = rng.choice([-1.0, 1.0], size=(m, n))
+            points = _points(signs / np.sqrt(m))
+            distinct = len(np.unique(points.round(12), axis=0))
+            assert len(np.unique(points, axis=0)) == distinct < 2**n
+            npt.assert_allclose(points, enumerate_inputs(n) @ (signs / np.sqrt(m)).T, rtol=0, atol=1e-14)
+
+    def test_mixed_magnitudes_keep_their_products(self):
+        # in a stack, a code gets c (x @ signs) and every other matrix keeps its own product
+        code = np.array([[1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]]) / np.sqrt(3)
+        pop = np.stack([random_normalized(3, 4, seed=1).entries, code, coincident_3x5()[:, :4]])
+        stacked, x = _points(pop), enumerate_inputs(4)
+        npt.assert_array_equal(stacked[0], x @ pop[0].T)
+        npt.assert_array_equal(stacked[1], np.abs(code[0, 0]) * (x @ np.sign(code).T))
+        npt.assert_array_equal(stacked[2], _points(pop[2]))
+
     def test_guard_propagates(self):
         with pytest.raises(ValueError, match="MAX_USERS=16"):
             _points(SignatureMatrix(np.ones((1, 17))).entries)
