@@ -148,7 +148,7 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
     slabs = range(0, width, slab)
     for lo in range(0, len(sent), tile_rows):
         s, tile = sent[lo : lo + tile_rows], slice(lo, lo + tile_rows)
-        slab_of, col = np.divmod(s, slab)
+        col = s % slab if width > slab else s
         at = (np.arange(step)[:, None] * slab + col) * len(s) + np.arange(len(s))  # e_s in e
         for p in range(0, count, step):
             k, chunk = min(step, count - p), slice(p, p + step)
@@ -159,8 +159,7 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
             e_s = np.take(np.matmul(z1[chunk, :slab], y1t, out=e), at[:k])
             for start in slabs[1:]:
                 np.matmul(z1[chunk, start : start + slab], y1t, out=e)
-                np.copyto(e_s, np.take(e, at[:k]), where=slab_of == start // slab)
-            total = 0.0
+                np.copyto(e_s, np.take(e, at[:k]), where=s // slab == start // slab)
             for start in reversed(slabs):  # the last slab's products are still in e
                 if start != slabs[-1]:
                     np.matmul(z1[chunk, start : start + slab], y1t, out=e)
@@ -168,7 +167,8 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
                 np.clip(e, *bounds, out=e)
                 if not fold:
                     e *= inv2s2
-                total = total + np.exp(e, out=e).sum(axis=1)
+                sums = np.exp(e, out=e).sum(axis=1)
+                total = sums if start == slabs[-1] else total + sums
             log_sum[chunk, tile] = np.log(total)
     log_sum /= _LN2
     return np.subtract(width.bit_length() - 1, log_sum, out=log_sum)
@@ -257,15 +257,15 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
     The densities come from `_factored` within its guards, else from `_density`.  A block scores
     its sigmas from the largest down, and `_scan` decodes only the rows that none of three
     certificates settles.  Each bounds the gap ||y - z_i||^2 - ||y - z_s||^2 to every other
-    point z_i from below by more than the scan's rounding, which err = _CERT_ERR (m + 1)
-    (n + t)^2 bounds, t = sigma ||u||, so the decode is the scan's bit for bit:
+    point z_i from below by more than the scan's rounding, which err = slack (n + t)^2 bounds,
+    slack = _CERT_ERR (m + 1) and t = sigma ||u||, so the decode is the scan's bit for bit:
     1. Up to _CERT_POINTS points, r_s is the distance from z_s to its nearest other point
        (`_nearest`, 0 for an exact twin); the gap is at least r_s (r_s - 2 t).
     2. With that table, a row decoded as sent at sigma_a gives gap >= -2 err at sigma_a; the gap
        is linear in sigma, so at sigma_b = l sigma_a it is >= (1 - l) r_s^2 - 2 l err.
     3. A density from `_density` counts the sent point as exactly 1, so a row whose density
        exceeds n - log2(1 + e^-M) by the rounding of its sum puts every other point's exponent
-       below -M = -8 err / (2 sigma^2).
+       below -M = -8 err / (2 sigma^2), more than the rounding of both kernels' products.
     With decode=False errors is None, with density=False terms is None.
     """
     for sigma in sigmas:
@@ -274,12 +274,12 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
     points = _points(pop)
     width = len(points[0])
     order = sorted(range(len(sigmas)), key=lambda j: -float(sigmas[j]))  # stable: the largest first
-    err = _CERT_ERR * (m + 1)  # err / (n + t)^2
+    slack = _CERT_ERR * (m + 1)
     table = decode and width <= _CERT_POINTS
     if table:  # each a bound below the one the derivation needs, past the table's own rounding
         near2 = _nearest(points) * (1.0 - _CERT_REL)
-        radius = np.sqrt(np.maximum(near2 - 20.0 * err * n * n, 0.0)) / 2.0  # certificate 1
-        near = np.sqrt(np.maximum(near2 - 4.0 * err * n * n, 0.0))  # certificate 2
+        radius = np.sqrt(np.maximum(near2 - 20.0 * slack * n * n, 0.0)) / 2.0  # certificate 1
+        near = np.sqrt(np.maximum(near2 - 4.0 * slack * n * n, 0.0))  # certificate 2
     sum_rounding = (4 * width + 64) * 2.0**-53  # of n - log2 of a sum of 2**n terms, as computed
 
     def one_block(b):
@@ -305,7 +305,7 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
                         lean[p] = info is None
                         terms[p] = _density(z[None], sigma, noise, sent, work)[0] if lean[p] else info
                 if decode and lean.any():  # certificate 3
-                    c = math.sqrt(8.0 * err / (2.0 * sigma * sigma))
+                    c = math.sqrt(8.0 * slack / (2.0 * sigma * sigma))
                     floor = np.log1p(np.exp(-np.minimum(np.square(c * (n + sigma * norm)), 700.0)))
                     settled = lean[:, None] & (terms > n - (floor / _LN2 - sum_rounding))
                 terms += chi  # in place: a block holds one (P, rows) array of terms at a time
@@ -316,7 +316,7 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
                 if table:
                     settled |= ball > sigma * norm
                     if above is not None:
-                        reach = math.sqrt(5.0 * err) * (n + above * norm)
+                        reach = math.sqrt(5.0 * slack) * (n + above * norm)
                         settled |= kept & (math.sqrt(1.0 - sigma / above) * gap > reach)
                 e = np.zeros((len(pop), len(sent)), dtype=np.int64)
                 for p, z in enumerate(points):
