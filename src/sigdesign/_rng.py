@@ -102,14 +102,18 @@ def _scan(points: np.ndarray, ys: np.ndarray, work=None) -> np.ndarray:
         return _scan(points, np.concatenate([ys, ys[-1:]]), work)[:-1]
     y1 = np.column_stack([ys, np.ones(len(ys))])
     z1 = np.column_stack([2.0 * points, -np.einsum("ij,ij->i", points, points)])
-    best_i = np.zeros(len(ys), dtype=np.int64)
+    best_i = np.empty(len(ys), dtype=np.int64)
     buffer = (np.empty(_TILE) if work is None else work)[: tile_rows * width].reshape(tile_rows, width)
     for lo in range(0, len(ys), tile_rows):
         e = buffer[: len(ys) - lo]  # the last tile may be short
         tile = slice(lo, lo + len(e))
-        rows, best, top = np.arange(len(e)), best_i[tile], np.full(len(e), -np.inf)
+        rows, best = np.arange(len(e)), best_i[tile]
         for start in range(0, len(points), width):
             np.matmul(y1[tile], z1[start : start + width].T, out=e)
+            if start == 0:  # the first slab sets the decode outright
+                e.argmax(axis=1, out=best)
+                top = e[rows, best] if width < len(points) else None
+                continue
             j = e.argmax(axis=1)
             e_max = e[rows, j]
             np.copyto(best, start + j, where=e_max > top)
@@ -174,7 +178,7 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
     return np.subtract(width.bit_length() - 1, log_sum, out=log_sum)
 
 
-def _factored(a: np.ndarray, points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarray, work=None):
+def _factored(a, points, sigma, noise, sent, work=None, halves=None):
     """Densities of the rows points[sent] + noise of an (m, n) matrix a, or None past the guards above.
 
     With z_ab = u_a + w_b over the low ceil(n/2) users and the rest, scores T_ab = f_a + g_b +
@@ -182,11 +186,12 @@ def _factored(a: np.ndarray, points: np.ndarray, sigma: float, noise: np.ndarray
     alpha = e^(f - F), beta = e^(g - G), K = e^(H - H*): 2**ceil(n/2) + 2**floor(n/2) exps and
     one matrix product a row.  The factors, clamped at e^_EXP_FLOOR, move no bit of log S while
     the sent point's term e^(T_s - F - G - H*) is >= e^_FACTORED_RANGE; other rows are `_density`'s.
-    Points-major, so a half's max and the final sum over points are whole-row ops.
+    Points-major, so a half's max and the final sum over points are whole-row ops.  halves, if
+    given, is `_halves(a)`, which depends on a alone.
     """
     inv2s2 = 1.0 / (2.0 * float(sigma) ** 2)
     m, n = a.shape
-    u, w = _points(a[:, : n - n // 2]), _points(a[:, n - n // 2 :])
+    u, w = _halves(a) if halves is None else halves
     spread = _FACTORED_SPREAD[n > 8]  # the scale test first: past it h may not be finite
     if n * inv2s2 > _FACTORED_SCALE or (h := (u @ w.T) * (-2.0 * inv2s2)).max() > spread:
         return None
@@ -219,6 +224,12 @@ def _factored(a: np.ndarray, points: np.ndarray, sigma: float, noise: np.ndarray
         rows = np.append(redo, redo[-1]) if (len(redo) - 1) % (_TILE // min(len(points), _SLAB)) == 0 else redo
         info[redo] = _density(points[None], sigma, noise[rows], sent[rows], work)[0][: len(redo)]
     return info
+
+
+def _halves(a: np.ndarray):
+    """The points u of the low ceil(n/2) users of an (m, n) matrix a and the points w of the rest."""
+    n = a.shape[1]
+    return _points(a[:, : n - n // 2]), _points(a[:, n - n // 2 :])
 
 
 def _nearest(points: np.ndarray) -> np.ndarray:
@@ -281,6 +292,7 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
         radius = np.sqrt(np.maximum(near2 - 20.0 * slack * n * n, 0.0)) / 2.0  # certificate 1
         near = np.sqrt(np.maximum(near2 - 4.0 * slack * n * n, 0.0))  # certificate 2
     sum_rounding = (4 * width + 64) * 2.0**-53  # of n - log2 of a sum of 2**n terms, as computed
+    halves = [_halves(a) for a in pop] if density and width >= _FACTORED_POINTS else None
 
     def one_block(b):
         sent, unit = draw_block(seed, b, n, m, min(BLOCK, rows - b * BLOCK))
@@ -301,7 +313,7 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
                 else:
                     terms = np.empty((len(pop), len(sent)))
                     for p, (a, z) in enumerate(zip(pop, points)):
-                        info = _factored(a, z, sigma, noise, sent, work)
+                        info = _factored(a, z, sigma, noise, sent, work, halves[p])
                         lean[p] = info is None
                         terms[p] = _density(z[None], sigma, noise, sent, work)[0] if lean[p] else info
                 if decode and lean.any():  # certificate 3
