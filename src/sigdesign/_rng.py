@@ -202,11 +202,13 @@ def _factored(a, points, sigma, noise, sent, work=None, halves=None):
     sizes = (m + 1, len(u), len(w), len(u))  # [y, 1], f, g and K beta: one tile's rows each
     step = min(len(sent), _TILE // sum(sizes))
     buffer, info = np.empty(_TILE) if work is None else work, np.empty(len(sent))
+    zt = np.ascontiguousarray(points.T)  # (m, 2**n): sent rows gather contiguously
     for lo in range(0, len(sent), step):
         tile = slice(lo, lo + step)  # the last may be short
         cut = np.cumsum((0,) + sizes) * len(info[tile])
         y1, f, g, s = (buffer[i:j].reshape(-1, len(info[tile])) for i, j in zip(cut, cut[1:]))
-        np.add(np.take(points, sent[tile], axis=0).T, noise[tile].T, out=y1[:m])
+        np.take(zt, sent[tile], axis=1, out=y1[:m])
+        y1[:m] += noise[tile].T
         y1[m] = 1.0
         d, cols = h[a_s[tile], b_s[tile]], np.arange(len(info[tile]))
         for e, z1, sent_half in ((f, halves[0], a_s[tile]), (g, halves[1], b_s[tile])):
@@ -294,32 +296,48 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
     sum_rounding = (4 * width + 64) * 2.0**-53  # of n - log2 of a sum of 2**n terms, as computed
     halves = [_halves(a) for a in pop] if density and width >= _FACTORED_POINTS else None
 
+    def densities(sigma, sent, unit, work):
+        """(P, rows) densities of a block's rows at sigma, and which matrices `_density` scored."""
+        noise = sigma * unit  # here, so it is freed before the decode
+        if width < _FACTORED_POINTS:
+            return _density(points, sigma, noise, sent, work), np.ones(len(pop), dtype=bool)
+        terms, summed = np.empty((len(pop), len(sent))), np.zeros(len(pop), dtype=bool)
+        for p, (a, z) in enumerate(zip(pop, points)):
+            info = _factored(a, z, sigma, noise, sent, work, halves[p])
+            summed[p] = info is None
+            terms[p] = _density(z[None], sigma, noise, sent, work)[0] if summed[p] else info
+        return terms, summed
+
+    def decode_errors(sigma, sent, unit, settled, work):
+        """(P, rows) bit errors of a block's rows at sigma, with `_scan` run on the unsettled rows."""
+        errors = np.zeros(settled.shape, dtype=np.int64)
+        for p, z in enumerate(points):
+            scan = np.flatnonzero(~settled[p])
+            if len(scan):
+                sent_p = np.take(sent, scan)
+                ys = np.take(z, sent_p, axis=0)
+                ys += sigma * np.take(unit, scan, axis=0)  # the rows' z_s + noise, bit for bit
+                errors[p, scan] = np.bitwise_count(sent_p ^ _scan(z, ys, work))
+        return errors
+
     def one_block(b):
         sent, unit = draw_block(seed, b, n, m, min(BLOCK, rows - b * BLOCK))
-        norm2 = np.einsum("ij,ij->i", unit, unit)
-        chi, norm = (norm2 - m) / (2.0 * _LN2), np.sqrt(norm2)
+        norm = np.einsum("ij,ij->i", unit, unit)
+        chi = (norm - m) / (2.0 * _LN2)
+        np.sqrt(norm, out=norm)
         ball, gap = (np.take(radius, sent, axis=1), np.take(near, sent, axis=1)) if table else (None, None)
         work = np.empty(_TILE)  # every kernel's buffer: one allocation a block
         stats = [None] * len(sigmas), [None] * len(sigmas)  # (3, P) statistics at each sigma
         kept = above = None  # rows decoded as sent at the sigma above
         for j in order:
             sigma = float(sigmas[j])
-            noise = sigma * unit
             settled = np.zeros((len(pop), len(sent)), dtype=bool)  # rows certain to decode as sent
             if density:
-                lean = np.full(len(pop), width < _FACTORED_POINTS)  # the matrices `_density` scores
-                if lean.all():
-                    terms = _density(points, sigma, noise, sent, work)
-                else:
-                    terms = np.empty((len(pop), len(sent)))
-                    for p, (a, z) in enumerate(zip(pop, points)):
-                        info = _factored(a, z, sigma, noise, sent, work, halves[p])
-                        lean[p] = info is None
-                        terms[p] = _density(z[None], sigma, noise, sent, work)[0] if lean[p] else info
-                if decode and lean.any():  # certificate 3
+                terms, summed = densities(sigma, sent, unit, work)
+                if decode and summed.any():  # certificate 3
                     c = math.sqrt(8.0 * slack / (2.0 * sigma * sigma))
                     floor = np.log1p(np.exp(-np.minimum(np.square(c * (n + sigma * norm)), 700.0)))
-                    settled = lean[:, None] & (terms > n - (floor / _LN2 - sum_rounding))
+                    settled = summed[:, None] & (terms > n - (floor / _LN2 - sum_rounding))
                 terms += chi  # in place: a block holds one (P, rows) array of terms at a time
                 mean = terms.mean(axis=1)
                 np.square(np.subtract(terms, mean[:, None], out=terms), out=terms)
@@ -330,13 +348,7 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
                     if above is not None:
                         reach = math.sqrt(5.0 * slack) * (n + above * norm)
                         settled |= kept & (math.sqrt(1.0 - sigma / above) * gap > reach)
-                e = np.zeros((len(pop), len(sent)), dtype=np.int64)
-                for p, z in enumerate(points):
-                    scan = np.flatnonzero(~settled[p])
-                    if len(scan):
-                        sent_p = np.take(sent, scan)
-                        ys = np.take(z, sent_p, axis=0) + np.take(noise, scan, axis=0)
-                        e[p, scan] = np.bitwise_count(sent_p ^ _scan(z, ys, work))
+                e = decode_errors(sigma, sent, unit, settled, work)
                 kept, above = e == 0, sigma
                 stats[1][j] = [e.sum(axis=1), np.square(e).sum(axis=1), np.count_nonzero(e, axis=1)]
         return stats
