@@ -128,17 +128,19 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
     e = [2 z, -||z||^2] @ [y, 1]^T = ||y||^2 - ||y - z||^2, so the shift and the sum over the
     points are whole-row ops.  Each row is shifted by its sent point's own entry e_s: the sent
     point and any point equal to it, as `_points` makes coincident ones, count exactly 1 at every
-    sigma.  Past _SLAB points the points run in slabs, and a first pass over them picks each
-    row's e_s out of the same products.  Every other exponent is at most |Pu|^2 / 2, Pu the unit
-    noise's part in the span of z - z_s, so only rounding reaches the ceiling of the clip to
-    [_EXP_FLOOR, _EXP_CEIL]; the clip keeps exp off its slow underflow path and that rounding
-    off overflow.  1/(2 sigma^2) is folded into the GEMM operand up to _FOLD_SCALE, else applied
-    after the clip.
+    sigma.  Every other exponent is at most |Pu|^2 / 2, Pu the unit noise's part in the span of
+    z - z_s, so only rounding reaches the ceiling of the clip to [_EXP_FLOOR, _EXP_CEIL]; the
+    clip keeps exp off its slow underflow path and that rounding off overflow.  Past _SLAB
+    points the points run in slabs, and the sum runs relative to the running row maximum and
+    ends on e_s: the sent point and its equals count 1 whenever it is that maximum, as it is
+    wherever rounding could matter.  1/(2 sigma^2) is folded into the GEMM operand up to
+    _FOLD_SCALE, else applied after the clip.
     """
     sigma = float(sigma)
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
     fold = inv2s2 <= _FOLD_SCALE
     bounds = (_EXP_FLOOR, _EXP_CEIL) if fold else (_EXP_FLOOR / inv2s2, _EXP_CEIL / inv2s2)
+    scale = 1.0 if fold else inv2s2  # from the units of e to those of an exponent
     count, width, m = points.shape
     slab = min(width, _SLAB)
     z1 = np.concatenate([2.0 * points, -np.einsum("pij,pij->pi", points, points)[..., None]], 2)
@@ -160,20 +162,26 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
             np.add(np.take(zt[chunk], s, axis=2), noise[tile].T, out=y1t[:, :m])
             y1t[:, m] = 1.0
             e = e_buf[: k * slab * len(s)].reshape(k, slab, len(s))
-            e_s = np.take(np.matmul(z1[chunk, :slab], y1t, out=e), at[:k])
-            for start in slabs[1:]:
-                np.matmul(z1[chunk, start : start + slab], y1t, out=e)
-                np.copyto(e_s, np.take(e, at[:k]), where=s // slab == start // slab)
-            for start in reversed(slabs):  # the last slab's products are still in e
-                if start != slabs[-1]:
-                    np.matmul(z1[chunk, start : start + slab], y1t, out=e)
-                e -= e_s[:, None]
+            if width == slab:
+                e -= np.take(np.matmul(z1[chunk], y1t, out=e), at[:k])[:, None]
                 np.clip(e, *bounds, out=e)
                 if not fold:
                     e *= inv2s2
-                sums = np.exp(e, out=e).sum(axis=1)
-                total = sums if start == slabs[-1] else total + sums
-            log_sum[chunk, tile] = np.log(total)
+                log_sum[chunk, tile] = np.log(np.exp(e, out=e).sum(axis=1))
+                continue
+            top, total, e_s = np.full((k, len(s)), -np.inf), np.zeros((k, len(s))), np.empty((k, len(s)))
+            for start in slabs:
+                np.matmul(z1[chunk, start : start + slab], y1t, out=e)
+                np.copyto(e_s, np.take(e, at[:k]), where=s // slab == start // slab)
+                raised = np.maximum(top, e.max(axis=1))
+                total *= np.exp(np.maximum(top - raised, bounds[0]) * scale)
+                e -= raised[:, None]
+                np.maximum(e, bounds[0], out=e)
+                if not fold:
+                    e *= inv2s2
+                total += np.exp(e, out=e).sum(axis=1)
+                top = raised
+            log_sum[chunk, tile] = np.log(total) + (top - e_s) * scale
     log_sum /= _LN2
     return np.subtract(width.bit_length() - 1, log_sum, out=log_sum)
 
@@ -223,7 +231,8 @@ def _factored(a, points, sigma, noise, sent, work=None, halves=None):
     # which numpy runs as a matrix-vector product: a lone last row is redone beside a copy
     redo = np.flatnonzero(np.isnan(info))
     if len(redo):
-        rows = np.append(redo, redo[-1]) if (len(redo) - 1) % (_TILE // min(len(points), _SLAB)) == 0 else redo
+        lone = (len(redo) - 1) % (_TILE // min(len(points), _SLAB)) == 0
+        rows = np.append(redo, redo[-1]) if lone else redo
         info[redo] = _density(points[None], sigma, noise[rows], sent[rows], work)[0][: len(redo)]
     return info
 
@@ -325,7 +334,7 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
         norm = np.einsum("ij,ij->i", unit, unit)
         chi = (norm - m) / (2.0 * _LN2)
         np.sqrt(norm, out=norm)
-        ball, gap = (np.take(radius, sent, axis=1), np.take(near, sent, axis=1)) if table else (None, None)
+        ball, gap = (np.take(t, sent, axis=1) for t in (radius, near)) if table else (None, None)
         work = np.empty(_TILE)  # every kernel's buffer: one allocation a block
         stats = [None] * len(sigmas), [None] * len(sigmas)  # (3, P) statistics at each sigma
         kept = above = None  # rows decoded as sent at the sigma above

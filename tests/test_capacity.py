@@ -522,7 +522,8 @@ class TestCertifiedDecode:
             return baselines.generate("wbe", m, n, n).entries
         return density_stack(m, n)[("random", "twin", "anti").index(kind)]
 
-    @pytest.mark.parametrize("kind, m, n", CERTIFIED_CASES, ids=[f"{k}{m}x{n}" for k, m, n in CERTIFIED_CASES])
+    @pytest.mark.parametrize("kind, m, n", CERTIFIED_CASES,
+                             ids=[f"{k}{m}x{n}" for k, m, n in CERTIFIED_CASES])
     def test_errors_equal_a_forced_full_decode(self, monkeypatch, kind, m, n):
         # unsorted grids with a repeated sigma, from 1e-6 to 3, on one thread and on two; with
         # an infinite margin no certificate holds and `_scan` decodes every row
