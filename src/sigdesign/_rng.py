@@ -186,20 +186,19 @@ def _density(points: np.ndarray, sigma: float, noise: np.ndarray, sent: np.ndarr
     return np.subtract(width.bit_length() - 1, log_sum, out=log_sum)
 
 
-def _factored(a, points, sigma, noise, sent, work=None, halves=None):
-    """Densities of the rows points[sent] + noise of an (m, n) matrix a, or None past the guards above.
+def _factored(halves, points, sigma, noise, sent, work=None):
+    """Densities of the rows points[sent] + noise of a matrix with `_halves` u, w, or None past the
+    guards above.
 
     With z_ab = u_a + w_b over the low ceil(n/2) users and the rest, scores T_ab = f_a + g_b +
     H_ab, H_ab = -u_a.w_b / sigma^2 for all rows, sum to e^(F + G + H*) alpha^T K beta with
     alpha = e^(f - F), beta = e^(g - G), K = e^(H - H*): 2**ceil(n/2) + 2**floor(n/2) exps and
     one matrix product a row.  The factors, clamped at e^_EXP_FLOOR, move no bit of log S while
     the sent point's term e^(T_s - F - G - H*) is >= e^_FACTORED_RANGE; other rows are `_density`'s.
-    Points-major, so a half's max and the final sum over points are whole-row ops.  halves, if
-    given, is `_halves(a)`, which depends on a alone.
+    Points-major, so a half's max and the final sum over points are whole-row ops.
     """
     inv2s2 = 1.0 / (2.0 * float(sigma) ** 2)
-    m, n = a.shape
-    u, w = _halves(a) if halves is None else halves
+    (u, w), m, n = halves, points.shape[1], len(points).bit_length() - 1
     spread = _FACTORED_SPREAD[n > 8]  # the scale test first: past it h may not be finite
     if n * inv2s2 > _FACTORED_SCALE or (h := (u @ w.T) * (-2.0 * inv2s2)).max() > spread:
         return None
@@ -311,8 +310,8 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
         if width < _FACTORED_POINTS:
             return _density(points, sigma, noise, sent, work), np.ones(len(pop), dtype=bool)
         terms, summed = np.empty((len(pop), len(sent))), np.zeros(len(pop), dtype=bool)
-        for p, (a, z) in enumerate(zip(pop, points)):
-            info = _factored(a, z, sigma, noise, sent, work, halves[p])
+        for p, z in enumerate(points):
+            info = _factored(halves[p], z, sigma, noise, sent, work)
             summed[p] = info is None
             terms[p] = _density(z[None], sigma, noise, sent, work)[0] if summed[p] else info
         return terms, summed

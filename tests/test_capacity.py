@@ -332,7 +332,7 @@ def direct_info(points, sigma, ys, sent):
 
 
 def factored_rows(a, sigma, rows, seed):
-    """The points of a, and the noise and inputs of `rows` rows of one block as channel_pass draws them."""
+    """The points of a, and the noise and inputs of `rows` rows of one block, as channel_pass draws."""
     z = _points(a)
     sent, unit = (x[:rows] for x in _rng.draw_block(seed, 0, a.shape[1], a.shape[0]))
     return z, sigma * unit, sent
@@ -361,11 +361,12 @@ class TestFactored:
     def test_matches_direct_reference(self, name, a, sigma):
         n = a.shape[1]
         z, noise, sent = factored_rows(a, sigma, 64 if n == 16 else 300, seed=n)
-        info = _rng._factored(a, z, sigma, noise, sent)
+        info = _rng._factored(_rng._halves(a), z, sigma, noise, sent)
         if info is None:  # the guard: nearly every row would fail, and _density scores them all
             assert sigma < 0.3 or name == "ones1x12"
             return
-        npt.assert_allclose(info, direct_info(z, sigma, z[sent] + noise, sent), rtol=1e-12, atol=1e-12 * n)
+        want = direct_info(z, sigma, z[sent] + noise, sent)
+        npt.assert_allclose(info, want, rtol=1e-12, atol=1e-12 * n)
 
     @pytest.mark.parametrize("rows", [1, 2, 257, 300, _rng.BLOCK])
     def test_failed_rows_equal_scan_bit_for_bit(self, monkeypatch, rows):
@@ -376,7 +377,7 @@ class TestFactored:
         z, noise, sent = factored_rows(a, 0.3, _rng.BLOCK, seed=2)
         want = _rng._density(z[None], 0.3, noise, sent)[0][:rows]
         monkeypatch.setattr(_rng, "_FACTORED_RANGE", np.inf)
-        npt.assert_array_equal(_rng._factored(a, z, 0.3, noise[:rows], sent[:rows]), want)
+        npt.assert_array_equal(_rng._factored(_rng._halves(a), z, 0.3, noise[:rows], sent[:rows]), want)
 
     def test_one_failed_row_equals_scan_bit_for_bit(self, monkeypatch):
         # a lone row redone alone would take a matrix-vector product; the range is bisected
@@ -389,13 +390,13 @@ class TestFactored:
             with monkeypatch.context() as mp:
                 density_rows_alone(mp)
                 mp.setattr(_rng, "_FACTORED_RANGE", (lo + hi) / 2)
-                failed = np.flatnonzero(np.isnan(_rng._factored(a, z, 0.3, noise, sent)))
+                failed = np.flatnonzero(np.isnan(_rng._factored(_rng._halves(a), z, 0.3, noise, sent)))
             if len(failed) == 1:
                 break
             lo, hi = (lo, (lo + hi) / 2) if len(failed) else ((lo + hi) / 2, hi)
         assert len(failed) == 1 and failed[0] < 299
         monkeypatch.setattr(_rng, "_FACTORED_RANGE", (lo + hi) / 2)
-        got = _rng._factored(a, z, 0.3, noise, sent)
+        got = _rng._factored(_rng._halves(a), z, 0.3, noise, sent)
         assert got[failed[0]] == want[failed[0]]
 
     @pytest.mark.parametrize("rows", [257, _rng.BLOCK])
@@ -403,10 +404,11 @@ class TestFactored:
         # at sigma 0.16 this 4x10 passes the guard and about 2 % of its rows fail the test
         a = random_normalized(4, 10, seed=3).entries
         z, noise, sent = factored_rows(a, 0.16, rows, seed=2)
-        got, want = _rng._factored(a, z, 0.16, noise, sent), _rng._density(z[None], 0.16, noise, sent)[0]
+        got = _rng._factored(_rng._halves(a), z, 0.16, noise, sent)
+        want = _rng._density(z[None], 0.16, noise, sent)[0]
         with monkeypatch.context() as mp:
             density_rows_alone(mp)
-            failed = np.isnan(_rng._factored(a, z, 0.16, noise, sent))
+            failed = np.isnan(_rng._factored(_rng._halves(a), z, 0.16, noise, sent))
         assert 0 < failed.sum() < 0.2 * rows
         npt.assert_array_equal(got[failed], want[failed])
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * 10)
@@ -480,7 +482,7 @@ class TestFactoredSmall:
         grid = [0.05, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0]
         for sigma in grid + [e * f for e in edges for f in (1 - 1e-9, 1 + 1e-9)]:
             z, noise, sent = factored_rows(a, sigma, 300, seed=n)
-            info = _rng._factored(a, z, sigma, noise, sent)
+            info = _rng._factored(_rng._halves(a), z, sigma, noise, sent)
             assert (info is None) == (sigma < max(edges)), sigma
             if info is not None:  # TestScan.test_matches_direct_reference's tolerance
                 want = _rng._density(z[None], sigma, noise, sent)[0]
@@ -489,16 +491,17 @@ class TestFactoredSmall:
     def test_channel_pass_takes_it_from_256_points(self, monkeypatch):
         calls = []
         factored = _rng._factored
-        monkeypatch.setattr(_rng, "_factored", lambda a, *args: calls.append(a.shape) or factored(a, *args))
+        monkeypatch.setattr(_rng, "_factored",
+                            lambda h, z, *args: calls.append(z.shape) or factored(h, z, *args))
         for n in (7, 8):
             _rng.channel_pass(random_normalized(4, n, seed=1).entries[None], [0.3], 300, seed=0)
-        assert calls == [(4, 8)]
+        assert calls == [(256, 4)]
         # wbe 4x8 at sigma 0.1 has H* = 333: inside the cap from n = 9 (350), past n = 8's (300),
         # below which no measured 8-user matrix lost to `_scan`; at 349 three lost, by up to 16 %
         a = baselines.generate("wbe", 4, 8, 0).entries
         for sigma, declined in [(0.1, True), (0.11, False)]:
             z, noise, sent = factored_rows(a, sigma, 300, seed=0)
-            assert (_rng._factored(a, z, sigma, noise, sent) is None) == declined
+            assert (_rng._factored(_rng._halves(a), z, sigma, noise, sent) is None) == declined
 
 
 def scanned_rows(monkeypatch):
@@ -548,7 +551,8 @@ class TestCertifiedDecode:
         capacity._estimates(baselines.generate(kind, 4, 8, 0), [0.1], 20_000, 0)
         assert sum(rows) < 0.05 * 20_000
 
-    @pytest.mark.parametrize("m, n, sigmas", [(3, 6, [1e-12]), (4, 8, [1e-5, 1e-12]), (4, 10, [0.3, 1e-12])])
+    @pytest.mark.parametrize("m, n, sigmas",
+                             [(3, 6, [1e-12]), (4, 8, [1e-5, 1e-12]), (4, 10, [0.3, 1e-12])])
     def test_a_lower_index_twin_is_never_certified(self, monkeypatch, m, n, sigmas):
         # at sigma 1e-12 each row decodes to the lowest input whose point equals its own, so the
         # bit errors are exactly those of the rows whose sent point has a lower-index twin; a
@@ -678,7 +682,8 @@ class TestCapacityEstimate:
 
 def block_density(a, z, sigma, sent, unit):
     """Information densities of one block's rows from the kernel `channel_pass` takes for a."""
-    info = _rng._factored(a, z, sigma, sigma * unit, sent) if len(z) >= _rng._FACTORED_POINTS else None
+    factored = len(z) >= _rng._FACTORED_POINTS
+    info = _rng._factored(_rng._halves(a), z, sigma, sigma * unit, sent) if factored else None
     return _rng._density(z[None], sigma, sigma * unit, sent)[0] if info is None else info
 
 
@@ -802,7 +807,8 @@ class TestSmallSigma:
         A = SignatureMatrix(signs / math.sqrt(5))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ests = [estimate(A, sigma, 4_096, 0)[0] for sigma in (1e-6, 1e-10, 1e-20, 1e-100, SMALLEST_SIGMA)]
+            sigmas = (1e-6, 1e-10, 1e-20, 1e-100, SMALLEST_SIGMA)
+            ests = [estimate(A, sigma, 4_096, 0)[0] for sigma in sigmas]
         assert len({est.sum_bits for est in ests}) == 1
         assert abs(ests[0].sum_bits - limit) <= 3 * ests[0].std_error
 
