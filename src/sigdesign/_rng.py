@@ -284,7 +284,9 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
        (`_nearest`, 0 for an exact twin); the gap is at least r_s (r_s - 2 t).
     2. With that table, a row decoded as sent at sigma_a gives gap >= -2 err at sigma_a; the gap
        is linear in sigma, so at sigma_b = l sigma_a it is >= (1 - l) r_s^2 - 2 l err.
-    3. A density from `_density` counts the sent point as exactly 1, so a row whose density
+    3. A density is n - log2 of the sum of e^(e_i - e_s) over the points, and both kernels count
+       the sent point as 1: `_density` exactly, `_factored` to within the rounding of its three
+       exponents, which M dominates as it does every exponent's.  So a row whose density
        exceeds n - log2(1 + e^-M) by the rounding of its sum puts every other point's exponent
        below -M = -8 err / (2 sigma^2), more than the rounding of both kernels' products.
     With decode=False errors is None, with density=False terms is None.
@@ -305,16 +307,15 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
     halves = [_halves(a) for a in pop] if density and width >= _FACTORED_POINTS else None
 
     def densities(sigma, sent, unit, work):
-        """(P, rows) densities of a block's rows at sigma, and which matrices `_density` scored."""
+        """(P, rows) densities of a block's rows at sigma."""
         noise = sigma * unit  # here, so it is freed before the decode
         if width < _FACTORED_POINTS:
-            return _density(points, sigma, noise, sent, work), np.ones(len(pop), dtype=bool)
-        terms, summed = np.empty((len(pop), len(sent))), np.zeros(len(pop), dtype=bool)
+            return _density(points, sigma, noise, sent, work)
+        terms = np.empty((len(pop), len(sent)))
         for p, z in enumerate(points):
             info = _factored(halves[p], z, sigma, noise, sent, work)
-            summed[p] = info is None
-            terms[p] = _density(z[None], sigma, noise, sent, work)[0] if summed[p] else info
-        return terms, summed
+            terms[p] = _density(z[None], sigma, noise, sent, work)[0] if info is None else info
+        return terms
 
     def decode_errors(sigma, sent, unit, settled, work):
         """(P, rows) bit errors of a block's rows at sigma, with `_scan` run on the unsettled rows."""
@@ -341,11 +342,11 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
             sigma = float(sigmas[j])
             settled = np.zeros((len(pop), len(sent)), dtype=bool)  # rows certain to decode as sent
             if density:
-                terms, summed = densities(sigma, sent, unit, work)
-                if decode and summed.any():  # certificate 3
+                terms = densities(sigma, sent, unit, work)
+                if decode:  # certificate 3
                     c = math.sqrt(8.0 * slack / (2.0 * sigma * sigma))
                     floor = np.log1p(np.exp(-np.minimum(np.square(c * (n + sigma * norm)), 700.0)))
-                    settled = summed[:, None] & (terms > n - (floor / _LN2 - sum_rounding))
+                    settled = terms > n - (floor / _LN2 - sum_rounding)
                 terms += chi  # in place: a block holds one (P, rows) array of terms at a time
                 mean = terms.mean(axis=1)
                 np.square(np.subtract(terms, mean[:, None], out=terms), out=terms)

@@ -513,7 +513,7 @@ def scanned_rows(monkeypatch):
 
 CERTIFIED_CASES = [(kind, m, n) for n in range(2, 11) for m, kind in
                    [(max(1, n // 2), "random"), (max(1, n // 2), "twin"), (max(1, n // 2), "anti"),
-                    (max(2, n // 2), "wbe")]]
+                    (max(2, n // 2), "wbe")]] + [("random", 5, 11), ("wbe", 6, 11)]  # past the table
 
 
 class TestCertifiedDecode:
@@ -556,7 +556,8 @@ class TestCertifiedDecode:
     def test_a_lower_index_twin_is_never_certified(self, monkeypatch, m, n, sigmas):
         # at sigma 1e-12 each row decodes to the lowest input whose point equals its own, so the
         # bit errors are exactly those of the rows whose sent point has a lower-index twin; a
-        # certified one would count none.  4x8 runs certificates 1, 2 and 3, 4x10 the first two
+        # certified one would count none.  4x8 runs certificates 1, 2 and 3 on `_density`'s
+        # densities, 4x10 at sigma 0.3 certificate 3 on `_factored`'s
         a = density_stack(m, n)[1]
         z = _points(a)
         lowest = (z[:, None, :] == z[None]).all(axis=2).argmax(axis=1)
