@@ -20,8 +20,9 @@ constellations, at 2**n >= _FACTORED_POINTS within its guards, and
 `_density`, points-major, for everything else.  The ML decode is `_scan`'s,
 run only on the rows that no certificate settles: a row provably decodes to
 its sent point when its noise lies well inside half the distance to that
-point's nearest neighbour, when it did so at a larger sigma of the grid, or
-when its own density leaves every other point's term below the sent one's.
+point's nearest neighbour, or when its own density leaves every other
+point's term below the sent one's.  Each sigma of a block is scored on its
+own, in the caller's order.
 """
 
 from __future__ import annotations
@@ -276,15 +277,13 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
     of its bit errors, both in the caller's sigma order.
 
     The densities come from `_factored` within its guards, else from `_density`.  A block scores
-    its sigmas from the largest down, and `_scan` decodes only the rows that none of three
-    certificates settles.  Each bounds the gap ||y - z_i||^2 - ||y - z_s||^2 to every other
-    point z_i from below by more than the scan's rounding, which err = slack (n + t)^2 bounds,
-    slack = _CERT_ERR (m + 1) and t = sigma ||u||, so the decode is the scan's bit for bit:
+    each sigma on its own, and `_scan` decodes only the rows that neither of two certificates
+    settles.  Each bounds the gap ||y - z_i||^2 - ||y - z_s||^2 to every other point z_i from
+    below by more than the scan's rounding, which err = slack (n + t)^2 bounds, slack =
+    _CERT_ERR (m + 1) and t = sigma ||u||, so the decode is the scan's bit for bit:
     1. Up to _CERT_POINTS points, r_s is the distance from z_s to its nearest other point
        (`_nearest`, 0 for an exact twin); the gap is at least r_s (r_s - 2 t).
-    2. With that table, a row decoded as sent at sigma_a gives gap >= -2 err at sigma_a; the gap
-       is linear in sigma, so at sigma_b = l sigma_a it is >= (1 - l) r_s^2 - 2 l err.
-    3. A density is n - log2 of the sum of e^(e_i - e_s) over the points, and both kernels count
+    2. A density is n - log2 of the sum of e^(e_i - e_s) over the points, and both kernels count
        the sent point as 1: `_density` exactly, `_factored` to within the rounding of its three
        exponents, which M dominates as it does every exponent's.  So a row whose density
        exceeds n - log2(1 + e^-M) by the rounding of its sum puts every other point's exponent
@@ -296,13 +295,11 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
     _, m, n = pop.shape
     points = _points(pop)
     width = len(points[0])
-    order = sorted(range(len(sigmas)), key=lambda j: -float(sigmas[j]))  # stable: the largest first
     slack = _CERT_ERR * (m + 1)
     table = decode and width <= _CERT_POINTS
-    if table:  # each a bound below the one the derivation needs, past the table's own rounding
+    if table:  # certificate 1's radius, below the derivation's by more than the table's rounding
         near2 = _nearest(points) * (1.0 - _CERT_REL)
-        radius = np.sqrt(np.maximum(near2 - 20.0 * slack * n * n, 0.0)) / 2.0  # certificate 1
-        near = np.sqrt(np.maximum(near2 - 4.0 * slack * n * n, 0.0))  # certificate 2
+        radius = np.sqrt(np.maximum(near2 - 20.0 * slack * n * n, 0.0)) / 2.0
     sum_rounding = (4 * width + 64) * 2.0**-53  # of n - log2 of a sum of 2**n terms, as computed
     halves = [_halves(a) for a in pop] if density and width >= _FACTORED_POINTS else None
 
@@ -334,32 +331,26 @@ def channel_pass(pop: np.ndarray, sigmas, rows: int, seed: int, decode=True, den
         norm = np.einsum("ij,ij->i", unit, unit)
         chi = (norm - m) / (2.0 * _LN2)
         np.sqrt(norm, out=norm)
-        ball, gap = (np.take(t, sent, axis=1) for t in (radius, near)) if table else (None, None)
+        ball = np.take(radius, sent, axis=1) if table else None
         work = np.empty(_TILE)  # every kernel's buffer: one allocation a block
-        stats = [None] * len(sigmas), [None] * len(sigmas)  # (3, P) statistics at each sigma
-        kept = above = None  # rows decoded as sent at the sigma above
-        for j in order:
-            sigma = float(sigmas[j])
+        stats = [], []  # (3, P) statistics at each sigma
+        for sigma in map(float, sigmas):
             settled = np.zeros((len(pop), len(sent)), dtype=bool)  # rows certain to decode as sent
             if density:
                 terms = densities(sigma, sent, unit, work)
-                if decode:  # certificate 3
+                if decode:  # certificate 2
                     c = math.sqrt(8.0 * slack / (2.0 * sigma * sigma))
                     floor = np.log1p(np.exp(-np.minimum(np.square(c * (n + sigma * norm)), 700.0)))
                     settled = terms > n - (floor / _LN2 - sum_rounding)
                 terms += chi  # in place: a block holds one (P, rows) array of terms at a time
                 mean = terms.mean(axis=1)
                 np.square(np.subtract(terms, mean[:, None], out=terms), out=terms)
-                stats[0][j] = [np.full_like(mean, len(sent)), mean, terms.sum(axis=1)]
+                stats[0].append([np.full_like(mean, len(sent)), mean, terms.sum(axis=1)])
             if decode:
                 if table:
                     settled |= ball > sigma * norm
-                    if above is not None:
-                        reach = math.sqrt(5.0 * slack) * (n + above * norm)
-                        settled |= kept & (math.sqrt(1.0 - sigma / above) * gap > reach)
                 e = decode_errors(sigma, sent, unit, settled, work)
-                kept, above = e == 0, sigma
-                stats[1][j] = [e.sum(axis=1), np.square(e).sum(axis=1), np.count_nonzero(e, axis=1)]
+                stats[1].append([e.sum(axis=1), np.square(e).sum(axis=1), np.count_nonzero(e, axis=1)])
         return stats
 
     n_blocks = -(-rows // BLOCK)

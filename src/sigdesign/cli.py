@@ -183,7 +183,7 @@ def _parse_sigma_grid(text: str) -> np.ndarray:
     _flagged("--sigma-grid: hi end", _check_sigma, hi)
     if steps < 1:
         raise ValueError("--sigma-grid needs steps >= 1")
-    return np.geomspace(lo, hi, steps)
+    return _flagged("--sigma-grid steps", np.geomspace, lo, hi, steps)  # numpy caps them
 
 
 # ---------------------------------------------------------------------------

@@ -514,6 +514,13 @@ def scanned_rows(monkeypatch):
 CERTIFIED_CASES = [(kind, m, n) for n in range(2, 11) for m, kind in
                    [(max(1, n // 2), "random"), (max(1, n // 2), "twin"), (max(1, n // 2), "anti"),
                     (max(2, n // 2), "wbe")]] + [("random", 5, 11), ("wbe", 6, 11)]  # past the table
+TWIN_CASES = [(3, 6, [1e-12]), (4, 8, [1e-5, 1e-12]), (4, 10, [0.3, 1e-12])]
+
+
+def with_and_without_density(cases, ids):
+    """Each case with density=True under its id, then with density=False under its id + '-ball'."""
+    return dict(argvalues=[(*c, d) for d in (True, False) for c in cases],
+                ids=[i + ("" if d else "-ball") for d in (True, False) for i in ids])
 
 
 class TestCertifiedDecode:
@@ -525,24 +532,32 @@ class TestCertifiedDecode:
             return baselines.generate("wbe", m, n, n).entries
         return density_stack(m, n)[("random", "twin", "anti").index(kind)]
 
-    @pytest.mark.parametrize("kind, m, n", CERTIFIED_CASES,
-                             ids=[f"{k}{m}x{n}" for k, m, n in CERTIFIED_CASES])
-    def test_errors_equal_a_forced_full_decode(self, monkeypatch, kind, m, n):
+    @pytest.mark.parametrize("kind, m, n, density", **with_and_without_density(
+        CERTIFIED_CASES, [f"{k}{m}x{n}" for k, m, n in CERTIFIED_CASES]))
+    def test_errors_equal_a_forced_full_decode(self, monkeypatch, kind, m, n, density):
         # unsorted grids with a repeated sigma, from 1e-6 to 3, on one thread and on two; with
-        # an infinite margin no certificate holds and `_scan` decodes every row
+        # an infinite margin no certificate holds and `_scan` decodes every row.  With no
+        # density, as the `ber` criterion runs the pass, the ball is the only certificate
         a = self.matrix(kind, m, n)[None]
         grids = [[0.3, 1e-6, 3.0, 0.1, 0.3, 0.05], [0.2, 0.5, 0.2, 1.0, 0.15]]
         got, want = [], []
         for count in (1, 2):
             force_threads(monkeypatch, count)
             for grid in grids:
-                got.append(_rng.channel_pass(a, grid, 4_500, seed=n))
+                got.append(_rng.channel_pass(a, grid, 4_500, seed=n, density=density))
                 with monkeypatch.context() as mp:
                     mp.setattr(_rng, "_CERT_ERR", math.inf)
-                    want.append(_rng.channel_pass(a, grid, 4_500, seed=n))
+                    want.append(_rng.channel_pass(a, grid, 4_500, seed=n, density=density))
         md5 = lambda runs, k: hashlib.md5(b"".join(r[k].tobytes() for r in runs)).hexdigest()
         assert md5(got, 1) == md5(want, 1)
-        assert md5(got, 0) == md5(want, 0)  # the densities never depend on the decode
+        if density:
+            assert md5(got, 0) == md5(want, 0)  # the densities never depend on the decode
+        # each sigma is scored on its own: its block statistics are those of a one-sigma pass
+        alone = {s: _rng.channel_pass(a, [s], 4_500, seed=n, density=density) for s in sum(grids, [])}
+        for grid, stats in zip(grids, got):
+            for j, sigma in enumerate(grid):
+                for k in (0, 1) if density else (1,):
+                    assert stats[k][:, j].tobytes() == alone[sigma][k][:, 0].tobytes(), (sigma, k)
 
     @pytest.mark.parametrize("kind", ["wbe", "random"])
     def test_small_sigma_decodes_few_rows(self, monkeypatch, kind):
@@ -551,13 +566,14 @@ class TestCertifiedDecode:
         capacity._estimates(baselines.generate(kind, 4, 8, 0), [0.1], 20_000, 0)
         assert sum(rows) < 0.05 * 20_000
 
-    @pytest.mark.parametrize("m, n, sigmas",
-                             [(3, 6, [1e-12]), (4, 8, [1e-5, 1e-12]), (4, 10, [0.3, 1e-12])])
-    def test_a_lower_index_twin_is_never_certified(self, monkeypatch, m, n, sigmas):
+    @pytest.mark.parametrize("m, n, sigmas, density", **with_and_without_density(
+        TWIN_CASES, [f"{m}-{n}-sigmas{j}" for j, (m, n, _) in enumerate(TWIN_CASES)]))
+    def test_a_lower_index_twin_is_never_certified(self, monkeypatch, m, n, sigmas, density):
         # at sigma 1e-12 each row decodes to the lowest input whose point equals its own, so the
         # bit errors are exactly those of the rows whose sent point has a lower-index twin; a
-        # certified one would count none.  4x8 runs certificates 1, 2 and 3 on `_density`'s
-        # densities, 4x10 at sigma 0.3 certificate 3 on `_factored`'s
+        # certified one would count none.  With a density, 4x8 runs both certificates on
+        # `_density`'s densities, 4x10 at sigma 0.3 the density one on `_factored`'s; with none,
+        # the ball is the only one
         a = density_stack(m, n)[1]
         z = _points(a)
         lowest = (z[:, None, :] == z[None]).all(axis=2).argmax(axis=1)
@@ -565,7 +581,7 @@ class TestCertifiedDecode:
         want = np.bitwise_count(sent ^ lowest[sent])
         assert 0 < np.count_nonzero(want) < len(sent)
         rows = scanned_rows(monkeypatch)
-        _, errors = _rng.channel_pass(a[None], sigmas, 6_000, seed=n)
+        _, errors = _rng.channel_pass(a[None], sigmas, 6_000, seed=n, density=density)
         assert errors[:, -1, 0, 0].sum() == want.sum()
         assert errors[:, -1, 2, 0].sum() == np.count_nonzero(want)
         assert sum(rows) < len(sent) * len(sigmas)  # certificates did settle the other rows

@@ -669,7 +669,8 @@ class TestSweep:
         assert err.startswith(f"error: {wide}: n=17 exceeds")
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("grid", ["0.1:1:2.5", "a:1:3", "0.1:1", "0.1:1:3:4"])
+    @pytest.mark.parametrize("grid", ["0.1:1:2.5", "a:1:3", "0.1:1", "0.1:1:3:4",
+                                      "0.1:1:99999999999999999999"])
     def test_malformed_grid_names_the_flag(self, tmp_path, matrices, capsys, grid):
         err = assert_rejected(capsys, "sweep", str(matrices[0]), "--sigma-grid", grid,
                               "--out", str(tmp_path / "x.csv"))
@@ -806,8 +807,7 @@ class TestOverloadSweep:
                                         ("random", 4, 8), ("wbe", 6, 12)])
 def test_sweep_rows_equal_eval_rows(tmp_path, capsys, kind, m, n):
     # the grid shares its draws and its pair distances; each row is still eval's, byte for byte
-    # (at 4x8 the wbe matrix takes `_density` at sigma 0.1, the factored density above, and
-    # the sweep reuses decodes from larger sigmas that eval scans or certifies on its own)
+    # (at 4x8 the wbe matrix takes `_density` at sigma 0.1 and the factored density above)
     path = tmp_path / "a.json"
     save_matrix(path, baselines.generate(kind, m, n, 1))
     out = tmp_path / "s.csv"
